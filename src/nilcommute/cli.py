@@ -1,6 +1,7 @@
 """Command-line front end with reproducible JSON reports.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+3 internal error (any other exception, reported in one stderr line).
 Partitions on the command line are comma-separated decreasing integers;
 codes are whitespace-separated run-length tokens (a3 = aaa).  Defaults for
 the prime and seed come from NILCOMMUTE_PRIME and NILCOMMUTE_SEED.
@@ -12,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .burge import BurgeWord, box_codes, box_partitions, decode, dmap, encode, table
 from .commutator import dmap_oracle
@@ -34,15 +35,6 @@ class RunConfig:
     samples: int
     size_bound: int
     output: str
-
-    def to_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "seed": self.seed,
-            "samples": self.samples,
-            "size_bound": self.size_bound,
-            "output": self.output,
-        }
 
 
 def _parse_partition(text: str) -> Partition:
@@ -77,6 +69,9 @@ def _config(args) -> RunConfig:
     prime = args.prime
     if prime is None:
         prime = int(os.environ.get("NILCOMMUTE_PRIME", DEFAULT_PRIME))
+    # samples and assembled matrices are int64
+    if prime >= 2**63:
+        raise UsageError(f"--prime {prime} is too large: supported primes are 2 <= p < 2^63")
     if not is_prime(prime):
         raise UsageError(f"--prime {prime} is not prime")
     seed = args.seed
@@ -95,8 +90,9 @@ def _config(args) -> RunConfig:
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
+    """Print the JSON payload, with the run config appended, or the text lines."""
     if cfg.output == "json":
-        print(json.dumps(payload))
+        print(json.dumps({**payload, "config": asdict(cfg)}))
     else:
         for line in text_lines:
             print(line)
@@ -114,19 +110,14 @@ def cmd_burge(args) -> int:
         p = _parse_partition(args.partition)
         word = encode(p)
         payload = {"command": "encode", "partition": list(p), "code": word.tokens()}
-        payload.update(config=cfg.to_dict())
         _emit(cfg, payload, [word.tokens()])
         return 0
     if args.action == "decode":
         if args.code is None:
             raise UsageError("decode needs --code")
-        try:
-            word = BurgeWord.from_tokens(args.code)
-            p = decode(word)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        word = BurgeWord.from_tokens(args.code)
+        p = decode(word)
         payload = {"command": "decode", "code": word.tokens(), "parts": list(p)}
-        payload.update(config=cfg.to_dict())
         _emit(cfg, payload, [_fmt_partition(p)])
         return 0
     if args.action == "dmap":
@@ -135,7 +126,6 @@ def cmd_burge(args) -> int:
         p = _parse_partition(args.partition)
         d = dmap(p)
         payload = {"command": "dmap", "partition": list(p), "parts": list(d)}
-        payload.update(config=cfg.to_dict())
         _emit(cfg, payload, [_fmt_partition(d)])
         return 0
     raise UsageError(f"unknown burge action {args.action!r}")
@@ -174,7 +164,6 @@ def cmd_box(args) -> int:
     if not q or not is_stable(q):
         raise UsageError(f"--q must be a nonempty stable partition, got {tuple(q)}")
     payload, lines = _box_payload(q)
-    payload.update(config=cfg.to_dict())
     _emit(cfg, payload, lines)
     return 0
 
@@ -189,7 +178,6 @@ def cmd_table(args) -> int:
         "key": list(key(q)),
         "rows": [[list(p) for p in row] for row in grid],
     }
-    payload.update(config=cfg.to_dict())
     lines = [f"table of {_fmt_partition(q)}: {r - 1} rows x {u - r} columns"]
     for ki, row in enumerate(grid, start=1):
         lines.append(
@@ -208,20 +196,13 @@ def cmd_verify(args) -> int:
         cells = [(k, l)]
     else:
         cells = [(k, l) for k in range(1, r) for l in range(1, u - r + 1)]
-    reports = []
-    for k, l in cells:
-        try:
-            rep = verify_cell(u, r, k, l, cfg.samples, seed=cfg.seed, prime=cfg.prime)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        reports.append(rep)
+    reports = [verify_cell(u, r, k, l, cfg.samples, seed=cfg.seed, prime=cfg.prime) for k, l in cells]
     passed = sum(rep.passed for rep in reports)
     payload = {
         "q": list(q),
         "passed": passed,
         "total": len(reports),
         "reports": [rep.to_dict() for rep in reports],
-        "config": cfg.to_dict(),
     }
     lines = []
     for rep in reports:
@@ -244,7 +225,6 @@ def cmd_survey(args) -> int:
         raise UsageError(f"--q must be a nonempty stable partition, got {tuple(q)}")
     rep = survey(q, cfg.samples, seed=cfg.seed, prime=cfg.prime)
     payload = rep.to_dict()
-    payload.update(config=cfg.to_dict())
     lines = [f"survey of {_fmt_partition(q)}: {cfg.samples} samples, box size {rep.box_size}"]
     for t, c in rep.type_counts:
         lines.append(f"  {_fmt_partition(t)}: {c}")
@@ -258,12 +238,8 @@ def cmd_intersect(args) -> int:
     q = _parse_partition(args.q)
     u, r = _two_part(q)
     cells = _parse_cells(args.cells)
-    try:
-        rep = intersect_experiment(u, r, cells, cfg.samples, seed=cfg.seed, prime=cfg.prime)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    rep = intersect_experiment(u, r, cells, cfg.samples, seed=cfg.seed, prime=cfg.prime)
     payload = rep.to_dict()
-    payload.update(config=cfg.to_dict())
     lines = [f"intersection on {_fmt_partition(q)} cells {args.cells}"]
     if not rep.sampled:
         lines.append(f"not sampled: {rep.reason}")
@@ -280,10 +256,7 @@ def cmd_oracle(args) -> int:
     if p.size > cfg.size_bound:
         raise UsageError(f"|P|={p.size} exceeds --size-bound {cfg.size_bound}")
     rng = np.random.default_rng([abs(cfg.seed)] + list(p))
-    try:
-        est = dmap_oracle(p, cfg.samples, rng, prime=cfg.prime, size_limit=cfg.size_bound)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    est = dmap_oracle(p, cfg.samples, rng, prime=cfg.prime, size_limit=cfg.size_bound)
     truth = dmap(p)
     agree = est == truth
     payload = {
@@ -291,7 +264,6 @@ def cmd_oracle(args) -> int:
         "oracle": list(est),
         "dmap": list(truth),
         "agree": agree,
-        "config": cfg.to_dict(),
     }
     lines = [f"{_fmt_partition(est)}", f"agrees with dmap: {agree}"]
     _emit(cfg, payload, lines)
@@ -356,12 +328,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
+        # UsageError, and the library's own checks on its input (cells, codes, sizes)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ of powers of the assembled matrix recover the Jordan type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,28 +20,60 @@ from .modpoly import DEFAULT_PRIME, TruncPoly, det2, matmul, rank
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
 
 
-def _hom_block(f: TruncPoly, qi: int, qj: int) -> np.ndarray:
-    # entry (row, col) is the coefficient of f at q_i - q_j + col - row,
-    # i.e. multiplication by f in bases (t^{m-1}, ..., t, 1)
-    deg = (qi - qj) + np.arange(qj)[None, :] - np.arange(qi)[:, None]
-    carr = np.asarray(f.coeffs, dtype=np.int64)
-    return np.where((deg >= 0) & (deg < qi), carr[np.clip(deg, 0, qi - 1)], 0)
+@lru_cache(maxsize=512)
+def _layout(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient numbering of the block grid of `parts`, of any shape.
+
+    Coefficients are numbered block by block in row-major order, then by
+    t-power.  `take` maps each matrix cell to the number of its
+    coefficient, or to -1 (a zero appended after the last) for a
+    structural zero; `free` lists the coefficients that are free in the
+    nilpotent commutant, in draw order.
+
+    Constant terms between equal-size blocks form one matrix per size
+    class, and the element is nilpotent exactly when each class matrix is.
+    Conjugation by commutant units puts any class matrix in strictly upper
+    triangular form without changing the Jordan type, so freeing only the
+    constant terms with i < j still meets the dense orbit.  For a stable
+    shape this is the nilpotent commutant slice.
+    """
+    n = sum(parts)
+    take = np.full((n, n), -1, dtype=np.intp)
+    free = []
+    offs = np.cumsum((0,) + parts)
+    coeff = 0
+    for i, qi in enumerate(parts):
+        for j, qj in enumerate(parts):
+            # entry (row, col) is the coefficient of f at q_i - q_j + col - row,
+            # i.e. multiplication by f in bases (t^{m-1}, ..., t, 1)
+            deg = (qi - qj) + np.arange(qj)[None, :] - np.arange(qi)[:, None]
+            take[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = np.where(deg >= 0, coeff + deg, -1)
+            lo = 1 if qi == qj and i >= j else max(0, qi - qj)
+            free.extend(range(coeff + lo, coeff + qi))
+            coeff += qi
+    free_idx = np.array(free, dtype=np.intp)
+    take.flags.writeable = free_idx.flags.writeable = False
+    return take, free_idx
+
+
+def _assemble_flat(parts: tuple[int, ...], coeffs) -> np.ndarray:
+    """Assemble the block coefficients of `parts`, numbered as in `_layout`."""
+    flat = np.zeros(sum(parts) * len(parts) + 1, dtype=np.int64)
+    flat[:-1] = coeffs
+    return flat[_layout(parts)[0]]
+
+
+def _draw_free(parts: tuple[int, ...], rng, p: int) -> np.ndarray:
+    """Block coefficients of a uniform draw from the slice `_layout` describes."""
+    coeffs = np.zeros(sum(parts) * len(parts), dtype=np.int64)
+    free = _layout(parts)[1]
+    coeffs[free] = rng.integers(p, size=free.size)
+    return coeffs
 
 
 def assemble_blocks(parts, entries, p: int = DEFAULT_PRIME) -> np.ndarray:
     """Assemble an l x l grid of block entries into one n x n matrix."""
-    parts = tuple(parts)
-    n = sum(parts)
-    mat = np.zeros((n, n), dtype=np.int64)
-    offs = [0]
-    for q in parts:
-        offs.append(offs[-1] + q)
-    for i, qi in enumerate(parts):
-        for j, qj in enumerate(parts):
-            f = entries[i][j]
-            if not f.is_zero():
-                mat[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = _hom_block(f, qi, qj)
-    return mat
+    return _assemble_flat(tuple(parts), [c for row in entries for f in row for c in f.coeffs])
 
 
 def jordan_type_of_matrix(mat, p: int = DEFAULT_PRIME) -> Partition:
@@ -150,18 +183,25 @@ def sample_commutator(q, rng, *, p: int = DEFAULT_PRIME) -> CommutatorElement:
     q = Partition(q)
     if not q or not is_stable(q):
         raise ValueError(f"need a nonempty stable shape, got {tuple(q)}")
+    coeffs = _draw_free(q, rng, p).tolist()
     rows = []
-    for i, qi in enumerate(q):
+    pos = 0
+    for qi in q:
         row = []
-        for j, qj in enumerate(q):
-            lo = 1 if i == j else max(0, qi - qj)
-            coeffs = [0] * qi
-            if lo < qi:
-                draws = rng.integers(p, size=qi - lo)
-                coeffs[lo:] = [int(x) for x in draws]
-            row.append(TruncPoly(tuple(coeffs), p))
+        for _ in q:
+            row.append(TruncPoly(tuple(coeffs[pos : pos + qi]), p))
+            pos += qi
         rows.append(tuple(row))
     return CommutatorElement(q, tuple(rows), p)
+
+
+def sample_commutant_matrix(parts, rng, *, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """Assembled random nilpotent commutant element of J_parts (see `_layout`).
+
+    For a stable shape it equals `sample_commutator(parts, rng).assemble()`.
+    """
+    parts = tuple(parts)
+    return _assemble_flat(parts, _draw_free(parts, rng, p))
 
 
 @dataclass(frozen=True)
@@ -221,10 +261,12 @@ class TwoPartElement:
         return det2(self.a, self.b, self.g, self.h, self.r)
 
     def assemble(self) -> np.ndarray:
-        return self.to_element().assemble()
+        # blocks a, t^r g, h, b in the layout's row-major order
+        shifted_g = (0,) * self.r + self.g.coeffs
+        return _assemble_flat(self.q, self.a.coeffs + shifted_g + self.h.coeffs + self.b.coeffs)
 
     def jordan_type(self) -> Partition:
-        return self.to_element().jordan_type()
+        return jordan_type_of_matrix(self.assemble(), self.p)
 
     def to_json(self) -> dict:
         return {
@@ -262,32 +304,6 @@ def sample_two_part(u: int, r: int, rng, *, p: int = DEFAULT_PRIME) -> TwoPartEl
     return TwoPartElement(u, r, a, b, g, h)
 
 
-def _nilpotent_commutant_sample(parts, rng, prime: int) -> np.ndarray:
-    """Random nilpotent commutant element of J_parts, assembled.
-
-    Constant terms between equal-size blocks form one matrix per size
-    class, and the element is nilpotent exactly when each class matrix is.
-    Conjugation by commutant units puts any class matrix in strictly upper
-    triangular form without changing the Jordan type, so sampling that
-    slice still meets the dense orbit.
-    """
-    s = len(parts)
-    entries = []
-    for i in range(s):
-        row = []
-        for j in range(s):
-            lo = max(0, parts[i] - parts[j])
-            coeffs = [0] * parts[i]
-            if lo < parts[i]:
-                draws = rng.integers(prime, size=parts[i] - lo)
-                coeffs[lo:] = [int(x) for x in draws]
-            if parts[i] == parts[j] and i >= j:
-                coeffs[0] = 0
-            row.append(TruncPoly(tuple(coeffs), prime))
-        entries.append(row)
-    return assemble_blocks(parts, entries, prime)
-
-
 def dmap_oracle(
     p_type,
     samples: int,
@@ -312,7 +328,7 @@ def dmap_oracle(
         return EMPTY
     types = set()
     for _ in range(samples):
-        types.add(jordan_type_of_matrix(_nilpotent_commutant_sample(pt, rng, prime), prime))
+        types.add(jordan_type_of_matrix(sample_commutant_matrix(pt, rng, p=prime), prime))
     try:
         return dominance_max(types)
     except ValueError as exc:

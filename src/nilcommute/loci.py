@@ -12,14 +12,16 @@ d = 0..k+l-r-1, which are the coefficients of t^{r+d} in ab - g h t^r.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
 from .burge import check_cell, table
-from .commutator import TwoPartElement, sample_commutator, sample_two_part
+from .commutator import TwoPartElement, jordan_type_of_matrix, sample_commutant_matrix, sample_two_part
 from .modpoly import DEFAULT_PRIME, TruncPoly, rank
-from .partitions import Partition, dominance_max
+from .partitions import EMPTY, Partition, dominance_max
 from .tropical import predicted_jordan_type
 
 
@@ -159,33 +161,90 @@ def equations(u: int, r: int, k: int, l: int) -> EquationSet:
     return EquationSet(u, r, k, l, tuple(range(1, k)), lin_b, quads)
 
 
-def sample_on_locus(u: int, r: int, k: int, l: int, rng, *, prime: int = DEFAULT_PRIME) -> TwoPartElement:
-    """Generic point of the (k, l) locus.
+@dataclass(frozen=True)
+class _SolvePlan:
+    """A sampler for the common zero locus of a set of cells.
 
-    Zeroes the linear coordinates, draws a_k nonzero and everything else
-    uniformly, then solves each bilinear equation for the next b
-    coordinate (each is linear in it with coefficient a_k).
+    a_k is drawn nonzero above zeroed lower a coordinates, g, h and the
+    `free_b` coordinates uniformly.  Each step (b index, ab terms without
+    the pivot a_k term, gh terms) solves one degree's constraint for that b
+    coordinate.  `split` marks g_0 h_0 = 0; a nonempty `reason` marks a
+    system this cannot sample.
     """
-    eqs = equations(u, r, k, l)
+
+    u: int
+    r: int
+    k: int
+    steps: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
+    free_b: tuple[int, ...]
+    split: bool
+    reason: str = ""
+
+
+@lru_cache(maxsize=1024)
+def _solve_plan(u: int, r: int, cells: tuple[tuple[int, int], ...]) -> _SolvePlan:
+    """Plan for the union of the cells' equations; `cells` sorted, nonempty.
+
+    Under the union of the linear equations, every remaining bilinear
+    constraint collapses to one det coefficient per degree D: the terms
+    a_i b_j with i >= max k, j >= the union b bound and i + j = D minus
+    the g h convolution of degree D - r.  A degree with no a,b term and
+    D = r leaves g_0 h_0 = 0 (once); any other degree without a pivot
+    term makes the plan unsampleable.  For one cell the steps are its
+    quadrics, each solved for the next b coordinate.
+    """
+    for k, l in cells:
+        check_cell(u, r, k, l)
+    m = u - r
+    big_k = max(k for k, _ in cells)
+    big_m = max((l if k + l <= r else r - k) for k, l in cells)
+    degrees = sorted({dd for k, l in cells if k + l > r for dd in range(r, k + l)})
+    steps = []
+    split = False
+    for deg in degrees:
+        d = deg - r
+        ab = tuple(
+            (ai, deg - ai)
+            for ai in range(big_k, min(deg - big_m, u - 1) + 1)
+            if 1 <= deg - ai <= m - 1
+        )
+        gh = tuple((j, d - j) for j in range(d + 1))
+        if ab and ab[0][0] == big_k:
+            steps.append((deg - big_k, ab[1:], gh))
+        elif not ab and d == 0 and not split:
+            split = True
+        else:
+            reason = f"constraint at degree {deg} has no pivot term"
+            return _SolvePlan(u, r, big_k, (), (), False, reason)
+    solved = {idx for idx, _, _ in steps}
+    free_b = tuple(i for i in range(big_m, m) if i not in solved)
+    return _SolvePlan(u, r, big_k, tuple(steps), free_b, split)
+
+
+def _sample_plan(plan: _SolvePlan, rng, prime: int, zero_gh: int | None = None) -> TwoPartElement:
+    """One point of the plan's locus; zero_gh = 0 or 1 zeroes g_0 or h_0."""
+    u, r, k = plan.u, plan.r, plan.k
     m = u - r
     a = [0] * u
     a[k] = 1 + int(rng.integers(prime - 1))
-    for i in range(k + 1, u):
-        a[i] = int(rng.integers(prime))
-    g = [int(x) for x in rng.integers(prime, size=m)]
-    h = [int(x) for x in rng.integers(prime, size=m)]
+    a[k + 1 :] = rng.integers(prime, size=u - k - 1).tolist()
+    g = rng.integers(prime, size=m).tolist()
+    h = rng.integers(prime, size=m).tolist()
+    if zero_gh == 0:
+        g[0] = 0
+    elif zero_gh == 1:
+        h[0] = 0
     b = [0] * m
-    if eqs.quadrics:
-        inv_ak = pow(a[k], -1, prime)
-        for d, qd in enumerate(eqs.quadrics):
-            rhs = 0
-            for gi, hi in qd.gh_terms:
-                rhs += g[gi] * h[hi]
-            for ai, bi in qd.ab_terms[1:]:
-                rhs -= a[ai] * b[bi]
-            b[r - k + d] = rhs % prime * inv_ak % prime
-    for i in range(l, m):
-        b[i] = int(rng.integers(prime))
+    for i, x in zip(plan.free_b, rng.integers(prime, size=len(plan.free_b)).tolist()):
+        b[i] = x
+    inv_ak = pow(a[k], -1, prime)
+    for solved, ab, gh in plan.steps:
+        rhs = 0
+        for gi, hi in gh:
+            rhs += g[gi] * h[hi]
+        for ai, bi in ab:
+            rhs -= a[ai] * b[bi]
+        b[solved] = rhs % prime * inv_ak % prime
     return TwoPartElement(
         u, r,
         TruncPoly(tuple(a), prime),
@@ -195,15 +254,51 @@ def sample_on_locus(u: int, r: int, k: int, l: int, rng, *, prime: int = DEFAULT
     )
 
 
+def sample_on_locus(u: int, r: int, k: int, l: int, rng, *, prime: int = DEFAULT_PRIME) -> TwoPartElement:
+    """Generic point of the (k, l) locus.
+
+    Zeroes the linear coordinates, draws a_k nonzero and everything else
+    uniformly, then solves each bilinear equation for the next b
+    coordinate (each is linear in it with coefficient a_k).
+    """
+    return _sample_plan(_solve_plan(u, r, ((k, l),)), rng, prime)
+
+
 def _type_counts(counter: Counter) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(
         (tuple(t), c) for t, c in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
     )
 
 
+def _plain(value):
+    """JSON-ready form of a report field: tuples and partitions become lists."""
+    if isinstance(value, _Report):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+class _Report:
+    """Serializes a report dataclass: its fields except `hidden`, then the
+    `derived` keys, each paired with the property that computes it."""
+
+    hidden: ClassVar[tuple[str, ...]] = ()
+    derived: ClassVar[tuple[tuple[str, str], ...]] = ()
+
+    def to_dict(self) -> dict:
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.name not in self.hidden}
+        for key, prop in self.derived:
+            out[key] = getattr(self, prop)
+        return out
+
+
 @dataclass(frozen=True)
-class CellReport:
+class CellReport(_Report):
     """Verification record for one table cell."""
+
+    hidden = ("jacobian_rate",)
+    derived = (("jacobian_rank_ok", "jacobian_rank_ok"), ("pass", "passed"))
 
     q: Partition
     cell: tuple[int, int]
@@ -232,22 +327,6 @@ class CellReport:
             and self.converse_ok
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "q": list(self.q),
-            "cell": list(self.cell),
-            "prime": self.prime,
-            "seed": self.seed,
-            "samples": self.samples,
-            "max_type": list(self.max_type),
-            "expected": list(self.expected),
-            "jacobian_rank_ok": self.jacobian_rank_ok,
-            "tropical_agree": self.tropical_agree,
-            "pass": self.passed,
-            "match_rate": self.match_rate,
-            "converse_hits": self.converse_hits,
-            "converse_ok": self.converse_ok,
-        }
 
 
 def verify_cell(
@@ -278,7 +357,12 @@ def verify_cell(
         e = sample_on_locus(u, r, k, l, rng, prime=prime)
         types.append(e.jordan_type())
         jac_hits += eqs.jacobian_rank_at(e) == eqs.codim
-    max_type = dominance_max(types)
+    try:
+        max_type = dominance_max(types)
+    except ValueError:
+        # no sampled type dominates the rest (a prime small enough for
+        # cancellations to be common): no generic type, so the cell fails
+        max_type = EMPTY
     match_rate = sum(t == expected for t in types) / samples
     converse_hits = 0
     converse_ok = True
@@ -304,8 +388,10 @@ def verify_cell(
 
 
 @dataclass(frozen=True)
-class ContainmentReport:
+class ContainmentReport(_Report):
     """Closure containment of the inner cell's locus in the outer one."""
+
+    derived = (("agree", "agree"),)
 
     q: Partition
     outer: tuple[int, int]
@@ -320,18 +406,6 @@ class ContainmentReport:
     def agree(self) -> bool:
         return self.predicate == self.montecarlo
 
-    def to_dict(self) -> dict:
-        return {
-            "q": list(self.q),
-            "outer": list(self.outer),
-            "inner": list(self.inner),
-            "prime": self.prime,
-            "seed": self.seed,
-            "samples": self.samples,
-            "predicate": self.predicate,
-            "montecarlo": self.montecarlo,
-            "agree": self.agree,
-        }
 
 
 def closure_contains(
@@ -374,21 +448,15 @@ def closure_contains(
 
 
 @dataclass(frozen=True)
-class BranchReport:
+class BranchReport(_Report):
     label: str
     max_type: Partition
     type_counts: tuple[tuple[tuple[int, ...], int], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "max_type": list(self.max_type),
-            "type_counts": [[list(t), c] for t, c in self.type_counts],
-        }
 
 
 @dataclass(frozen=True)
-class IntersectReport:
+class IntersectReport(_Report):
     q: Partition
     cells: tuple[tuple[int, int], ...]
     prime: int
@@ -398,17 +466,6 @@ class IntersectReport:
     reason: str
     branches: tuple[BranchReport, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "q": list(self.q),
-            "cells": [list(c) for c in self.cells],
-            "prime": self.prime,
-            "seed": self.seed,
-            "samples": self.samples,
-            "sampled": self.sampled,
-            "reason": self.reason,
-            "branches": [b.to_dict() for b in self.branches],
-        }
 
 
 def intersect_experiment(
@@ -422,25 +479,16 @@ def intersect_experiment(
 ) -> IntersectReport:
     """Sample the common zero locus of several cells' equation sets.
 
-    Under the union of the linear equations, every remaining bilinear
-    constraint collapses to one det coefficient per degree D: the terms
-    a_i b_j with i >= max k, j >= the union b bound and i + j = D minus
-    the g h convolution of degree D - r.  Those are solved for successive
-    b coordinates as usual; a degree whose a,b part dies entirely leaves
-    g_0 h_0 = 0, which splits the sample into two monomial branches.
-    Richer systems (a second split, or no pivot term) are reported
-    unsampled rather than guessed.
+    The bilinear constraints left under the union of the linear equations
+    are solved for successive b coordinates as usual (see `_solve_plan`);
+    g_0 h_0 = 0 splits the sample into two monomial branches.  Richer
+    systems (a second split, or no pivot term) are reported unsampled
+    rather than guessed.
     """
     cells = sorted({(int(k), int(l)) for k, l in cells})
     if not cells:
         raise ValueError("need at least one cell")
-    for k, l in cells:
-        check_cell(u, r, k, l)
-    m = u - r
-    big_k = max(k for k, _ in cells)
-    big_m = max((l if k + l <= r else r - k) for k, l in cells)
-    degrees = sorted({dd for k, l in cells if k + l > r for dd in range(r, k + l)})
-
+    plan = _solve_plan(u, r, tuple(cells))
     base = dict(
         q=Partition((u, u - r)),
         cells=tuple(cells),
@@ -448,62 +496,16 @@ def intersect_experiment(
         seed=seed,
         samples=samples,
     )
+    if plan.reason:
+        return IntersectReport(**base, sampled=False, reason=plan.reason, branches=())
 
-    plan = []  # (solved b index, ab terms, gh terms) per degree
-    split = False
-    for deg in degrees:
-        d = deg - r
-        ab = tuple(
-            (ai, deg - ai)
-            for ai in range(big_k, min(deg - big_m, u - 1) + 1)
-            if 1 <= deg - ai <= m - 1
-        )
-        gh = tuple((j, d - j) for j in range(d + 1))
-        if ab and ab[0][0] == big_k:
-            plan.append((deg - big_k, ab, gh))
-        elif not ab and d == 0 and not split:
-            split = True
-        else:
-            reason = f"constraint at degree {deg} has no pivot term"
-            return IntersectReport(**base, sampled=False, reason=reason, branches=())
-
-    solved = {idx for idx, _, _ in plan}
-    branch_defs = [("g0=0", 0), ("h0=0", 1)] if split else [("", None)]
+    branch_defs = [("g0=0", 0), ("h0=0", 1)] if plan.split else [("", None)]
     branches = []
     for bidx, (label, zero_gh) in enumerate(branch_defs):
         rng = np.random.default_rng([abs(seed), u, r, bidx] + [x for c in cells for x in c])
         counts: Counter = Counter()
         for _ in range(samples):
-            a = [0] * u
-            a[big_k] = 1 + int(rng.integers(prime - 1))
-            for i in range(big_k + 1, u):
-                a[i] = int(rng.integers(prime))
-            g = [int(x) for x in rng.integers(prime, size=m)]
-            h = [int(x) for x in rng.integers(prime, size=m)]
-            if zero_gh == 0:
-                g[0] = 0
-            elif zero_gh == 1:
-                h[0] = 0
-            b = [0] * m
-            for i in range(big_m, m):
-                if i not in solved:
-                    b[i] = int(rng.integers(prime))
-            inv = pow(a[big_k], -1, prime)
-            for bi_solved, ab, gh in plan:
-                rhs = 0
-                for gi, hi in gh:
-                    rhs += g[gi] * h[hi]
-                for ai, bi in ab[1:]:
-                    rhs -= a[ai] * b[bi]
-                b[bi_solved] = rhs % prime * inv % prime
-            e = TwoPartElement(
-                u, r,
-                TruncPoly(tuple(a), prime),
-                TruncPoly(tuple(b), prime),
-                TruncPoly(tuple(g), prime),
-                TruncPoly(tuple(h), prime),
-            )
-            counts[e.jordan_type()] += 1
+            counts[_sample_plan(plan, rng, prime, zero_gh).jordan_type()] += 1
         branches.append(
             BranchReport(label=label, max_type=dominance_max(counts), type_counts=_type_counts(counts))
         )
@@ -511,8 +513,10 @@ def intersect_experiment(
 
 
 @dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(_Report):
     """Observed Jordan types of commutant samples against the box inventory."""
+
+    derived = (("all_in_box", "all_in_box"),)
 
     q: Partition
     prime: int
@@ -526,17 +530,6 @@ class SurveyReport:
     def all_in_box(self) -> bool:
         return not self.outside
 
-    def to_dict(self) -> dict:
-        return {
-            "q": list(self.q),
-            "prime": self.prime,
-            "seed": self.seed,
-            "samples": self.samples,
-            "box_size": self.box_size,
-            "type_counts": [[list(t), c] for t, c in self.type_counts],
-            "outside": [list(t) for t in self.outside],
-            "all_in_box": self.all_in_box,
-        }
 
 
 def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> SurveyReport:
@@ -548,7 +541,7 @@ def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> Sur
     rng = np.random.default_rng([abs(seed)] + list(q))
     counts: Counter = Counter()
     for _ in range(samples):
-        counts[sample_commutator(q, rng, p=prime).jordan_type()] += 1
+        counts[jordan_type_of_matrix(sample_commutant_matrix(q, rng, p=prime), prime)] += 1
     outside = tuple(tuple(t) for t in sorted(set(counts) - box_vals, reverse=True))
     return SurveyReport(
         q=q,

@@ -22,20 +22,31 @@ DEFAULT_PRIME = 1_000_000_007
 _INT64_SAFE = 2**31
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Trial-division primality check, adequate for moduli up to ~10^12."""
+    """Miller-Rabin with the prime bases up to 37, deterministic and exact for n < 2^64."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for w in _WITNESSES:
+        if n % w == 0:
+            return n == w
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for w in _WITNESSES:
+        x = pow(w, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -102,9 +113,6 @@ class TruncPoly:
         self._check(other)
         return TruncPoly(tuple((a - b) % self.p for a, b in zip(self.coeffs, other.coeffs)), self.p)
 
-    def __neg__(self) -> "TruncPoly":
-        return TruncPoly(tuple(-c % self.p for c in self.coeffs), self.p)
-
     def __mul__(self, other: "TruncPoly") -> "TruncPoly":
         self._check(other)
         return self.mul_trunc(other, self.n)
@@ -121,10 +129,6 @@ class TruncPoly:
                 if b:
                     out[i + j] = (out[i + j] + a * b) % self.p
         return TruncPoly(tuple(out), self.p)
-
-    def scale(self, c: int) -> "TruncPoly":
-        c %= self.p
-        return TruncPoly(tuple(a * c % self.p for a in self.coeffs), self.p)
 
     def lift(self, n: int) -> "TruncPoly":
         """Canonical representative in k[t]/(t^n), zero-padded or truncated."""

@@ -1,5 +1,6 @@
 import json
 
+from nilcommute import cli
 from nilcommute.cli import main
 
 
@@ -139,3 +140,40 @@ class TestOtherCommands:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestPrimeRange:
+    def test_large_prime_is_checked_quickly(self, capsys):
+        code, out, _ = run(capsys, "--prime", "2305843009213693951", "table", "--q", "5,2")
+        assert code == 0 and "table of [5,2]" in out
+
+    def test_largest_prime_below_2_63_runs(self, capsys):
+        code, out, _ = run(capsys, "--prime", "9223372036854775783", "--format", "json",
+                           "oracle", "--p", "2,1", "--samples", "20")
+        assert code == 0 and json.loads(out)["agree"]
+
+    def test_prime_from_2_63_exits_2(self, capsys):
+        code, out, err = run(capsys, "--prime", "18446744073709551557", "table", "--q", "5,2")
+        assert code == 2 and out == ""
+        assert "2^63" in err and "Traceback" not in err
+
+
+class TestExitCodes:
+    def test_failed_verification_exits_1(self, capsys):
+        # at p = 2 cancellations are common and some cell sees incomparable types
+        code, out, _ = run(capsys, "--prime", "2", "--format", "json", "verify", "--q", "5,2")
+        assert code == 1
+        reports = json.loads(out)["reports"]
+        assert any(rep["max_type"] == [] and not rep["pass"] for rep in reports)
+        keys = {"q", "cell", "prime", "seed", "samples", "max_type", "expected", "jacobian_rank_ok",
+                "tropical_agree", "pass", "match_rate", "converse_hits", "converse_ok"}
+        assert all(set(rep) == keys for rep in reports)
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("sampler bug")
+
+        monkeypatch.setattr(cli, "dmap_oracle", broken)
+        code, out, err = run(capsys, "oracle", "--p", "2,1")
+        assert code == 3 and out == ""
+        assert err.strip().splitlines() == ["internal error: RuntimeError: sampler bug"]

@@ -4,13 +4,15 @@ import pytest
 from nilcommute.commutator import (
     CommutatorElement,
     TwoPartElement,
+    assemble_blocks,
     dmap_oracle,
     jordan_type_of_matrix,
+    sample_commutant_matrix,
     sample_commutator,
     sample_two_part,
 )
 from nilcommute.burge import dmap
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, matmul
 from nilcommute.partitions import Partition, partitions_of
 
 P = DEFAULT_PRIME
@@ -44,6 +46,36 @@ def two_part_matrix(u, r, a, b, g, h, p=P):
     return out
 
 
+def hom_block(f, qi, qj):
+    """Block of multiplication by f, built from the degree of each cell."""
+    # entry (row, col) is the coefficient of f at q_i - q_j + col - row,
+    # i.e. multiplication by f in bases (t^{m-1}, ..., t, 1)
+    deg = (qi - qj) + np.arange(qj)[None, :] - np.arange(qi)[:, None]
+    carr = np.asarray(f.coeffs, dtype=np.int64)
+    return np.where((deg >= 0) & (deg < qi), carr[np.clip(deg, 0, qi - 1)], 0)
+
+
+def reference_assemble(parts, entries):
+    """Block-by-block assembly, independent of the cached layout."""
+    n = sum(parts)
+    mat = np.zeros((n, n), dtype=np.int64)
+    offs = np.cumsum((0,) + tuple(parts))
+    for i, qi in enumerate(parts):
+        for j, qj in enumerate(parts):
+            mat[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = hom_block(entries[i][j], qi, qj)
+    return mat
+
+
+def jordan_matrix(parts):
+    n = sum(parts)
+    out = np.zeros((n, n), dtype=np.int64)
+    off = 0
+    for q in parts:
+        out[off : off + q, off : off + q] = np.eye(q, k=1, dtype=np.int64)
+        off += q
+    return out
+
+
 class TestAssemble:
     def test_jordan_matrix(self):
         e = CommutatorElement.jordan((5, 2))
@@ -54,13 +86,26 @@ class TestAssemble:
 
     def test_matches_banded_layout(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            u, r = 5, 3
-            e = sample_two_part(u, r, rng)
-            a = list(e.a.coeffs)
-            b = list(e.b.coeffs)
-            expect = two_part_matrix(u, r, a, b, list(e.g.coeffs), list(e.h.coeffs))
-            assert np.array_equal(e.assemble(), expect)
+        for u in range(3, 13):
+            for r in range(2, u):
+                for _ in range(20):
+                    e = sample_two_part(u, r, rng)
+                    a = list(e.a.coeffs)
+                    b = list(e.b.coeffs)
+                    expect = two_part_matrix(u, r, a, b, list(e.g.coeffs), list(e.h.coeffs))
+                    assert np.array_equal(e.assemble(), expect)
+
+    def test_matches_block_by_block_reference(self):
+        # random grids, not only commutant elements, on every shape of
+        # size 1..10, including repeated parts
+        rng = np.random.default_rng(2)
+        for n in range(1, 11):
+            for parts in partitions_of(n):
+                entries = [
+                    [TruncPoly(tuple(int(x) for x in rng.integers(P, size=qi))) for _ in parts]
+                    for qi in parts
+                ]
+                assert np.array_equal(assemble_blocks(parts, entries), reference_assemble(parts, entries))
 
     def test_structural_zeros_stay_zero(self):
         rng = np.random.default_rng(1)
@@ -143,6 +188,25 @@ class TestSampling:
     def test_rejects_unstable(self):
         with pytest.raises(ValueError):
             sample_commutator((3, 2), np.random.default_rng(0))
+
+
+class TestCommutantMatrix:
+    def test_commutes_and_is_nilpotent(self):
+        # any shape: equal-size blocks keep only strictly upper constant terms
+        rng = np.random.default_rng(19)
+        for n in range(1, 9):
+            for parts in partitions_of(n):
+                jm = jordan_matrix(parts)
+                for _ in range(3):
+                    m = sample_commutant_matrix(parts, rng)
+                    assert np.array_equal(matmul(m, jm), matmul(jm, m))
+                    assert jordan_type_of_matrix(m).size == n
+
+    @pytest.mark.parametrize("q", [(1,), (5, 2), (8, 5, 2), (10, 7, 4, 1)])
+    def test_equals_assembled_element_on_stable_shapes(self, q):
+        m = sample_commutant_matrix(q, np.random.default_rng(20))
+        e = sample_commutator(q, np.random.default_rng(20))
+        assert np.array_equal(m, e.assemble())
 
 
 class TestMultiply:

@@ -4,6 +4,8 @@ import pytest
 from nilcommute.burge import table
 from nilcommute.commutator import TwoPartElement, sample_two_part
 from nilcommute.loci import (
+    _sample_plan,
+    _solve_plan,
     closure_contains,
     equations,
     intersect_experiment,
@@ -90,6 +92,17 @@ class TestSampleOnLocus:
         eqs = equations(5, 3, *cell)
         for _ in range(20):
             assert eqs.satisfied_by(sample_on_locus(5, 3, *cell, rng))
+
+    def test_every_cell_up_to_u10(self):
+        # the sampler solves its own plan; the equations are an independent check
+        rng = np.random.default_rng(34)
+        for u in range(3, 11):
+            for r in range(2, u):
+                for k in range(1, r):
+                    for l in range(1, u - r + 1):
+                        eqs = equations(u, r, k, l)
+                        for _ in range(3):
+                            assert eqs.satisfied_by(sample_on_locus(u, r, k, l, rng))
 
     def test_orders(self):
         rng = np.random.default_rng(33)
@@ -221,6 +234,22 @@ class TestIntersect:
             )
             assert all(eqs.satisfied_by(e) for eqs in eq_sets)
 
+    def test_plan_samples_lie_on_every_cell(self):
+        rng = np.random.default_rng(11)
+        for u, r in [(5, 3), (7, 3), (8, 4), (9, 4)]:
+            cells = [(k, l) for k in range(1, r) for l in range(1, u - r + 1)]
+            for i, c1 in enumerate(cells):
+                for c2 in cells[i + 1 :]:
+                    plan = _solve_plan(u, r, (c1, c2))
+                    if plan.reason:
+                        continue
+                    eq_sets = [equations(u, r, *c) for c in (c1, c2)]
+                    for zero_gh in (0, 1) if plan.split else (None,):
+                        e = _sample_plan(plan, rng, P, zero_gh)
+                        assert all(eqs.satisfied_by(e) for eqs in eq_sets)
+                        if zero_gh is not None:
+                            assert (e.g, e.h)[zero_gh].coeffs[0] == 0
+
     def test_unsampled_reported(self):
         rep = intersect_experiment(9, 4, [(1, 5), (3, 5)], 5, seed=10)
         if not rep.sampled:
@@ -249,3 +278,30 @@ class TestSurvey:
     def test_rejects_unstable(self):
         with pytest.raises(ValueError):
             survey((5, 4), 10, seed=0)
+
+
+REPORT_KEYS = {
+    "CellReport": {"q", "cell", "prime", "seed", "samples", "max_type", "expected",
+                   "jacobian_rank_ok", "tropical_agree", "pass", "match_rate",
+                   "converse_hits", "converse_ok"},
+    "ContainmentReport": {"q", "outer", "inner", "prime", "seed", "samples", "predicate",
+                          "montecarlo", "agree"},
+    "BranchReport": {"label", "max_type", "type_counts"},
+    "IntersectReport": {"q", "cells", "prime", "seed", "samples", "sampled", "reason", "branches"},
+    "SurveyReport": {"q", "prime", "seed", "samples", "box_size", "type_counts", "outside",
+                     "all_in_box"},
+}
+
+
+def test_report_key_sets():
+    intersect = intersect_experiment(5, 3, [(1, 2), (2, 2)], 5, seed=8)
+    reports = [
+        verify_cell(5, 3, 1, 1, 5, seed=3),
+        closure_contains(5, 3, (2, 1), (2, 2), 5, seed=5),
+        intersect.branches[0],
+        intersect,
+        survey((5, 2), 5, seed=1),
+    ]
+    for rep in reports:
+        assert set(rep.to_dict()) == REPORT_KEYS[type(rep).__name__]
+    assert all(set(b) == REPORT_KEYS["BranchReport"] for b in intersect.to_dict()["branches"])

@@ -20,6 +20,21 @@ class TestPrime:
         assert is_prime(2) and is_prime(97)
         assert not is_prime(1) and not is_prime(91)
 
+    def test_matches_trial_division(self):
+        def slow(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert all(is_prime(n) == slow(n) for n in range(-2, 5000))
+
+    def test_large_moduli(self):
+        # Mersenne 2^61 - 1, the largest primes below 2^63 and 2^64
+        for p in (2**61 - 1, 2**63 - 25, 2**64 - 59):
+            assert is_prime(p)
+        # Carmichael numbers, strong pseudoprimes to the bases 2..7 and
+        # 2..23, and a square of a large prime
+        for n in (561, 41041, 3215031751, 3825123056546413051, (2**31 - 1) ** 2):
+            assert not is_prime(n)
+
 
 class TestTruncPoly:
     def test_order(self):
