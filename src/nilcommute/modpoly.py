@@ -2,9 +2,13 @@
 
 Scalars live in GF(p); truncated polynomials represent elements of
 k[t]/(t^N) as dense coefficient tuples; matrices are numpy int64 arrays
-reduced mod p, with Gaussian elimination for exact ranks.  The default
-prime is large enough that random cancellations never disturb desk-scale
-Monte-Carlo runs.
+reduced mod p (object arrays of Python integers for p >= 2^31).  Exact
+ranks come from two kernels: `rank`, a scalar Gaussian elimination that
+serves the sparse rectangular Jacobians of the locus equations, and
+`ranks`, an inverse-free elimination over a whole (S, rows, cols) stack
+that serves the Jordan-type readout, which ranks all powers of one matrix
+at once.  The default prime is large enough that random cancellations
+never disturb desk-scale Monte-Carlo runs.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import numpy as np
 
 DEFAULT_PRIME = 1_000_000_007
 
-# int64 row operations need factor * entry < 2^63, and the split matmul
-# below needs p * 2^15 * n < 2^63; both hold comfortably for p < 2^31
+# int64 row operations need factor * entry < 2^63, the split matmul below
+# needs p * 2^15 * n < 2^63, and the inverse-free elimination in `ranks`
+# keeps every entry and product below p^2 < 2^62; all hold for p < 2^31
 _INT64_SAFE = 2**31
 
 
@@ -189,8 +194,49 @@ def rank(mat, p: int = DEFAULT_PRIME) -> int:
     return r
 
 
+def ranks(stack, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """Exact ranks over GF(p) of every matrix in an (S, rows, cols) stack.
+
+    Each step pivots every live matrix A on its first nonzero entry (i, j)
+    in row-major order and replaces it by a_ij A - A[:, j] (x) A[i, :] mod p.
+    That zeroes row i and column j and lowers the rank by exactly one, with
+    no modular inverse.  A matrix with no nonzero entry left at step s has
+    rank s and leaves the stack, so the loop stops one step after the
+    largest rank.
+
+    Args:
+        stack: array-like of integers of shape (S, rows, cols) (not mutated).
+        p: prime modulus.
+    """
+    a = _as_field_matrix(stack, p)
+    if a.ndim != 3:
+        raise ValueError("ranks expects an (S, rows, cols) stack")
+    count, rows, cols = a.shape
+    out = np.zeros(count, dtype=np.intp)
+    if not a.size:
+        return out
+    live = at = np.arange(count)
+    a = a.reshape(count, rows * cols)
+    # no rank exceeds min(rows, cols), so the last step finds no pivot
+    for step in range(min(rows, cols) + 1):
+        first = (a != 0).argmax(axis=1)
+        pivot = a[at, first]
+        if not pivot.all():
+            nonzero = pivot != 0
+            out[live[~nonzero]] = step
+            live, a, first, pivot = live[nonzero], a[nonzero], first[nonzero], pivot[nonzero]
+            if not live.size:
+                break
+            at = np.arange(live.size)
+        i, j = np.divmod(first, cols)
+        m = a.reshape(live.size, rows, cols)
+        m = pivot[:, None, None] * m - m[at, :, j][:, :, None] * m[at, i][:, None, :]
+        a = m.reshape(live.size, rows * cols) % p
+    return out
+
+
 def matmul(a, b, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """Exact (a @ b) mod p.
+    """Exact (a @ b) mod p; `a` may be an (S, n, k) stack of left factors.
 
     For p below 2^31 the factors are split into high and low 15-bit halves
     so the accumulation stays inside int64; larger primes fall back to

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from nilcommute import cli
-from nilcommute.cli import main
+from nilcommute.cli import UsageError, main
 
 
 def run(capsys, *argv):
@@ -138,8 +142,26 @@ class TestOtherCommands:
         assert data["config"]["seed"] == 123
         assert data["config"]["prime"] == 999999937
 
+    @pytest.mark.parametrize("name, value", [("NILCOMMUTE_PRIME", "abc"), ("NILCOMMUTE_SEED", "1.5")])
+    def test_bad_env_default_names_the_variable(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, "table", "--q", "5,2")
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == [f"error: {name}='{value}' is not an integer"]
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestParsers:
+    # arbitrary text either parses or is a usage error (exit 2), never anything else
+    @pytest.mark.parametrize("parse", [cli._parse_partition, cli._parse_cell, cli._parse_cells])
+    @given(text=st.text() | st.text(alphabet="0123456789,+- _\n"))
+    def test_parse_or_usage_error(self, parse, text):
+        try:
+            parse(text)
+        except UsageError:
+            pass
 
 
 class TestPrimeRange:

@@ -4,6 +4,8 @@ import pytest
 from nilcommute.commutator import (
     CommutatorElement,
     TwoPartElement,
+    _assemble_flat,
+    _draw_free,
     assemble_blocks,
     dmap_oracle,
     jordan_type_of_matrix,
@@ -12,8 +14,8 @@ from nilcommute.commutator import (
     sample_two_part,
 )
 from nilcommute.burge import dmap
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, matmul
-from nilcommute.partitions import Partition, partitions_of
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, matmul, rank
+from nilcommute.partitions import EMPTY, Partition, jordan_from_coranks, partitions_of
 
 P = DEFAULT_PRIME
 
@@ -64,6 +66,26 @@ def reference_assemble(parts, entries):
         for j, qj in enumerate(parts):
             mat[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = hom_block(entries[i][j], qi, qj)
     return mat
+
+
+def reference_jordan_type(mat, p=P):
+    """Power-by-power readout with one scalar `rank` per power."""
+    m0 = np.asarray(mat, dtype=np.int64 if p < 2**31 else object) % p
+    n = m0.shape[0]
+    if n == 0:
+        return EMPTY
+    coranks = [0]
+    power = m0
+    for _ in range(n):
+        c = n - rank(power, p)
+        coranks.append(c)
+        if c == n:
+            break
+        power = matmul(power, m0, p)
+    if coranks[-1] != n:
+        raise ValueError("matrix is not nilpotent")
+    coranks.append(n)
+    return jordan_from_coranks(coranks)
 
 
 def jordan_matrix(parts):
@@ -165,6 +187,38 @@ class TestJordanType:
     def test_non_nilpotent_rejected(self):
         with pytest.raises(ValueError):
             jordan_type_of_matrix(np.eye(3, dtype=np.int64))
+        with pytest.raises(ValueError):
+            jordan_type_of_matrix(np.eye(3, dtype=np.int64), 2_147_483_659)
+        # a Jordan block with eigenvalue 1 in its last entry: ranks stall at 1
+        m = jordan_matrix((4,))
+        m[3, 3] = 1
+        with pytest.raises(ValueError):
+            jordan_type_of_matrix(m)
+
+    def test_empty_matrix(self):
+        assert jordan_type_of_matrix(np.zeros((0, 0), dtype=np.int64)) == EMPTY
+
+    @pytest.mark.parametrize("p", [2, 3, 1_000_000_007, 2_147_483_659])
+    def test_matches_per_power_reference(self, p):
+        rng = np.random.default_rng(p % 1000)
+        for n in range(1, 11):
+            for parts in partitions_of(n):
+                for _ in range(2):
+                    m = sample_commutant_matrix(parts, rng, p=p)
+                    assert jordan_type_of_matrix(m, p) == reference_jordan_type(m, p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_reference_on_sparse_samples(self, p):
+        # zeroing free coefficients stays in the nilpotent commutant and
+        # makes cancellations between powers common
+        rng = np.random.default_rng(30 + p)
+        for n in range(1, 11):
+            for parts in partitions_of(n):
+                for density in (0.2, 0.5):
+                    coeffs = _draw_free(parts, rng, p)
+                    coeffs[rng.random(coeffs.size) > density] = 0
+                    m = _assemble_flat(parts, coeffs)
+                    assert jordan_type_of_matrix(m, p) == reference_jordan_type(m, p)
 
 
 class TestSampling:

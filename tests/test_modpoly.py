@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, det2, is_prime, matmul, rank
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, det2, is_prime, matmul, rank, ranks
 
 P = DEFAULT_PRIME
+BIG = 2_147_483_659  # first prime past the int64 fast path
 
 
 def poly(coeffs, n, p=P):
@@ -112,7 +113,7 @@ class TestRank:
             assert rank(m[perm]) == r
 
     def test_big_prime_fallback(self):
-        p = 2_147_483_659  # first prime past the int64 fast path
+        p = BIG
         assert is_prime(p)
         m = [[1, 2], [2, 4]]
         assert rank(m, p) == 1
@@ -127,6 +128,57 @@ class TestMatmul:
         b = rng.integers(P, size=(6, 6))
         expect = (a.astype(object) @ b.astype(object)) % P
         assert np.array_equal(matmul(a, b, P), expect.astype(np.int64))
+
+    @pytest.mark.parametrize("p", [P, BIG])
+    def test_stack_matches_each_slice(self, p):
+        rng = np.random.default_rng(6)
+        stack = rng.integers(p, size=(5, 4, 6))
+        b = rng.integers(p, size=(6, 3))
+        out = matmul(stack, b, p)
+        assert out.shape == (5, 4, 3)
+        assert all(np.array_equal(out[s], matmul(stack[s], b, p)) for s in range(5))
+
+
+class TestRanks:
+    @staticmethod
+    def check(stack, p):
+        assert ranks(stack, p).tolist() == [rank(m, p) for m in stack]
+
+    @pytest.mark.parametrize("p", [2, 3, P, BIG])
+    def test_random_and_deficient_stacks(self, p):
+        rng = np.random.default_rng(p % 1000)
+        for rows, cols in [(1, 1), (4, 4), (3, 7), (7, 3), (9, 9)]:
+            self.check(rng.integers(p, size=(6, rows, cols)), p)
+            for inner in range(0, min(rows, cols) + 1):
+                left = rng.integers(p, size=(5, rows, inner))
+                right = rng.integers(p, size=(inner, cols))
+                self.check(matmul(left, right, p), p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_sparse_stacks(self, p):
+        rng = np.random.default_rng(11)
+        for density in (0.1, 0.3, 0.6):
+            stack = rng.integers(1, p, size=(40, 6, 8)) * (rng.random((40, 6, 8)) < density)
+            self.check(stack, p)
+
+    @pytest.mark.parametrize("p", [P, BIG])
+    def test_zero_and_empty_matrices(self, p):
+        self.check(np.zeros((3, 4, 5), dtype=np.int64), p)
+        mixed = np.zeros((3, 4, 4), dtype=np.int64)
+        mixed[1] = np.eye(4, dtype=np.int64)
+        self.check(mixed, p)
+        for shape in [(2, 0, 3), (2, 3, 0), (2, 0, 0), (0, 3, 3)]:
+            self.check(np.zeros(shape, dtype=np.int64), p)
+
+    def test_input_not_mutated(self):
+        stack = np.arange(18, dtype=np.int64).reshape(2, 3, 3)
+        before = stack.copy()
+        ranks(stack)
+        assert np.array_equal(stack, before)
+
+    def test_rejects_non_stack(self):
+        with pytest.raises(ValueError):
+            ranks(np.eye(3, dtype=np.int64))
 
 
 class TestDet2:
