@@ -10,6 +10,7 @@ the prime and seed come from NILCOMMUTE_PRIME and NILCOMMUTE_SEED.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -87,7 +88,7 @@ def _config(args) -> RunConfig:
     seed = args.seed
     if seed is None:
         seed = _env_int("NILCOMMUTE_SEED", 0)
-    samples = getattr(args, "samples", 1) or 1
+    samples = getattr(args, "samples", 1)
     if samples < 1:
         raise UsageError("--samples must be at least 1")
     return RunConfig(
@@ -255,7 +256,10 @@ def cmd_intersect(args) -> int:
         lines.append(f"not sampled: {rep.reason}")
     for br in rep.branches:
         name = br.label or "single branch"
-        lines.append(f"  {name}: generic type {_fmt_partition(br.max_type)} {ar_notation(br.max_type)}")
+        if br.max_type:
+            lines.append(f"  {name}: generic type {_fmt_partition(br.max_type)} {ar_notation(br.max_type)}")
+        else:
+            lines.append(f"  {name}: no generic type (no sampled type dominates the rest)")
     _emit(cfg, payload, lines)
     return 0
 
@@ -280,7 +284,9 @@ def cmd_oracle(args) -> int:
     return 0 if agree else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="nilcommute",
         description="Jordan types of commuting nilpotent matrices at desk scale.",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -74,9 +75,20 @@ def _draw_free(parts: tuple[int, ...], rng, p: int) -> np.ndarray:
     return coeffs
 
 
+def _flatten(entries) -> list[int]:
+    """Block coefficients of a grid of entries, numbered as in `_layout`."""
+    return [c for row in entries for f in row for c in f.coeffs]
+
+
+def _grid(parts, coeffs, p: int) -> tuple[tuple[TruncPoly, ...], ...]:
+    """The grid of entries whose block coefficients are `coeffs` (inverse of `_flatten`)."""
+    it = iter(coeffs)
+    return tuple(tuple(TruncPoly(tuple(islice(it, qi)), p) for _ in parts) for qi in parts)
+
+
 def assemble_blocks(parts, entries, p: int = DEFAULT_PRIME) -> np.ndarray:
     """Assemble an l x l grid of block entries into one n x n matrix."""
-    return _assemble_flat(tuple(parts), [c for row in entries for f in row for c in f.coeffs])
+    return _assemble_flat(tuple(parts), _flatten(entries))
 
 
 def jordan_type_of_matrix(mat, p: int = DEFAULT_PRIME) -> Partition:
@@ -186,16 +198,7 @@ def sample_commutator(q, rng, *, p: int = DEFAULT_PRIME) -> CommutatorElement:
     q = Partition(q)
     if not q or not is_stable(q):
         raise ValueError(f"need a nonempty stable shape, got {tuple(q)}")
-    coeffs = _draw_free(q, rng, p).tolist()
-    rows = []
-    pos = 0
-    for qi in q:
-        row = []
-        for _ in q:
-            row.append(TruncPoly(tuple(coeffs[pos : pos + qi]), p))
-            pos += qi
-        rows.append(tuple(row))
-    return CommutatorElement(q, tuple(rows), p)
+    return CommutatorElement(q, _grid(q, _draw_free(q, rng, p).tolist(), p), p)
 
 
 def sample_commutant_matrix(parts, rng, *, p: int = DEFAULT_PRIME) -> np.ndarray:
@@ -205,6 +208,14 @@ def sample_commutant_matrix(parts, rng, *, p: int = DEFAULT_PRIME) -> np.ndarray
     """
     parts = tuple(parts)
     return _assemble_flat(parts, _draw_free(parts, rng, p))
+
+
+def _two_part_offsets(u: int, r: int) -> tuple[int, int, int]:
+    """Block coefficient numbers of g_0, h_0 and b_0 for the shape (u, u-r).
+
+    The layout's blocks are a | t^r g | h | b, and a_0 is number 0.
+    """
+    return u + r, 2 * u, 3 * u - r
 
 
 @dataclass(frozen=True)
@@ -242,31 +253,36 @@ class TwoPartElement:
     def q(self) -> Partition:
         return Partition((self.u, self.u - self.r))
 
+    def blocks(self) -> tuple[int, ...]:
+        """Block coefficients, numbered as in `_layout` (see `_two_part_offsets`)."""
+        return self.a.coeffs + (0,) * self.r + self.g.coeffs + self.h.coeffs + self.b.coeffs
+
+    @classmethod
+    def from_blocks(cls, u: int, r: int, coeffs, p: int = DEFAULT_PRIME) -> "TwoPartElement":
+        """The element whose block coefficients are `coeffs` (inverse of `blocks`)."""
+        g0, h0, b0 = _two_part_offsets(u, r)
+        c = [int(x) % p for x in coeffs]
+        if any(c[u:g0]):
+            raise ValueError("upper-right entry must be divisible by t^r")
+        a, g, h, b = (TruncPoly(tuple(c[i:j]), p) for i, j in ((0, u), (g0, h0), (h0, b0), (b0, None)))
+        return cls(u, r, a, b, g, h)
+
     def to_element(self) -> CommutatorElement:
-        top = (self.a, self.g.shift(self.r, self.u))
-        bottom = (self.h, self.b)
-        return CommutatorElement(self.q, (top, bottom), self.p)
+        return CommutatorElement(self.q, _grid(self.q, self.blocks(), self.p), self.p)
 
     @classmethod
     def from_element(cls, e: CommutatorElement) -> "TwoPartElement":
         if len(e.q) != 2:
             raise ValueError(f"need a two-part shape, got {tuple(e.q)}")
         u, v = e.q
-        r = u - v
-        shifted = e.entries[0][1]
-        if any(shifted.coeffs[:r]):
-            raise ValueError("upper-right entry must be divisible by t^r")
-        g = TruncPoly(tuple(shifted.coeffs[r:]), e.p)
-        return cls(u, r, e.entries[0][0], e.entries[1][1], g, e.entries[1][0])
+        return cls.from_blocks(u, u - v, _flatten(e.entries), e.p)
 
     def det2(self) -> TruncPoly:
         """ab - g h t^r in k[t]/(t^u)."""
         return det2(self.a, self.b, self.g, self.h, self.r)
 
     def assemble(self) -> np.ndarray:
-        # blocks a, t^r g, h, b in the layout's row-major order
-        shifted_g = (0,) * self.r + self.g.coeffs
-        return _assemble_flat(self.q, self.a.coeffs + shifted_g + self.h.coeffs + self.b.coeffs)
+        return _assemble_flat(self.q, self.blocks())
 
     def jordan_type(self) -> Partition:
         return jordan_type_of_matrix(self.assemble(), self.p)
@@ -299,12 +315,7 @@ def sample_two_part(u: int, r: int, rng, *, p: int = DEFAULT_PRIME) -> TwoPartEl
     """Uniform draw from the full nilpotent commutant of the shape (u, u-r)."""
     if not u > r >= 2:
         raise ValueError(f"need u > r >= 2, got u={u}, r={r}")
-    m = u - r
-    a = TruncPoly((0,) + tuple(int(x) for x in rng.integers(p, size=u - 1)), p)
-    b = TruncPoly((0,) + tuple(int(x) for x in rng.integers(p, size=m - 1)), p)
-    g = TruncPoly(tuple(int(x) for x in rng.integers(p, size=m)), p)
-    h = TruncPoly(tuple(int(x) for x in rng.integers(p, size=m)), p)
-    return TwoPartElement(u, r, a, b, g, h)
+    return TwoPartElement.from_blocks(u, r, _draw_free((u, u - r), rng, p).tolist(), p)
 
 
 def dmap_oracle(

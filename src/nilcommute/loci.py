@@ -19,8 +19,16 @@ from typing import ClassVar
 import numpy as np
 
 from .burge import check_cell, table
-from .commutator import TwoPartElement, jordan_type_of_matrix, sample_commutant_matrix, sample_two_part
-from .modpoly import DEFAULT_PRIME, TruncPoly, rank
+from .commutator import (
+    TwoPartElement,
+    _draw_free,
+    _layout,
+    _two_part_offsets,
+    jordan_type_of_matrix,
+    sample_commutant_matrix,
+    sample_two_part,
+)
+from .modpoly import DEFAULT_PRIME, rank
 from .partitions import EMPTY, Partition, dominance_max
 from .tropical import predicted_jordan_type
 
@@ -31,14 +39,6 @@ class Quadric:
 
     ab_terms: tuple[tuple[int, int], ...]
     gh_terms: tuple[tuple[int, int], ...]
-
-    def evaluate(self, e: TwoPartElement) -> int:
-        acc = 0
-        for ai, bi in self.ab_terms:
-            acc += e.a.coeffs[ai] * e.b.coeffs[bi]
-        for gi, hi in self.gh_terms:
-            acc -= e.g.coeffs[gi] * e.h.coeffs[hi]
-        return acc % e.p
 
     def label(self) -> str:
         bits = [f"a{i}b{j}" for i, j in self.ab_terms]
@@ -80,13 +80,24 @@ class EquationSet:
         if (e.u, e.r) != (self.u, self.r):
             raise ValueError(f"element of shape ({e.u},{e.r}) against equations ({self.u},{self.r})")
 
+    def _block_terms(self) -> tuple[tuple[int, ...], list[list[tuple[int, int, int]]]]:
+        """The linear coordinates, and each quadric as (sign, i, j) terms, in
+        block coefficient numbers (`TwoPartElement.blocks`)."""
+        g0, h0, b0 = _two_part_offsets(self.u, self.r)
+        linear = self.linear_a + tuple(b0 + i for i in self.linear_b)
+        quads = [
+            [(1, i, b0 + j) for i, j in qd.ab_terms] + [(-1, g0 + i, h0 + j) for i, j in qd.gh_terms]
+            for qd in self.quadrics
+        ]
+        return linear, quads
+
     def evaluate(self, e: TwoPartElement) -> tuple[int, ...]:
         """Values of all equations at e; all zero iff e lies on the locus."""
         self._check_shape(e)
-        vals = [e.a.coeffs[i] for i in self.linear_a]
-        vals += [e.b.coeffs[i] for i in self.linear_b]
-        vals += [qd.evaluate(e) for qd in self.quadrics]
-        return tuple(vals)
+        c = e.blocks()
+        linear, quads = self._block_terms()
+        quad_vals = [sum(sign * c[i] * c[j] for sign, i, j in terms) % e.p for terms in quads]
+        return tuple(c[i] for i in linear) + tuple(quad_vals)
 
     def satisfied_by(self, e: TwoPartElement) -> bool:
         return not any(self.evaluate(e))
@@ -100,44 +111,20 @@ class EquationSet:
         self._check_shape(e)
         return e.a.order() >= self.k and e.det2().order() >= self.k + self.l
 
-    def _columns(self) -> dict[str, int]:
-        u, r = self.u, self.r
-        cols = {}
-        for i in range(1, u):
-            cols[f"a{i}"] = i - 1
-        off = u - 1
-        for i in range(1, u - r):
-            cols[f"b{i}"] = off + i - 1
-        off += u - r - 1
-        for j in range(u - r):
-            cols[f"g{j}"] = off + j
-        off += u - r
-        for j in range(u - r):
-            cols[f"h{j}"] = off + j
-        return cols
-
     def jacobian_at(self, e: TwoPartElement) -> np.ndarray:
-        """Matrix of partial derivatives, rows = equations, columns = coordinates."""
+        """Matrix of partial derivatives, rows = equations, columns = the free
+        coordinates in block order (a, g, h, b)."""
         self._check_shape(e)
-        cols = self._columns()
-        jac = np.zeros((self.codim, self.ambient_dim), dtype=np.int64)
-        row = 0
-        for i in self.linear_a:
-            jac[row, cols[f"a{i}"]] = 1
-            row += 1
-        for i in self.linear_b:
-            jac[row, cols[f"b{i}"]] = 1
-            row += 1
+        c = e.blocks()
+        linear, quads = self._block_terms()
+        jac = np.zeros((self.codim, len(c)), dtype=np.int64)
+        jac[range(len(linear)), linear] = 1
         p = e.p
-        for qd in self.quadrics:
-            for ai, bi in qd.ab_terms:
-                jac[row, cols[f"a{ai}"]] = (jac[row, cols[f"a{ai}"]] + e.b.coeffs[bi]) % p
-                jac[row, cols[f"b{bi}"]] = (jac[row, cols[f"b{bi}"]] + e.a.coeffs[ai]) % p
-            for gi, hi in qd.gh_terms:
-                jac[row, cols[f"g{gi}"]] = (jac[row, cols[f"g{gi}"]] - e.h.coeffs[hi]) % p
-                jac[row, cols[f"h{hi}"]] = (jac[row, cols[f"h{hi}"]] - e.g.coeffs[gi]) % p
-            row += 1
-        return jac
+        for row, terms in enumerate(quads, start=len(linear)):
+            for sign, i, j in terms:
+                jac[row, i] = (jac[row, i] + sign * c[j]) % p
+                jac[row, j] = (jac[row, j] + sign * c[i]) % p
+        return jac[:, _layout(e.q)[1]]
 
     def jacobian_rank_at(self, e: TwoPartElement) -> int:
         return rank(self.jacobian_at(e), e.p)
@@ -163,21 +150,23 @@ def equations(u: int, r: int, k: int, l: int) -> EquationSet:
 
 @dataclass(frozen=True)
 class _SolvePlan:
-    """A sampler for the common zero locus of a set of cells.
+    """A sampler for the common zero locus of a set of cells, in block
+    coefficient numbers (`TwoPartElement.blocks`).
 
-    a_k is drawn nonzero above zeroed lower a coordinates, g, h and the
-    `free_b` coordinates uniformly.  Each step (b index, ab terms without
-    the pivot a_k term, gh terms) solves one degree's constraint for that b
-    coordinate.  `split` marks g_0 h_0 = 0; a nonempty `reason` marks a
-    system this cannot sample.
+    A uniform draw of the free coordinates has its `zero` coordinates
+    cleared and the `pivot` a_k redrawn nonzero.  Each step (solved b, ab
+    pairs without the pivot term, gh pairs) then solves one degree's
+    constraint for that b coordinate.  `split` holds (g_0, h_0) when
+    g_0 h_0 = 0 splits the locus; a nonempty `reason` marks a system this
+    cannot sample.
     """
 
     u: int
     r: int
-    k: int
+    zero: tuple[int, ...]
+    pivot: int
     steps: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
-    free_b: tuple[int, ...]
-    split: bool
+    split: tuple[int, ...]
     reason: str = ""
 
 
@@ -195,63 +184,46 @@ def _solve_plan(u: int, r: int, cells: tuple[tuple[int, int], ...]) -> _SolvePla
     """
     for k, l in cells:
         check_cell(u, r, k, l)
+    g0, h0, b0 = _two_part_offsets(u, r)
     m = u - r
     big_k = max(k for k, _ in cells)
     big_m = max((l if k + l <= r else r - k) for k, l in cells)
     degrees = sorted({dd for k, l in cells if k + l > r for dd in range(r, k + l)})
     steps = []
-    split = False
+    split: tuple[int, ...] = ()
     for deg in degrees:
         d = deg - r
         ab = tuple(
-            (ai, deg - ai)
+            (ai, b0 + deg - ai)
             for ai in range(big_k, min(deg - big_m, u - 1) + 1)
             if 1 <= deg - ai <= m - 1
         )
-        gh = tuple((j, d - j) for j in range(d + 1))
+        gh = tuple((g0 + j, h0 + d - j) for j in range(d + 1))
         if ab and ab[0][0] == big_k:
-            steps.append((deg - big_k, ab[1:], gh))
+            steps.append((ab[0][1], ab[1:], gh))
         elif not ab and d == 0 and not split:
-            split = True
+            split = (g0, h0)
         else:
             reason = f"constraint at degree {deg} has no pivot term"
-            return _SolvePlan(u, r, big_k, (), (), False, reason)
-    solved = {idx for idx, _, _ in steps}
-    free_b = tuple(i for i in range(big_m, m) if i not in solved)
-    return _SolvePlan(u, r, big_k, tuple(steps), free_b, split)
+            return _SolvePlan(u, r, (), big_k, (), (), reason)
+    zero = tuple(range(1, big_k)) + tuple(range(b0 + 1, b0 + big_m))
+    return _SolvePlan(u, r, zero, big_k, tuple(steps), split)
 
 
 def _sample_plan(plan: _SolvePlan, rng, prime: int, zero_gh: int | None = None) -> TwoPartElement:
     """One point of the plan's locus; zero_gh = 0 or 1 zeroes g_0 or h_0."""
-    u, r, k = plan.u, plan.r, plan.k
-    m = u - r
-    a = [0] * u
-    a[k] = 1 + int(rng.integers(prime - 1))
-    a[k + 1 :] = rng.integers(prime, size=u - k - 1).tolist()
-    g = rng.integers(prime, size=m).tolist()
-    h = rng.integers(prime, size=m).tolist()
-    if zero_gh == 0:
-        g[0] = 0
-    elif zero_gh == 1:
-        h[0] = 0
-    b = [0] * m
-    for i, x in zip(plan.free_b, rng.integers(prime, size=len(plan.free_b)).tolist()):
-        b[i] = x
-    inv_ak = pow(a[k], -1, prime)
+    u, r = plan.u, plan.r
+    c = _draw_free((u, u - r), rng, prime)
+    c[list(plan.zero)] = 0
+    c[plan.pivot] = 1 + rng.integers(prime - 1)
+    if zero_gh is not None:
+        c[plan.split[zero_gh]] = 0
+    c = c.tolist()
+    inv_ak = pow(c[plan.pivot], -1, prime)
     for solved, ab, gh in plan.steps:
-        rhs = 0
-        for gi, hi in gh:
-            rhs += g[gi] * h[hi]
-        for ai, bi in ab:
-            rhs -= a[ai] * b[bi]
-        b[solved] = rhs % prime * inv_ak % prime
-    return TwoPartElement(
-        u, r,
-        TruncPoly(tuple(a), prime),
-        TruncPoly(tuple(b), prime),
-        TruncPoly(tuple(g), prime),
-        TruncPoly(tuple(h), prime),
-    )
+        rhs = sum(c[i] * c[j] for i, j in gh) - sum(c[i] * c[j] for i, j in ab)
+        c[solved] = rhs % prime * inv_ak % prime
+    return TwoPartElement.from_blocks(u, r, c, prime)
 
 
 def sample_on_locus(u: int, r: int, k: int, l: int, rng, *, prime: int = DEFAULT_PRIME) -> TwoPartElement:
@@ -262,6 +234,16 @@ def sample_on_locus(u: int, r: int, k: int, l: int, rng, *, prime: int = DEFAULT
     coordinate (each is linear in it with coefficient a_k).
     """
     return _sample_plan(_solve_plan(u, r, ((k, l),)), rng, prime)
+
+
+def _generic_type(types) -> Partition:
+    """The dominance maximum of the sampled types, or EMPTY when no type
+    dominates the rest (a prime small enough for cancellations to be
+    common): then there is no generic type."""
+    try:
+        return dominance_max(types)
+    except ValueError:
+        return EMPTY
 
 
 def _type_counts(counter: Counter) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -357,12 +339,7 @@ def verify_cell(
         e = sample_on_locus(u, r, k, l, rng, prime=prime)
         types.append(e.jordan_type())
         jac_hits += eqs.jacobian_rank_at(e) == eqs.codim
-    try:
-        max_type = dominance_max(types)
-    except ValueError:
-        # no sampled type dominates the rest (a prime small enough for
-        # cancellations to be common): no generic type, so the cell fails
-        max_type = EMPTY
+    max_type = _generic_type(types)  # EMPTY fails the cell
     match_rate = sum(t == expected for t in types) / samples
     converse_hits = 0
     converse_ok = True
@@ -483,11 +460,14 @@ def intersect_experiment(
     are solved for successive b coordinates as usual (see `_solve_plan`);
     g_0 h_0 = 0 splits the sample into two monomial branches.  Richer
     systems (a second split, or no pivot term) are reported unsampled
-    rather than guessed.
+    rather than guessed.  A branch whose sampled types have no dominance
+    maximum reports `max_type` EMPTY: it has no generic type.
     """
     cells = sorted({(int(k), int(l)) for k, l in cells})
     if not cells:
         raise ValueError("need at least one cell")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     plan = _solve_plan(u, r, tuple(cells))
     base = dict(
         q=Partition((u, u - r)),
@@ -507,7 +487,7 @@ def intersect_experiment(
         for _ in range(samples):
             counts[_sample_plan(plan, rng, prime, zero_gh).jordan_type()] += 1
         branches.append(
-            BranchReport(label=label, max_type=dominance_max(counts), type_counts=_type_counts(counts))
+            BranchReport(label=label, max_type=_generic_type(counts), type_counts=_type_counts(counts))
         )
     return IntersectReport(**base, sampled=True, reason="", branches=tuple(branches))
 

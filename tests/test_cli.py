@@ -153,6 +153,41 @@ class TestOtherCommands:
         assert main(["frobnicate"]) == 2
 
 
+class TestSamples:
+    @pytest.mark.parametrize("command", [
+        ("verify", "--q", "5,2", "--cell", "1,1"),
+        ("survey", "--q", "5,2"),
+        ("intersect", "--q", "5,2", "--cells", "1,2+2,1"),
+        ("oracle", "--p", "2,1"),
+    ])
+    def test_zero_samples_exits_2(self, capsys, command):
+        code, out, err = run(capsys, *command, "--samples", "0")
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == ["error: --samples must be at least 1"]
+
+
+class TestIntersectWithoutGenericType:
+    ARGV = ("--prime", "2", "intersect", "--q", "7,3", "--cells", "2,1+1,3", "--samples", "200")
+
+    def test_json_reports_empty_max_type(self, capsys):
+        code, out, err = run(capsys, "--format", "json", *self.ARGV)
+        assert code == 0 and err == ""
+        assert [br["max_type"] for br in json.loads(out)["branches"]] == [[]]
+
+    def test_text_says_there_is_none(self, capsys):
+        code, out, _ = run(capsys, *self.ARGV)
+        assert code == 0
+        assert out.splitlines()[1] == "  single branch: no generic type (no sampled type dominates the rest)"
+
+
+def test_parser_is_shared_and_formats_do_not_leak(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "--format", "json", "table", "--q", "5,2")
+    assert code == 0 and json.loads(out)["q"] == [5, 2]
+    code, out, _ = run(capsys, "table", "--q", "5,2")
+    assert code == 0 and out.splitlines()[0] == "table of [5,2]: 2 rows x 2 columns"
+
+
 class TestParsers:
     # arbitrary text either parses or is a usage error (exit 2), never anything else
     @pytest.mark.parametrize("parse", [cli._parse_partition, cli._parse_cell, cli._parse_cells])

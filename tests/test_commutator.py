@@ -6,6 +6,7 @@ from nilcommute.commutator import (
     TwoPartElement,
     _assemble_flat,
     _draw_free,
+    _layout,
     assemble_blocks,
     dmap_oracle,
     jordan_type_of_matrix,
@@ -314,6 +315,30 @@ class TestTwoPartElement:
         rng = np.random.default_rng(15)
         e = sample_two_part(9, 4, rng)
         assert TwoPartElement.from_element(e.to_element()) == e
+
+    @pytest.mark.parametrize("p", [2, 1_000_000_007, 2**61 - 1])
+    def test_blocks_roundtrip(self, p):
+        rng = np.random.default_rng(21)
+        for u in range(3, 11):
+            for r in range(2, u):
+                e = sample_two_part(u, r, rng, p=p)
+                assert len(e.blocks()) == 4 * u - 2 * r
+                assert TwoPartElement.from_blocks(u, r, e.blocks(), p) == e
+
+    def test_from_blocks_rejects_shallow_shift(self):
+        coeffs = [0] * (4 * 5 - 2 * 3)
+        coeffs[5] = 1  # t^0 of the upper-right block, below its t^r shift
+        with pytest.raises(ValueError, match="divisible by t\\^r"):
+            TwoPartElement.from_blocks(5, 3, coeffs)
+
+    def test_every_free_coordinate_is_drawn(self):
+        # the other direction is test_structural_zeros_stay_zero
+        rng = np.random.default_rng(22)
+        for u, r in [(3, 2), (5, 3), (7, 3), (9, 4), (12, 5)]:
+            seen = np.zeros(4 * u - 2 * r, dtype=bool)
+            for _ in range(20):
+                seen |= np.array(sample_two_part(u, r, rng).blocks()) != 0
+            assert np.flatnonzero(seen).tolist() == _layout((u, u - r))[1].tolist()
 
 
 class TestDmapOracle:

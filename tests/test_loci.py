@@ -4,6 +4,7 @@ import pytest
 from nilcommute.burge import table
 from nilcommute.commutator import TwoPartElement, sample_two_part
 from nilcommute.loci import (
+    _generic_type,
     _sample_plan,
     _solve_plan,
     closure_contains,
@@ -13,9 +14,37 @@ from nilcommute.loci import (
     survey,
     verify_cell,
 )
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, rank
+from nilcommute.partitions import EMPTY
 
 P = DEFAULT_PRIME
+
+
+def reference_jacobian(eqs, e):
+    """Jacobian with named columns a_1.., b_1.., g_0.., h_0.., read off the
+    named coordinates of e; independent of the block numbering."""
+    u, r = eqs.u, eqs.r
+    names = ([f"a{i}" for i in range(1, u)] + [f"b{i}" for i in range(1, u - r)]
+             + [f"g{j}" for j in range(u - r)] + [f"h{j}" for j in range(u - r)])
+    cols = {name: c for c, name in enumerate(names)}
+    jac = np.zeros((eqs.codim, eqs.ambient_dim), dtype=np.int64)
+    row = 0
+    for i in eqs.linear_a:
+        jac[row, cols[f"a{i}"]] = 1
+        row += 1
+    for i in eqs.linear_b:
+        jac[row, cols[f"b{i}"]] = 1
+        row += 1
+    p = e.p
+    for qd in eqs.quadrics:
+        for ai, bi in qd.ab_terms:
+            jac[row, cols[f"a{ai}"]] = (jac[row, cols[f"a{ai}"]] + e.b.coeffs[bi]) % p
+            jac[row, cols[f"b{bi}"]] = (jac[row, cols[f"b{bi}"]] + e.a.coeffs[ai]) % p
+        for gi, hi in qd.gh_terms:
+            jac[row, cols[f"g{gi}"]] = (jac[row, cols[f"g{gi}"]] - e.h.coeffs[hi]) % p
+            jac[row, cols[f"h{hi}"]] = (jac[row, cols[f"h{hi}"]] - e.g.coeffs[gi]) % p
+        row += 1
+    return jac
 
 
 class TestEquations:
@@ -136,6 +165,26 @@ class TestJacobian:
         eqs = equations(5, 3, 1, 1)
         assert eqs.jacobian_rank_at(sample_on_locus(5, 3, 1, 1, rng)) == 0
 
+    @pytest.mark.parametrize("p", [2, 3, 1_000_000_007, 2**61 - 1])
+    def test_matches_named_column_reference(self, p):
+        # on-locus points of every cell with u <= 10, one in three made
+        # sparse by zeroing about half of its coordinates
+        rng = np.random.default_rng(p % 1000)
+        for u in range(3, 11):
+            for r in range(2, u):
+                for k in range(1, r):
+                    for l in range(1, u - r + 1):
+                        eqs = equations(u, r, k, l)
+                        for i in range(3):
+                            e = sample_on_locus(u, r, k, l, rng, prime=p)
+                            if i == 2:
+                                keep = rng.random(4 * u - 2 * r) < 0.5
+                                e = TwoPartElement.from_blocks(u, r, np.where(keep, e.blocks(), 0), p)
+                            jac, ref = eqs.jacobian_at(e), reference_jacobian(eqs, e)
+                            assert jac.shape == ref.shape
+                            assert sorted(map(tuple, jac.T.tolist())) == sorted(map(tuple, ref.T.tolist()))
+                            assert rank(jac, p) == rank(ref, p)
+
 
 class TestVerifyCell:
     def test_deep_cell_passes(self):
@@ -250,6 +299,17 @@ class TestIntersect:
                         if zero_gh is not None:
                             assert (e.g, e.h)[zero_gh].coeffs[0] == 0
 
+    def test_no_generic_type_at_tiny_prime(self):
+        # at p = 2 the sampled types of this intersection have no dominance
+        # maximum; that is a sampled outcome, not an error
+        rep = intersect_experiment(7, 4, [(2, 1), (1, 3)], 200, seed=0, prime=2)
+        assert rep.sampled and [b.max_type for b in rep.branches] == [EMPTY]
+        assert len(rep.branches[0].type_counts) > 1
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(ValueError):
+            intersect_experiment(5, 3, [(2, 2)], 0)
+
     def test_unsampled_reported(self):
         rep = intersect_experiment(9, 4, [(1, 5), (3, 5)], 5, seed=10)
         if not rep.sampled:
@@ -278,6 +338,13 @@ class TestSurvey:
     def test_rejects_unstable(self):
         with pytest.raises(ValueError):
             survey((5, 4), 10, seed=0)
+
+
+def test_generic_type():
+    assert _generic_type([(3, 3), (2, 2, 2), (3, 2, 1)]) == (3, 3)
+    # (3,3) and (4,1,1) are incomparable in dominance order
+    assert _generic_type([(3, 3), (4, 1, 1)]) == EMPTY
+    assert _generic_type([(3, 3), (4, 1, 1), (6,)]) == (6,)
 
 
 REPORT_KEYS = {
