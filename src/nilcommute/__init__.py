@@ -53,7 +53,6 @@ from .tropical import (
     TropicalHypothesisError,
     closed_form_power,
     corank_from_orders,
-    format_order_matrix,
     minplus_mul,
     minplus_power,
     order_matrix,

@@ -4,11 +4,13 @@ A block entry (i, j) is a module map k[t]/(t^{q_j}) -> k[t]/(t^{q_i}):
 multiplication by a truncated polynomial followed by the natural
 projection, well defined exactly when its order is at least q_i - q_j.
 For a stable shape the nilpotent commutant is the linear slice where every
-diagonal entry has positive order.  Assembling the blocks in bases ordered
-by decreasing t-power reproduces the familiar banded matrices, and ranks
-of powers of the assembled matrix recover the Jordan type.  The powers
-are built by repeated doubling, and all of them are ranked in one stacked
-elimination (`modpoly.ranks`).
+diagonal entry has positive order.  An element is stored as its block
+coefficients, numbered by `_layout`; its grid of entries and, for a
+two-part shape, its coordinates a, b, g, h are views of that vector.
+Assembling the blocks in bases ordered by decreasing t-power reproduces
+the familiar banded matrices, and ranks of powers of the assembled matrix
+recover the Jordan type.  The powers are built by repeated doubling, and
+all of them are ranked in one stacked elimination (`modpoly.ranks`).
 """
 
 from __future__ import annotations
@@ -113,10 +115,11 @@ def jordan_type_of_matrix(mat, p: int = DEFAULT_PRIME) -> Partition:
 
 @dataclass(frozen=True)
 class CommutatorElement:
-    """Nilpotent commutant element of the Jordan matrix of a stable shape q."""
+    """Nilpotent commutant element of the Jordan matrix of a stable shape q,
+    stored as its block coefficients in the `_layout` numbering."""
 
     q: Partition
-    entries: tuple[tuple[TruncPoly, ...], ...]
+    coeffs: tuple[int, ...]
     p: int = DEFAULT_PRIME
 
     def __post_init__(self):
@@ -124,30 +127,35 @@ class CommutatorElement:
         object.__setattr__(self, "q", q)
         if not q or not is_stable(q):
             raise ValueError(f"shape must be a nonempty stable partition: {tuple(q)}")
-        ell = len(q)
-        if len(self.entries) != ell or any(len(row) != ell for row in self.entries):
-            raise ValueError(f"entries must form an {ell}x{ell} grid")
-        for i in range(ell):
-            for j in range(ell):
-                f = self.entries[i][j]
-                if f.p != self.p or f.n != q[i]:
-                    raise ValueError(
-                        f"entry ({i},{j}) must live in k[t]/(t^{q[i]}) over GF({self.p})"
-                    )
-                need = 1 if i == j else max(0, q[i] - q[j])
-                if f.order() < need:
-                    raise ValueError(f"entry ({i},{j}) needs order >= {need}")
+        c = tuple(int(x) % self.p for x in self.coeffs)
+        object.__setattr__(self, "coeffs", c)
+        if len(c) != q.size * len(q):
+            raise ValueError(f"shape {tuple(q)} has {q.size * len(q)} block coefficients, got {len(c)}")
+        free = _layout(q)[1].tolist()
+        fixed = {i for i, x in enumerate(c) if x}.difference(free)
+        if fixed:
+            raise ValueError(_order_error(q, min(fixed), free))
+
+    @property
+    def entries(self) -> tuple[tuple[TruncPoly, ...], ...]:
+        return _grid(self.q, self.coeffs, self.p)
+
+    @classmethod
+    def from_entries(cls, q, entries, p: int = DEFAULT_PRIME) -> "CommutatorElement":
+        """The element whose grid of block entries is `entries`."""
+        q = Partition(q)
+        if [[(f.n, f.p) for f in row] for row in entries] != [[(qi, p)] * len(q) for qi in q]:
+            raise ValueError(f"entries must form a {len(q)}x{len(q)} grid, row i in k[t]/(t^q_i) over GF({p})")
+        return cls(q, _flatten(entries), p)
 
     @classmethod
     def zero(cls, q, p: int = DEFAULT_PRIME) -> "CommutatorElement":
         q = Partition(q)
-        rows = tuple(tuple(TruncPoly.zero(qi, p) for _ in q) for qi in q)
-        return cls(q, rows, p)
+        return cls(q, (0,) * (q.size * len(q)), p)
 
     @classmethod
     def jordan(cls, q, p: int = DEFAULT_PRIME) -> "CommutatorElement":
         """The element assembling to the Jordan matrix itself (t on the diagonal)."""
-        q = Partition(q)
         rows = tuple(
             tuple(
                 TruncPoly.t_power(1, qi, p) if i == j else TruncPoly.zero(qi, p)
@@ -155,10 +163,10 @@ class CommutatorElement:
             )
             for i, qi in enumerate(q)
         )
-        return cls(q, rows, p)
+        return cls.from_entries(q, rows, p)
 
     def assemble(self) -> np.ndarray:
-        return assemble_blocks(self.q, self.entries, self.p)
+        return _assemble_flat(self.q, self.coeffs)
 
     def jordan_type(self) -> Partition:
         return jordan_type_of_matrix(self.assemble(), self.p)
@@ -169,16 +177,17 @@ class CommutatorElement:
             raise ValueError("elements live on different shapes")
         q, p = self.q, self.p
         ell = len(q)
+        left, right = self.entries, other.entries
         rows = []
         for i in range(ell):
             row = []
             for j in range(ell):
                 acc = TruncPoly.zero(q[i], p)
                 for m in range(ell):
-                    acc = acc + self.entries[i][m].mul_trunc(other.entries[m][j].lift(q[i]), q[i])
+                    acc = acc + left[i][m].mul_trunc(right[m][j].lift(q[i]), q[i])
                 row.append(acc)
             rows.append(tuple(row))
-        return CommutatorElement(q, tuple(rows), p)
+        return type(self).from_entries(q, rows, p)
 
     def __matmul__(self, other: "CommutatorElement") -> "CommutatorElement":
         return self.multiply(other)
@@ -186,19 +195,25 @@ class CommutatorElement:
     def __add__(self, other: "CommutatorElement") -> "CommutatorElement":
         if self.q != other.q or self.p != other.p:
             raise ValueError("elements live on different shapes")
-        rows = tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)
-        )
-        return CommutatorElement(self.q, rows, self.p)
+        return type(self)(self.q, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), self.p)
+
+
+def _order_error(parts, coeff: int, free) -> str:
+    """Name the block entry holding the fixed coefficient `coeff` and the order it needs."""
+    start = 0
+    for i, qi in enumerate(parts):
+        for j in range(len(parts)):
+            if coeff < start + qi:
+                # the fixed coefficients of a block are its lowest degrees
+                need = qi - sum(start <= f < start + qi for f in free)
+                return f"entry ({i},{j}) needs order >= {need}"
+            start += qi
 
 
 def sample_commutator(q, rng, *, p: int = DEFAULT_PRIME) -> CommutatorElement:
     """Uniform draw from the nilpotent commutant slice of a stable shape."""
     q = Partition(q)
-    if not q or not is_stable(q):
-        raise ValueError(f"need a nonempty stable shape, got {tuple(q)}")
-    return CommutatorElement(q, _grid(q, _draw_free(q, rng, p).tolist(), p), p)
+    return CommutatorElement(q, _draw_free(q, rng, p).tolist(), p)
 
 
 def sample_commutant_matrix(parts, rng, *, p: int = DEFAULT_PRIME) -> np.ndarray:
@@ -218,104 +233,64 @@ def _two_part_offsets(u: int, r: int) -> tuple[int, int, int]:
     return u + r, 2 * u, 3 * u - r
 
 
-@dataclass(frozen=True)
-class TwoPartElement:
-    """Commutant element of the two-block shape (u, u-r) in named coordinates.
+class TwoPartElement(CommutatorElement):
+    """Commutant element of the two-block shape (u, u-r), with named views.
 
     a = a_1 t + ... + a_{u-1} t^{u-1} mod t^u and b likewise mod t^{u-r};
     g and h live mod t^{u-r} with free constant terms.  Assembled, g sits
-    above the diagonal carrying a t^r shift and h below it.
+    above the diagonal carrying a t^r shift and h below it.  The views are
+    slices of the block coefficients at `_two_part_offsets`.
     """
 
-    u: int
-    r: int
-    a: TruncPoly
-    b: TruncPoly
-    g: TruncPoly
-    h: TruncPoly
-
     def __post_init__(self):
-        u, r = self.u, self.r
-        if not u > r >= 2:
-            raise ValueError(f"need u > r >= 2, got u={u}, r={r}")
-        if (self.a.n, self.b.n, self.g.n, self.h.n) != (u, u - r, u - r, u - r):
-            raise ValueError("coefficient lengths must be u, u-r, u-r, u-r")
-        if len({self.a.p, self.b.p, self.g.p, self.h.p}) != 1:
-            raise ValueError("mixed primes")
-        if self.a.coeffs[0] or self.b.coeffs[0]:
-            raise ValueError("nilpotency needs zero constant terms in a and b")
+        super().__post_init__()
+        if len(self.q) != 2:
+            raise ValueError(f"need a two-part shape, got {tuple(self.q)}")
 
     @property
-    def p(self) -> int:
-        return self.a.p
+    def u(self) -> int:
+        return self.q[0]
 
     @property
-    def q(self) -> Partition:
-        return Partition((self.u, self.u - self.r))
+    def r(self) -> int:
+        return self.q[0] - self.q[1]
 
-    def blocks(self) -> tuple[int, ...]:
-        """Block coefficients, numbered as in `_layout` (see `_two_part_offsets`)."""
-        return self.a.coeffs + (0,) * self.r + self.g.coeffs + self.h.coeffs + self.b.coeffs
+    def _view(self, lo: int, hi: int | None) -> TruncPoly:
+        return TruncPoly(self.coeffs[lo:hi], self.p)
+
+    @property
+    def a(self) -> TruncPoly:
+        return self._view(0, self.u)
+
+    @property
+    def g(self) -> TruncPoly:
+        g0, h0, _ = _two_part_offsets(self.u, self.r)
+        return self._view(g0, h0)
+
+    @property
+    def h(self) -> TruncPoly:
+        _, h0, b0 = _two_part_offsets(self.u, self.r)
+        return self._view(h0, b0)
+
+    @property
+    def b(self) -> TruncPoly:
+        return self._view(_two_part_offsets(self.u, self.r)[2], None)
 
     @classmethod
     def from_blocks(cls, u: int, r: int, coeffs, p: int = DEFAULT_PRIME) -> "TwoPartElement":
-        """The element whose block coefficients are `coeffs` (inverse of `blocks`)."""
-        g0, h0, b0 = _two_part_offsets(u, r)
-        c = [int(x) % p for x in coeffs]
-        if any(c[u:g0]):
-            raise ValueError("upper-right entry must be divisible by t^r")
-        a, g, h, b = (TruncPoly(tuple(c[i:j]), p) for i, j in ((0, u), (g0, h0), (h0, b0), (b0, None)))
-        return cls(u, r, a, b, g, h)
-
-    def to_element(self) -> CommutatorElement:
-        return CommutatorElement(self.q, _grid(self.q, self.blocks(), self.p), self.p)
-
-    @classmethod
-    def from_element(cls, e: CommutatorElement) -> "TwoPartElement":
-        if len(e.q) != 2:
-            raise ValueError(f"need a two-part shape, got {tuple(e.q)}")
-        u, v = e.q
-        return cls.from_blocks(u, u - v, _flatten(e.entries), e.p)
+        """The element of the shape (u, u-r) whose block coefficients are `coeffs`."""
+        if not u > r >= 2:
+            raise ValueError(f"need u > r >= 2, got u={u}, r={r}")
+        return cls((u, u - r), coeffs, p)
 
     def det2(self) -> TruncPoly:
         """ab - g h t^r in k[t]/(t^u)."""
         return det2(self.a, self.b, self.g, self.h, self.r)
 
-    def assemble(self) -> np.ndarray:
-        return _assemble_flat(self.q, self.blocks())
-
-    def jordan_type(self) -> Partition:
-        return jordan_type_of_matrix(self.assemble(), self.p)
-
-    def to_json(self) -> dict:
-        return {
-            "u": self.u,
-            "r": self.r,
-            "a": list(self.a.coeffs),
-            "b": list(self.b.coeffs),
-            "g": list(self.g.coeffs),
-            "h": list(self.h.coeffs),
-            "p": self.p,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TwoPartElement":
-        u, r, p = data["u"], data["r"], data["p"]
-        return cls(
-            u,
-            r,
-            TruncPoly.from_coeffs(data["a"], u, p),
-            TruncPoly.from_coeffs(data["b"], u - r, p),
-            TruncPoly.from_coeffs(data["g"], u - r, p),
-            TruncPoly.from_coeffs(data["h"], u - r, p),
-        )
-
 
 def sample_two_part(u: int, r: int, rng, *, p: int = DEFAULT_PRIME) -> TwoPartElement:
     """Uniform draw from the full nilpotent commutant of the shape (u, u-r)."""
-    if not u > r >= 2:
-        raise ValueError(f"need u > r >= 2, got u={u}, r={r}")
-    return TwoPartElement.from_blocks(u, r, _draw_free((u, u - r), rng, p).tolist(), p)
+    return TwoPartElement.from_blocks(u, r, _draw_free(Partition((u, u - r)), rng, p).tolist(), p)
 
 
 def dmap_oracle(

@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .burge import check_cell, table
+from .burge import box_partitions, check_cell, table
 from .commutator import (
     TwoPartElement,
     _draw_free,
@@ -66,8 +66,7 @@ class EquationSet:
 
     @property
     def ambient_dim(self) -> int:
-        # coordinates a_1..a_{u-1}, b_1..b_{u-r-1}, g_0.., h_0..
-        return 4 * self.u - 3 * self.r - 2
+        return len(_layout((self.u, self.u - self.r))[1])
 
     @property
     def linear_vars(self) -> tuple[str, ...]:
@@ -82,7 +81,7 @@ class EquationSet:
 
     def _block_terms(self) -> tuple[tuple[int, ...], list[list[tuple[int, int, int]]]]:
         """The linear coordinates, and each quadric as (sign, i, j) terms, in
-        block coefficient numbers (`TwoPartElement.blocks`)."""
+        block coefficient numbers (`TwoPartElement.coeffs`)."""
         g0, h0, b0 = _two_part_offsets(self.u, self.r)
         linear = self.linear_a + tuple(b0 + i for i in self.linear_b)
         quads = [
@@ -94,7 +93,7 @@ class EquationSet:
     def evaluate(self, e: TwoPartElement) -> tuple[int, ...]:
         """Values of all equations at e; all zero iff e lies on the locus."""
         self._check_shape(e)
-        c = e.blocks()
+        c = e.coeffs
         linear, quads = self._block_terms()
         quad_vals = [sum(sign * c[i] * c[j] for sign, i, j in terms) % e.p for terms in quads]
         return tuple(c[i] for i in linear) + tuple(quad_vals)
@@ -115,7 +114,7 @@ class EquationSet:
         """Matrix of partial derivatives, rows = equations, columns = the free
         coordinates in block order (a, g, h, b)."""
         self._check_shape(e)
-        c = e.blocks()
+        c = e.coeffs
         linear, quads = self._block_terms()
         jac = np.zeros((self.codim, len(c)), dtype=np.int64)
         jac[range(len(linear)), linear] = 1
@@ -151,7 +150,7 @@ def equations(u: int, r: int, k: int, l: int) -> EquationSet:
 @dataclass(frozen=True)
 class _SolvePlan:
     """A sampler for the common zero locus of a set of cells, in block
-    coefficient numbers (`TwoPartElement.blocks`).
+    coefficient numbers (`TwoPartElement.coeffs`).
 
     A uniform draw of the free coordinates has its `zero` coordinates
     cleared and the `pivot` a_k redrawn nonzero.  Each step (solved b, ab
@@ -401,6 +400,8 @@ def closure_contains(
     k' + l <= r); the Monte-Carlo side checks the outer equations on
     generic inner samples.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     k, l = outer
     k2, l2 = inner
     check_cell(u, r, k, l)
@@ -514,8 +515,8 @@ class SurveyReport(_Report):
 
 def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> SurveyReport:
     """Sample the nilpotent commutant of a stable shape and bucket the types."""
-    from .burge import box_partitions
-
+    if samples < 1:
+        raise ValueError("need at least one sample")
     q = Partition(q)
     box_vals = set(box_partitions(q).values())
     rng = np.random.default_rng([abs(seed)] + list(q))

@@ -126,9 +126,3 @@ def predicted_jordan_type(u: int, r: int, k: int, l: int) -> Partition:
             raise RuntimeError(f"corank profile failed to stabilize for {(u, r, k, l)}")
     return jordan_from_coranks(profile)
 
-
-def format_order_matrix(t: OrderMatrix) -> str:
-    def fmt(x):
-        return "inf" if x == INF else str(int(x))
-
-    return f"[[{fmt(t[0][0])}, {fmt(t[0][1])}], [{fmt(t[1][0])}, {fmt(t[1][1])}]]"

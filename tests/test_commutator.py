@@ -6,6 +6,7 @@ from nilcommute.commutator import (
     TwoPartElement,
     _assemble_flat,
     _draw_free,
+    _grid,
     _layout,
     assemble_blocks,
     dmap_oracle,
@@ -16,7 +17,7 @@ from nilcommute.commutator import (
 )
 from nilcommute.burge import dmap
 from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, matmul, rank
-from nilcommute.partitions import EMPTY, Partition, jordan_from_coranks, partitions_of
+from nilcommute.partitions import EMPTY, Partition, is_stable, jordan_from_coranks, partitions_of
 
 P = DEFAULT_PRIME
 
@@ -47,6 +48,23 @@ def two_part_matrix(u, r, a, b, g, h, p=P):
             if jj - ii >= 1:
                 out[u + ii - 1, u + jj - 1] = b[jj - ii]
     return out
+
+
+def two_part(u, r, a, b, g, h, p=P):
+    """The element with named coordinates a, b, g, h, laid out a | t^r g | h | b."""
+    return TwoPartElement.from_blocks(u, r, a.coeffs + (0,) * r + g.coeffs + h.coeffs + b.coeffs, p)
+
+
+def reference_order_violation(q, entries):
+    """The first entry (i, j) that breaks the per-entry order rule, with the
+    order it needs, or None: entry (i, j) needs order >= 1 on the diagonal
+    and >= q_i - q_j off it."""
+    for i in range(len(q)):
+        for j in range(len(q)):
+            need = 1 if i == j else max(0, q[i] - q[j])
+            if entries[i][j].order() < need:
+                return i, j, need
+    return None
 
 
 def hom_block(f, qi, qj):
@@ -150,7 +168,7 @@ class TestAssemble:
         a = TruncPoly.one(5)  # constant term on the diagonal
         z2 = TruncPoly.zero(2)
         with pytest.raises(ValueError):
-            CommutatorElement((5, 2), ((a, TruncPoly.zero(5)), (z2, z2)))
+            CommutatorElement.from_entries((5, 2), ((a, TruncPoly.zero(5)), (z2, z2)))
 
     def test_rejects_shallow_shift(self):
         # upper-right entry must vanish to order r
@@ -158,11 +176,41 @@ class TestAssemble:
         t5 = TruncPoly.t_power(1, 5)
         z2 = TruncPoly.zero(2)
         with pytest.raises(ValueError):
-            CommutatorElement((5, 2), ((t5, TruncPoly.one(5)), (z2, z2)))
+            CommutatorElement.from_entries((5, 2), ((t5, TruncPoly.one(5)), (z2, z2)))
 
     def test_rejects_unstable_shape(self):
         with pytest.raises(ValueError):
             CommutatorElement.zero((5, 4))
+
+    def test_from_entries_rejects_malformed_grid(self):
+        z5, z2 = TruncPoly.zero(5), TruncPoly.zero(2)
+        # misaligned moduli with the right total, a missing column, a foreign prime
+        for rows in [((TruncPoly.zero(4), TruncPoly.zero(6)), (z2, z2)), ((z5,), (z2,)),
+                     ((z5, z5), (z2, TruncPoly.zero(2, 7)))]:
+            with pytest.raises(ValueError, match="grid"):
+                CommutatorElement.from_entries((5, 2), rows)
+        assert CommutatorElement.from_entries((5, 2), ((z5, z5), (z2, z2))) == CommutatorElement.zero((5, 2))
+
+    def test_validity_matches_per_entry_rule(self):
+        # one nonzero coefficient at a time, on every stable shape with at
+        # most 3 parts and size at most 12
+        for n in range(1, 13):
+            for q in partitions_of(n):
+                if len(q) > 3 or not is_stable(q):
+                    continue
+                size = n * len(q)
+                classes = [CommutatorElement] + ([TwoPartElement] if len(q) == 2 else [])
+                for c in range(size):
+                    coeffs = [0] * size
+                    coeffs[c] = 1
+                    violation = reference_order_violation(q, _grid(q, coeffs, P))
+                    for cls in classes:
+                        if violation is None:
+                            assert cls(q, coeffs).coeffs == tuple(coeffs)
+                            continue
+                        i, j, need = violation
+                        with pytest.raises(ValueError, match=rf"^entry \({i},{j}\) needs order >= {need}$"):
+                            cls(q, coeffs)
 
 
 class TestJordanType:
@@ -170,7 +218,7 @@ class TestJordanType:
         assert CommutatorElement.jordan((5, 2)).jordan_type() == (5, 2)
 
     def test_special_point(self):
-        e = TwoPartElement(
+        e = two_part(
             5, 3,
             TruncPoly.t_power(2, 5),
             TruncPoly.t_power(1, 2),
@@ -180,7 +228,7 @@ class TestJordanType:
         assert e.jordan_type() == (4, 1, 1, 1)
 
     def test_block_diagonal_action(self):
-        e = TwoPartElement(
+        e = two_part(
             5, 3, TruncPoly.t_power(1, 5), TruncPoly.zero(2), TruncPoly.zero(2), TruncPoly.zero(2)
         )
         assert e.jordan_type() == (5, 1, 1)
@@ -297,6 +345,14 @@ class TestMultiply:
             assert ((e1 @ e2) @ e3) == (e1 @ (e2 @ e3))
             assert (e1 @ (e2 + e3)) == (e1 @ e2) + (e1 @ e3)
 
+    def test_two_part_product_stays_two_part(self):
+        rng = np.random.default_rng(23)
+        for u, r in [(3, 2), (5, 3), (7, 3), (12, 5)]:
+            e1, e2 = sample_two_part(u, r, rng), sample_two_part(u, r, rng)
+            prod = e1 @ e2
+            assert type(prod) is TwoPartElement
+            assert np.array_equal(prod.assemble(), matmul(e1.assemble(), e2.assemble(), P))
+
     def test_rejects_mixed_shapes(self):
         rng = np.random.default_rng(13)
         with pytest.raises(ValueError):
@@ -304,31 +360,19 @@ class TestMultiply:
 
 
 class TestTwoPartElement:
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(14)
-        e = sample_two_part(5, 3, rng)
-        data = e.to_json()
-        assert set(data) == {"u", "r", "a", "b", "g", "h", "p"}
-        assert TwoPartElement.from_json(data) == e
-
-    def test_element_roundtrip(self):
-        rng = np.random.default_rng(15)
-        e = sample_two_part(9, 4, rng)
-        assert TwoPartElement.from_element(e.to_element()) == e
-
     @pytest.mark.parametrize("p", [2, 1_000_000_007, 2**61 - 1])
     def test_blocks_roundtrip(self, p):
         rng = np.random.default_rng(21)
         for u in range(3, 11):
             for r in range(2, u):
                 e = sample_two_part(u, r, rng, p=p)
-                assert len(e.blocks()) == 4 * u - 2 * r
-                assert TwoPartElement.from_blocks(u, r, e.blocks(), p) == e
+                assert len(e.coeffs) == 4 * u - 2 * r
+                assert TwoPartElement.from_blocks(u, r, e.coeffs, p) == e
 
     def test_from_blocks_rejects_shallow_shift(self):
         coeffs = [0] * (4 * 5 - 2 * 3)
         coeffs[5] = 1  # t^0 of the upper-right block, below its t^r shift
-        with pytest.raises(ValueError, match="divisible by t\\^r"):
+        with pytest.raises(ValueError, match=r"entry \(0,1\) needs order >= 3"):
             TwoPartElement.from_blocks(5, 3, coeffs)
 
     def test_every_free_coordinate_is_drawn(self):
@@ -337,7 +381,7 @@ class TestTwoPartElement:
         for u, r in [(3, 2), (5, 3), (7, 3), (9, 4), (12, 5)]:
             seen = np.zeros(4 * u - 2 * r, dtype=bool)
             for _ in range(20):
-                seen |= np.array(sample_two_part(u, r, rng).blocks()) != 0
+                seen |= np.array(sample_two_part(u, r, rng).coeffs) != 0
             assert np.flatnonzero(seen).tolist() == _layout((u, u - r))[1].tolist()
 
 

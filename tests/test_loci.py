@@ -16,6 +16,7 @@ from nilcommute.loci import (
 )
 from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, rank
 from nilcommute.partitions import EMPTY
+from test_commutator import two_part
 
 P = DEFAULT_PRIME
 
@@ -85,7 +86,7 @@ class TestEquations:
 
 class TestEvaluate:
     def test_jordan_point_off_locus(self):
-        e = TwoPartElement(
+        e = two_part(
             5, 3, TruncPoly.t_power(1, 5), TruncPoly.t_power(1, 2),
             TruncPoly.zero(2), TruncPoly.zero(2),
         )
@@ -93,7 +94,7 @@ class TestEvaluate:
         assert vals[0] == 1  # a_1 = 1
 
     def test_special_point_on_locus(self):
-        e = TwoPartElement(
+        e = two_part(
             5, 3, TruncPoly.t_power(2, 5), TruncPoly.t_power(1, 2),
             TruncPoly.one(2), TruncPoly.one(2),
         )
@@ -156,7 +157,7 @@ class TestJacobian:
 
     def test_degenerate_point(self):
         z = TruncPoly.zero(2)
-        e = TwoPartElement(5, 3, TruncPoly.t_power(3, 5), z, z, z)
+        e = two_part(5, 3, TruncPoly.t_power(3, 5), z, z, z)
         eqs = equations(5, 3, 2, 2)
         assert eqs.jacobian_rank_at(e) < eqs.codim
 
@@ -179,7 +180,7 @@ class TestJacobian:
                             e = sample_on_locus(u, r, k, l, rng, prime=p)
                             if i == 2:
                                 keep = rng.random(4 * u - 2 * r) < 0.5
-                                e = TwoPartElement.from_blocks(u, r, np.where(keep, e.blocks(), 0), p)
+                                e = TwoPartElement.from_blocks(u, r, np.where(keep, e.coeffs, 0), p)
                             jac, ref = eqs.jacobian_at(e), reference_jacobian(eqs, e)
                             assert jac.shape == ref.shape
                             assert sorted(map(tuple, jac.T.tolist())) == sorted(map(tuple, ref.T.tolist()))
@@ -230,6 +231,11 @@ class TestClosureContains:
         rep = closure_contains(5, 3, (2, 2), (2, 2), 20, seed=5)
         assert rep.predicate and rep.montecarlo
 
+    @pytest.mark.parametrize("samples", [0, -4])
+    def test_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            closure_contains(5, 3, (2, 2), (1, 1), samples)
+
     @pytest.mark.parametrize("u,r", [(5, 3), (6, 3), (7, 4), (9, 4)])
     def test_predicate_matches_montecarlo(self, u, r):
         cells = [(k, l) for k in range(1, r) for l in range(1, u - r + 1)]
@@ -274,7 +280,7 @@ class TestIntersect:
         rng = np.random.default_rng(9)
         eq_sets = [equations(5, 3, k, l) for k, l in [(1, 2), (2, 2)]]
         for _ in range(20):
-            e = TwoPartElement(
+            e = two_part(
                 5, 3,
                 TruncPoly.from_coeffs([0, 0] + [int(x) for x in rng.integers(P, size=3)], 5),
                 TruncPoly.zero(2),
@@ -338,6 +344,10 @@ class TestSurvey:
     def test_rejects_unstable(self):
         with pytest.raises(ValueError):
             survey((5, 4), 10, seed=0)
+
+    def test_rejects_no_samples(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            survey((8, 5, 2), 0)
 
 
 def test_generic_type():
