@@ -45,6 +45,7 @@ from .commutator import (
     assemble_blocks,
     dmap_oracle,
     jordan_type_of_matrix,
+    jordan_types,
     sample_commutator,
     sample_two_part,
 )

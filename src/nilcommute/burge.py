@@ -7,13 +7,15 @@ final 'a'.  Decoding runs the word right to left, inverting one removal
 step per letter.  Reading the word left to right, the ends of the 'b'
 runs are exactly the parts of the stable partition attached to the input,
 and for a stable shape the full preimage of that map is a box of
-partitions indexed by its key.
+partitions indexed by its key.  Each box is decoded once per shape and
+memoized; `box_partitions` and `table` build fresh containers from it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 from .partitions import (
     Partition,
@@ -198,15 +200,25 @@ def box_codes(q) -> dict[tuple[int, ...], BurgeWord]:
     return out
 
 
-def box_partitions(q) -> dict[tuple[int, ...], Partition]:
-    """Decoded box of a stable shape; cell I has sum(I) parts."""
-    out: dict[tuple[int, ...], Partition] = {}
+@lru_cache(maxsize=128)
+def _box(q: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Partition], ...]:
+    """The decoded box of a stable shape as (index, partition) pairs, once
+    per shape.  A shape that raises is not cached, so it raises every time."""
+    out = []
     for idx, code in box_codes(q).items():
         p = decode(code)
         if len(p) != sum(idx):
             raise RuntimeError(f"box cell {idx} decoded to {p} with {len(p)} parts")
-        out[idx] = p
-    return out
+        out.append((idx, p))
+    return tuple(out)
+
+
+def box_partitions(q) -> dict[tuple[int, ...], Partition]:
+    """Decoded box of a stable shape; cell I has sum(I) parts.
+
+    The box is decoded once per shape; each call returns a new dict.
+    """
+    return dict(_box(tuple(q)))
 
 
 def table(q) -> list[list[Partition]]:

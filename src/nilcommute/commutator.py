@@ -9,8 +9,10 @@ coefficients, numbered by `_layout`; its grid of entries and, for a
 two-part shape, its coordinates a, b, g, h are views of that vector.
 Assembling the blocks in bases ordered by decreasing t-power reproduces
 the familiar banded matrices, and ranks of powers of the assembled matrix
-recover the Jordan type.  The powers are built by repeated doubling, and
-all of them are ranked in one stacked elimination (`modpoly.ranks`).
+recover the Jordan type.  Samples are read as one (S, n, n) stack,
+`_CHUNK` at a time: the powers of a chunk are built by repeated doubling,
+and all of them are ranked in one stacked elimination (`modpoly.ranks`).
+`jordan_type_of_matrix` is the one-sample case.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ import numpy as np
 from .modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, det2, matmul, ranks
 from .modpoly import rank  # noqa: F401  (perfbench's tracer test asserts commutator.rank exists)
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
+
+# samples per `ranks` call in `jordan_types`: enough to share numpy's
+# per-call cost, few enough that a chunk's powers stay small (n = 22 with
+# 12 powers is 370 KB of int64 per chunk, before `ranks`'s copies)
+_CHUNK = 8
 
 
 @lru_cache(maxsize=512)
@@ -88,29 +95,53 @@ def _grid(parts, coeffs, p: int) -> tuple[tuple[TruncPoly, ...], ...]:
     return tuple(tuple(TruncPoly(tuple(islice(it, qi)), p) for _ in parts) for qi in parts)
 
 
+def _check_grid(parts, entries, p: int) -> None:
+    """Raise unless `entries` is an l x l grid with row i in k[t]/(t^{q_i}) over GF(p)."""
+    if [[(f.n, f.p) for f in row] for row in entries] != [[(qi, p)] * len(parts) for qi in parts]:
+        raise ValueError(
+            f"entries must form a {len(parts)}x{len(parts)} grid, row i in k[t]/(t^q_i) over GF({p})"
+        )
+
+
 def assemble_blocks(parts, entries, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """Assemble an l x l grid of block entries into one n x n matrix."""
+    """Assemble an l x l grid of block entries over GF(p) into one n x n matrix."""
+    _check_grid(parts, entries, p)
     return _assemble_flat(tuple(parts), _flatten(entries))
 
 
-def jordan_type_of_matrix(mat, p: int = DEFAULT_PRIME) -> Partition:
-    """Jordan type of a nilpotent matrix via coranks of its powers.
+def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
+    """Jordan types of an (S, n, n) stack of nilpotent matrices, via coranks
+    of their powers.
 
-    The stack M, ..., M^k times M^k gives M^(k+1), ..., M^(2k), so the
-    powers up to the first zero one (at most n) take at most ceil(log2 n)
-    products, and one `ranks` call reads every corank.
+    The stack is reduced mod p once and read `_CHUNK` matrices at a time.
+    Within a chunk, the powers M, ..., M^k times M^k give M^(k+1), ...,
+    M^(2k), so the powers up to the first one that is zero on every matrix
+    (at most n) take at most ceil(log2 n) products, and one `ranks` call
+    reads every corank.  A matrix whose powers reach zero early contributes
+    only zero powers after that, which repeat its final corank n.
     """
-    m = _as_field_matrix(mat, p)
-    n = m.shape[0]
+    m = _as_field_matrix(stack, p)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError("jordan_types expects an (S, n, n) stack")
+    count, n, _ = m.shape
     if n == 0:
-        return EMPTY
-    powers = m[None]
-    while powers[-1].any():
-        k = len(powers)
-        if k >= n:
-            raise ValueError("matrix is not nilpotent")
-        powers = np.concatenate([powers, matmul(powers[: n - k], powers[-1], p)])
-    return jordan_from_coranks([0, *(n - ranks(powers, p)).tolist(), n])
+        return [EMPTY] * count
+    out = []
+    for lo in range(0, count, _CHUNK):
+        powers = m[lo : lo + _CHUNK, None]
+        while powers[:, -1].any():
+            k = powers.shape[1]
+            if k >= n:
+                raise ValueError("matrix is not nilpotent")
+            powers = np.concatenate([powers, matmul(powers[:, : n - k], powers[:, -1:], p)], axis=1)
+        coranks = n - ranks(powers.reshape(-1, n, n), p).reshape(len(powers), -1)
+        out.extend(jordan_from_coranks([0, *c, n]) for c in coranks.tolist())
+    return out
+
+
+def jordan_type_of_matrix(mat, p: int = DEFAULT_PRIME) -> Partition:
+    """Jordan type of a nilpotent matrix: the one-matrix case of `jordan_types`."""
+    return jordan_types(np.asarray(mat)[None], p)[0]
 
 
 @dataclass(frozen=True)
@@ -144,8 +175,7 @@ class CommutatorElement:
     def from_entries(cls, q, entries, p: int = DEFAULT_PRIME) -> "CommutatorElement":
         """The element whose grid of block entries is `entries`."""
         q = Partition(q)
-        if [[(f.n, f.p) for f in row] for row in entries] != [[(qi, p)] * len(q) for qi in q]:
-            raise ValueError(f"entries must form a {len(q)}x{len(q)} grid, row i in k[t]/(t^q_i) over GF({p})")
+        _check_grid(q, entries, p)
         return cls(q, _flatten(entries), p)
 
     @classmethod

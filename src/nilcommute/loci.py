@@ -13,18 +13,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar
 
 import numpy as np
 
 from .burge import box_partitions, check_cell, table
 from .commutator import (
+    _CHUNK,
     TwoPartElement,
     _draw_free,
     _layout,
     _two_part_offsets,
     jordan_type_of_matrix,
+    jordan_types,
     sample_commutant_matrix,
     sample_two_part,
 )
@@ -245,6 +247,15 @@ def _generic_type(types) -> Partition:
         return EMPTY
 
 
+def _drawn_types(draw, samples: int, prime: int):
+    """Yield (element, Jordan type) for `samples` calls of `draw`, in draw
+    order.  Elements are drawn, read as one stack and released `_CHUNK` at
+    a time, so memory stays bounded by one chunk."""
+    for lo in range(0, samples, _CHUNK):
+        chunk = [draw() for _ in range(min(_CHUNK, samples - lo))]
+        yield from zip(chunk, jordan_types(np.stack([e.assemble() for e in chunk]), prime))
+
+
 def _type_counts(counter: Counter) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(
         (tuple(t), c) for t, c in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -324,27 +335,28 @@ def verify_cell(
     converse inclusion on independent commutant samples, jacobian ranks,
     and the tropical prediction.
 
-    Cells whose type is never hit by the independent samples count as a
-    vacuous pass for the converse direction.
+    The expected type is read from the memoized table.  Both loops draw
+    their samples in order and read them `_CHUNK` at a time as one stack
+    (`_drawn_types`); only the type counts are kept.  Cells whose type is
+    never hit by the independent samples count as a vacuous pass for the
+    converse direction.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     eqs = equations(u, r, k, l)
     expected = table((u, u - r))[k - 1][l - 1]
     rng = np.random.default_rng([abs(seed), u, r, k, l])
-    types = []
+    counts: Counter = Counter()
     jac_hits = 0
-    for _ in range(samples):
-        e = sample_on_locus(u, r, k, l, rng, prime=prime)
-        types.append(e.jordan_type())
+    for e, t in _drawn_types(partial(sample_on_locus, u, r, k, l, rng, prime=prime), samples, prime):
+        counts[t] += 1
         jac_hits += eqs.jacobian_rank_at(e) == eqs.codim
-    max_type = _generic_type(types)  # EMPTY fails the cell
-    match_rate = sum(t == expected for t in types) / samples
+    max_type = _generic_type(counts)  # EMPTY fails the cell
+    match_rate = counts[expected] / samples
     converse_hits = 0
     converse_ok = True
-    for _ in range(samples):
-        amb = sample_two_part(u, r, rng, p=prime)
-        if amb.jordan_type() == expected:
+    for amb, t in _drawn_types(partial(sample_two_part, u, r, rng, p=prime), samples, prime):
+        if t == expected:
             converse_hits += 1
             converse_ok = converse_ok and eqs.satisfied_by(amb)
     return CellReport(
@@ -484,9 +496,8 @@ def intersect_experiment(
     branches = []
     for bidx, (label, zero_gh) in enumerate(branch_defs):
         rng = np.random.default_rng([abs(seed), u, r, bidx] + [x for c in cells for x in c])
-        counts: Counter = Counter()
-        for _ in range(samples):
-            counts[_sample_plan(plan, rng, prime, zero_gh).jordan_type()] += 1
+        draw = partial(_sample_plan, plan, rng, prime, zero_gh)
+        counts = Counter(t for _, t in _drawn_types(draw, samples, prime))
         branches.append(
             BranchReport(label=label, max_type=_generic_type(counts), type_counts=_type_counts(counts))
         )

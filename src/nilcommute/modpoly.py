@@ -6,9 +6,9 @@ reduced mod p (object arrays of Python integers for p >= 2^31).  Exact
 ranks come from two kernels: `rank`, a scalar Gaussian elimination that
 serves the sparse rectangular Jacobians of the locus equations, and
 `ranks`, an inverse-free elimination over a whole (S, rows, cols) stack
-that serves the Jordan-type readout, which ranks all powers of one matrix
-at once.  The default prime is large enough that random cancellations
-never disturb desk-scale Monte-Carlo runs.
+that serves the Jordan-type readout, which ranks all powers of a chunk of
+sampled matrices at once.  The default prime is large enough that random
+cancellations never disturb desk-scale Monte-Carlo runs.
 """
 
 from __future__ import annotations

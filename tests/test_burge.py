@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilcommute import burge
 from nilcommute.burge import (
     BurgeDecodeError,
     BurgeWord,
@@ -211,6 +212,39 @@ class TestTable:
             for l in range(1, u + 1 - r + 1):
                 target = small[k - 1][min(l, u - r) - 1]
                 assert delta(big[k - 1][l - 1]) == target
+
+
+class TestBoxCache:
+    def test_callers_get_fresh_containers(self):
+        cells = box_partitions((5, 2))
+        cells[(1, 1)] = Partition((1,))
+        cells.clear()
+        assert box_partitions((5, 2))[(1, 1)] == (5, 2)
+        grid = table((5, 2))
+        grid[0][0] = Partition((1,))
+        grid.append([])
+        assert table((5, 2)) == [[(5, 2), (5, 1, 1)], [(4, 2, 1), (4, 1, 1, 1)]]
+
+    def test_box_decoded_once_per_shape(self, monkeypatch):
+        calls = []
+
+        def counting_decode(word):
+            calls.append(word)
+            return decode(word)
+
+        monkeypatch.setattr(burge, "decode", counting_decode)
+        burge._box.cache_clear()
+        first = table((13, 4))
+        assert table((13, 4)) == first
+        assert len(calls) == 8 * 4  # one decode per cell of the 8 x 4 box, for both calls
+        burge._box.cache_clear()
+
+    def test_unstable_shape_raises_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a stable partition"):
+                box_partitions((5, 4))
+            with pytest.raises(ValueError, match="not a stable partition"):
+                table((6, 5))
 
 
 def test_encode_decode_on_box_codes():

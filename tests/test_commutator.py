@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from nilcommute import commutator
 from nilcommute.commutator import (
     CommutatorElement,
     TwoPartElement,
@@ -11,12 +14,13 @@ from nilcommute.commutator import (
     assemble_blocks,
     dmap_oracle,
     jordan_type_of_matrix,
+    jordan_types,
     sample_commutant_matrix,
     sample_commutator,
     sample_two_part,
 )
 from nilcommute.burge import dmap
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, matmul, rank
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, matmul, rank, ranks
 from nilcommute.partitions import EMPTY, Partition, is_stable, jordan_from_coranks, partitions_of
 
 P = DEFAULT_PRIME
@@ -148,6 +152,17 @@ class TestAssemble:
                 ]
                 assert np.array_equal(assemble_blocks(parts, entries), reference_assemble(parts, entries))
 
+    def test_rejects_malformed_grid(self):
+        z5, z2 = TruncPoly.zero(5), TruncPoly.zero(2)
+        # wrong moduli with the right total length, a short row, a foreign prime
+        for rows, p in [(((TruncPoly.zero(4), TruncPoly((0, 0, 0, 0, 0, 1))), (z2, z2)), P),
+                        (((z5, z5), (z2,)), P),
+                        (((z5, z5), (z2, z2)), 7)]:
+            with pytest.raises(ValueError, match="grid"):
+                assemble_blocks((5, 2), rows, p)
+        rows7 = ((TruncPoly.zero(5, 7), TruncPoly.t_power(3, 5, 7)), (TruncPoly.one(2, 7), TruncPoly.zero(2, 7)))
+        assert np.array_equal(assemble_blocks((5, 2), rows7, 7), reference_assemble((5, 2), rows7))
+
     def test_structural_zeros_stay_zero(self):
         rng = np.random.default_rng(1)
         u, r = 7, 3
@@ -268,6 +283,72 @@ class TestJordanType:
                     coeffs[rng.random(coeffs.size) > density] = 0
                     m = _assemble_flat(parts, coeffs)
                     assert jordan_type_of_matrix(m, p) == reference_jordan_type(m, p)
+
+
+def mixed_stack(n, count, rng, p):
+    """`count` nilpotent n x n matrices of many nilpotency indices: commutant
+    samples of every partition of n, some sparsified, and the zero matrix."""
+    shapes = list(partitions_of(n))
+    out = [np.zeros((n, n), dtype=np.int64)]
+    while len(out) < count:
+        parts = shapes[len(out) % len(shapes)]
+        coeffs = _draw_free(parts, rng, p)
+        if len(out) % 3 == 0:
+            coeffs[rng.random(coeffs.size) > 0.3] = 0
+        out.append(_assemble_flat(parts, coeffs))
+    return np.stack(out[:count])
+
+
+class TestJordanTypes:
+    @pytest.mark.parametrize("p", [3, P, 2_147_483_659])
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 17])
+    def test_matches_per_matrix_reference(self, p, count):
+        rng = np.random.default_rng(count)
+        for n in (1, 4, 7):
+            stack = mixed_stack(n, count, rng, p)
+            assert jordan_types(stack, p) == [reference_jordan_type(m, p) for m in stack]
+
+    def test_stack_mixes_nilpotency_indices(self):
+        stack = mixed_stack(7, 17, np.random.default_rng(0), P)
+        types = jordan_types(stack)
+        assert types[0] == (1,) * 7
+        assert len({t[0] for t in types}) >= 4
+
+    def test_one_ranks_call_per_chunk(self, monkeypatch):
+        calls = []
+
+        def counting_ranks(stack, p):
+            calls.append(len(stack))
+            return ranks(stack, p)
+
+        monkeypatch.setattr(commutator, "ranks", counting_ranks)
+        for count in (1, 8, 9, 17):
+            calls.clear()
+            jordan_types(mixed_stack(6, count, np.random.default_rng(1), P))
+            assert len(calls) == math.ceil(count / commutator._CHUNK)
+
+    def test_object_dtype_input(self):
+        p = 2_147_483_659
+        stack = mixed_stack(5, 9, np.random.default_rng(2), p)
+        assert jordan_types(stack.astype(object), p) == jordan_types(stack, p)
+
+    def test_empty(self):
+        assert jordan_types(np.zeros((3, 0, 0), dtype=np.int64)) == [EMPTY] * 3
+        assert jordan_types(np.zeros((0, 4, 4), dtype=np.int64)) == []
+
+    @pytest.mark.parametrize("p", [P, 2_147_483_659])
+    def test_non_nilpotent_member_rejected(self, p):
+        stack = mixed_stack(4, 12, np.random.default_rng(3), p)
+        stack[10] = np.eye(4, k=1, dtype=np.int64)
+        stack[10, 3, 0] = 1  # a 4-cycle: a permutation matrix, never nilpotent
+        with pytest.raises(ValueError, match="not nilpotent"):
+            jordan_types(stack, p)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            jordan_types(np.zeros((2, 3, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="stack"):
+            jordan_types(np.zeros((3, 3), dtype=np.int64))
 
 
 class TestSampling:

@@ -1,12 +1,19 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from nilcommute.burge import table
 from nilcommute.commutator import TwoPartElement, sample_two_part
 from nilcommute.loci import (
+    BranchReport,
+    CellReport,
+    IntersectReport,
     _generic_type,
     _sample_plan,
     _solve_plan,
+    _type_counts,
     closure_contains,
     equations,
     intersect_experiment,
@@ -15,7 +22,8 @@ from nilcommute.loci import (
     verify_cell,
 )
 from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, rank
-from nilcommute.partitions import EMPTY
+from nilcommute.partitions import EMPTY, Partition
+from nilcommute.tropical import predicted_jordan_type
 from test_commutator import two_part
 
 P = DEFAULT_PRIME
@@ -46,6 +54,51 @@ def reference_jacobian(eqs, e):
             jac[row, cols[f"h{hi}"]] = (jac[row, cols[f"h{hi}"]] - e.g.coeffs[gi]) % p
         row += 1
     return jac
+
+
+def reference_verify_cell(u, r, k, l, samples, *, seed=0, prime=P):
+    """`verify_cell` reading one sample at a time, in draw order."""
+    eqs = equations(u, r, k, l)
+    expected = table((u, u - r))[k - 1][l - 1]
+    rng = np.random.default_rng([abs(seed), u, r, k, l])
+    types = []
+    jac_hits = 0
+    for _ in range(samples):
+        e = sample_on_locus(u, r, k, l, rng, prime=prime)
+        types.append(e.jordan_type())
+        jac_hits += eqs.jacobian_rank_at(e) == eqs.codim
+    converse_hits = 0
+    converse_ok = True
+    for _ in range(samples):
+        amb = sample_two_part(u, r, rng, p=prime)
+        if amb.jordan_type() == expected:
+            converse_hits += 1
+            converse_ok = converse_ok and eqs.satisfied_by(amb)
+    return CellReport(
+        q=Partition((u, u - r)), cell=(k, l), prime=prime, seed=seed, samples=samples,
+        max_type=_generic_type(types), expected=expected,
+        match_rate=sum(t == expected for t in types) / samples,
+        jacobian_rate=jac_hits / samples, converse_hits=converse_hits, converse_ok=converse_ok,
+        tropical_agree=predicted_jordan_type(u, r, k, l) == expected,
+    )
+
+
+def reference_intersect(u, r, cells, samples, *, seed=0, prime=P):
+    """`intersect_experiment` reading one sample at a time, in draw order."""
+    cells = sorted({(int(k), int(l)) for k, l in cells})
+    plan = _solve_plan(u, r, tuple(cells))
+    base = dict(q=Partition((u, u - r)), cells=tuple(cells), prime=prime, seed=seed, samples=samples)
+    if plan.reason:
+        return IntersectReport(**base, sampled=False, reason=plan.reason, branches=())
+    branches = []
+    branch_defs = [("g0=0", 0), ("h0=0", 1)] if plan.split else [("", None)]
+    for bidx, (label, zero_gh) in enumerate(branch_defs):
+        rng = np.random.default_rng([abs(seed), u, r, bidx] + [x for c in cells for x in c])
+        counts = Counter()
+        for _ in range(samples):
+            counts[_sample_plan(plan, rng, prime, zero_gh).jordan_type()] += 1
+        branches.append(BranchReport(label, _generic_type(counts), _type_counts(counts)))
+    return IntersectReport(**base, sampled=True, reason="", branches=tuple(branches))
 
 
 class TestEquations:
@@ -211,6 +264,29 @@ class TestVerifyCell:
         # ambient samples land on the open cell, so the converse check is non-vacuous
         assert rep.converse_hits > 0 and rep.converse_ok
 
+    @pytest.mark.parametrize("p", [3, 1_000_000_007])
+    @pytest.mark.parametrize("u,r", [(8, 5), (12, 7)])
+    def test_matches_one_sample_reference(self, u, r, p):
+        # 10 samples: one full chunk and a partial one in each loop
+        for k in range(1, r):
+            for l in range(1, u - r + 1):
+                assert verify_cell(u, r, k, l, 10, seed=4, prime=p) == reference_verify_cell(
+                    u, r, k, l, 10, seed=4, prime=p)
+
+    def test_memory_bounded_by_one_chunk(self):
+        # the (13, 4) cell (3, 2); caches filled first, so only the loops count
+        verify_cell(13, 9, 3, 2, 1)
+        tracemalloc.start()
+        try:
+            verify_cell(13, 9, 3, 2, 16)
+            small = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            verify_cell(13, 9, 3, 2, 400)
+            large = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert large <= 1.5 * small, (small, large)
+
     def test_report_schema(self):
         d = verify_cell(5, 3, 1, 1, 5, seed=3).to_dict()
         for key in ("q", "cell", "prime", "seed", "samples", "max_type",
@@ -311,6 +387,16 @@ class TestIntersect:
         rep = intersect_experiment(7, 4, [(2, 1), (1, 3)], 200, seed=0, prime=2)
         assert rep.sampled and [b.max_type for b in rep.branches] == [EMPTY]
         assert len(rep.branches[0].type_counts) > 1
+
+    @pytest.mark.parametrize("u,r,cells,samples,seed,prime", [
+        (7, 4, [(1, 2), (2, 2)], 200, 3, 1_000_000_007),
+        (7, 4, [(1, 2), (2, 2)], 200, 3, 3),
+        (7, 4, [(2, 1), (1, 3)], 200, 0, 2),  # no generic type
+        (5, 3, [(2, 2)], 17, 3, 1_000_000_007),
+    ])
+    def test_matches_one_sample_reference(self, u, r, cells, samples, seed, prime):
+        rep = intersect_experiment(u, r, cells, samples, seed=seed, prime=prime)
+        assert rep == reference_intersect(u, r, cells, samples, seed=seed, prime=prime)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
