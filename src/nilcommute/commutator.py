@@ -9,9 +9,10 @@ coefficients, numbered by `_layout`; its grid of entries and, for a
 two-part shape, its coordinates a, b, g, h are views of that vector.
 Assembling the blocks in bases ordered by decreasing t-power reproduces
 the familiar banded matrices, and ranks of powers of the assembled matrix
-recover the Jordan type.  Samples are read as one (S, n, n) stack,
-`_CHUNK` at a time: the powers of a chunk are built by repeated doubling,
-and all of them are ranked in one stacked elimination (`modpoly.ranks`).
+recover the Jordan type.  Samples are read as one (S, n, n) stack, reduced
+mod p once and read `_CHUNK` at a time: the powers of a chunk are built by
+repeated doubling (`modpoly._mulmod`), and all of them are ranked in one
+stacked elimination (`modpoly._eliminate`), both on the reduced stack.
 `jordan_type_of_matrix` is the one-sample case.
 """
 
@@ -23,13 +24,15 @@ from itertools import islice
 
 import numpy as np
 
-from .modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, det2, matmul, ranks
+from .modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod, det2
 from .modpoly import rank  # noqa: F401  (perfbench's tracer test asserts commutator.rank exists)
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
 
-# samples per `ranks` call in `jordan_types`: enough to share numpy's
+# samples per elimination in `jordan_types`: enough to share numpy's
 # per-call cost, few enough that a chunk's powers stay small (n = 22 with
-# 12 powers is 370 KB of int64 per chunk, before `ranks`'s copies)
+# 12 powers is 372 KB of int64 per chunk, eliminated in place; reading a
+# chunk of (10, 7, 4, 1) samples, n = 22 with 10 powers, peaks at 1.7 MB
+# under tracemalloc, doubling included)
 _CHUNK = 8
 
 
@@ -113,12 +116,16 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     """Jordan types of an (S, n, n) stack of nilpotent matrices, via coranks
     of their powers.
 
-    The stack is reduced mod p once and read `_CHUNK` matrices at a time.
-    Within a chunk, the powers M, ..., M^k times M^k give M^(k+1), ...,
-    M^(2k), so the powers up to the first one that is zero on every matrix
-    (at most n) take at most ceil(log2 n) products, and one `ranks` call
-    reads every corank.  A matrix whose powers reach zero early contributes
-    only zero powers after that, which repeat its final corank n.
+    The stack is reduced mod p once into a copy, read `_CHUNK` matrices
+    at a time.  Within a chunk, the powers M, ..., M^k times M^k give
+    M^(k+1), ..., M^(2k), so the powers up to the first one that is zero on
+    every matrix (at most n) take at most ceil(log2 n) products
+    (`_mulmod`), and one elimination (`_eliminate`) reads every corank in
+    place; both kernels take the reduced copy as it is.  A matrix whose
+    powers reach zero early contributes only zero powers after that, which
+    repeat its final corank n.  The matrices need not come from one
+    sampler: `loci.verify_cell` passes its on-locus draws and then its
+    converse draws as one chained stream, so a chunk may hold both.
     """
     m = _as_field_matrix(stack, p)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
@@ -133,8 +140,8 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
             k = powers.shape[1]
             if k >= n:
                 raise ValueError("matrix is not nilpotent")
-            powers = np.concatenate([powers, matmul(powers[:, : n - k], powers[:, -1:], p)], axis=1)
-        coranks = n - ranks(powers.reshape(-1, n, n), p).reshape(len(powers), -1)
+            powers = np.concatenate([powers, _mulmod(powers[:, : n - k], powers[:, -1:], p)], axis=1)
+        coranks = n - _eliminate(powers.reshape(-1, n, n), p).reshape(len(powers), -1)
         out.extend(jordan_from_coranks([0, *c, n]) for c in coranks.tolist())
     return out
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import chain, islice
 from typing import ClassVar
 
 import numpy as np
@@ -247,12 +248,14 @@ def _generic_type(types) -> Partition:
         return EMPTY
 
 
-def _drawn_types(draw, samples: int, prime: int):
-    """Yield (element, Jordan type) for `samples` calls of `draw`, in draw
-    order.  Elements are drawn, read as one stack and released `_CHUNK` at
-    a time, so memory stays bounded by one chunk."""
-    for lo in range(0, samples, _CHUNK):
-        chunk = [draw() for _ in range(min(_CHUNK, samples - lo))]
+def _drawn_types(elements, prime: int):
+    """Yield (element, Jordan type) for each element of the lazy stream
+    `elements`, in stream order.  Elements are drawn, read as one stack and
+    released `_CHUNK` at a time, so memory stays bounded by one chunk, and
+    a chunk may span two chained streams (`verify_cell`'s on-locus and
+    converse draws)."""
+    elements = iter(elements)
+    while chunk := list(islice(elements, _CHUNK)):
         yield from zip(chunk, jordan_types(np.stack([e.assemble() for e in chunk]), prime))
 
 
@@ -335,11 +338,13 @@ def verify_cell(
     converse inclusion on independent commutant samples, jacobian ranks,
     and the tropical prediction.
 
-    The expected type is read from the memoized table.  Both loops draw
-    their samples in order and read them `_CHUNK` at a time as one stack
-    (`_drawn_types`); only the type counts are kept.  Cells whose type is
-    never hit by the independent samples count as a vacuous pass for the
-    converse direction.
+    The expected type is read from the memoized table.  The `samples`
+    on-locus draws and then the `samples` converse draws form one chained
+    stream, drawn in that order from one generator and read `_CHUNK` at a
+    time as one stack (`_drawn_types`), so a chunk may hold the last
+    on-locus and the first converse draws; only the type counts are kept.
+    Cells whose type is never hit by the independent samples count as a
+    vacuous pass for the converse direction.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -348,14 +353,17 @@ def verify_cell(
     rng = np.random.default_rng([abs(seed), u, r, k, l])
     counts: Counter = Counter()
     jac_hits = 0
-    for e, t in _drawn_types(partial(sample_on_locus, u, r, k, l, rng, prime=prime), samples, prime):
+    on_locus = (sample_on_locus(u, r, k, l, rng, prime=prime) for _ in range(samples))
+    converse = (sample_two_part(u, r, rng, p=prime) for _ in range(samples))
+    read = _drawn_types(chain(on_locus, converse), prime)
+    for e, t in islice(read, samples):
         counts[t] += 1
         jac_hits += eqs.jacobian_rank_at(e) == eqs.codim
     max_type = _generic_type(counts)  # EMPTY fails the cell
     match_rate = counts[expected] / samples
     converse_hits = 0
     converse_ok = True
-    for amb, t in _drawn_types(partial(sample_two_part, u, r, rng, p=prime), samples, prime):
+    for amb, t in read:
         if t == expected:
             converse_hits += 1
             converse_ok = converse_ok and eqs.satisfied_by(amb)
@@ -496,8 +504,8 @@ def intersect_experiment(
     branches = []
     for bidx, (label, zero_gh) in enumerate(branch_defs):
         rng = np.random.default_rng([abs(seed), u, r, bidx] + [x for c in cells for x in c])
-        draw = partial(_sample_plan, plan, rng, prime, zero_gh)
-        counts = Counter(t for _, t in _drawn_types(draw, samples, prime))
+        draws = (_sample_plan(plan, rng, prime, zero_gh) for _ in range(samples))
+        counts = Counter(t for _, t in _drawn_types(draws, prime))
         branches.append(
             BranchReport(label=label, max_type=_generic_type(counts), type_counts=_type_counts(counts))
         )

@@ -20,7 +20,7 @@ from nilcommute.commutator import (
     sample_two_part,
 )
 from nilcommute.burge import dmap
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, matmul, rank, ranks
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _eliminate, matmul, rank
 from nilcommute.partitions import EMPTY, Partition, is_stable, jordan_from_coranks, partitions_of
 
 P = DEFAULT_PRIME
@@ -317,15 +317,24 @@ class TestJordanTypes:
     def test_one_ranks_call_per_chunk(self, monkeypatch):
         calls = []
 
-        def counting_ranks(stack, p):
+        def counting_eliminate(stack, p):
             calls.append(len(stack))
-            return ranks(stack, p)
+            return _eliminate(stack, p)
 
-        monkeypatch.setattr(commutator, "ranks", counting_ranks)
+        monkeypatch.setattr(commutator, "_eliminate", counting_eliminate)
         for count in (1, 8, 9, 17):
             calls.clear()
             jordan_types(mixed_stack(6, count, np.random.default_rng(1), P))
             assert len(calls) == math.ceil(count / commutator._CHUNK)
+
+    def test_input_not_mutated(self):
+        # an already reduced int64 stack: the readout must eliminate a
+        # copy in place, never the caller's array
+        stack = mixed_stack(6, 9, np.random.default_rng(4), P)
+        for s in [stack, stack.astype(object)]:
+            before = s.copy()
+            jordan_types(s, P)
+            assert np.array_equal(s, before)
 
     def test_object_dtype_input(self):
         p = 2_147_483_659

@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nilcommute import loci
 from nilcommute.burge import table
-from nilcommute.commutator import TwoPartElement, sample_two_part
+from nilcommute.commutator import TwoPartElement, jordan_types, sample_two_part
 from nilcommute.loci import (
     BranchReport,
     CellReport,
@@ -267,11 +268,25 @@ class TestVerifyCell:
     @pytest.mark.parametrize("p", [3, 1_000_000_007])
     @pytest.mark.parametrize("u,r", [(8, 5), (12, 7)])
     def test_matches_one_sample_reference(self, u, r, p):
-        # 10 samples: one full chunk and a partial one in each loop
+        # 10 samples: 20 chained draws in chunks of 8, 8 and 4; the second
+        # chunk holds the last on-locus and the first converse draws
         for k in range(1, r):
             for l in range(1, u - r + 1):
                 assert verify_cell(u, r, k, l, 10, seed=4, prime=p) == reference_verify_cell(
                     u, r, k, l, 10, seed=4, prime=p)
+
+    @pytest.mark.parametrize("samples,chunks", [(1, [2]), (2, [4]), (4, [8]), (5, [8, 2]), (10, [8, 8, 4])])
+    def test_one_chained_readout(self, monkeypatch, samples, chunks):
+        # on-locus then converse draws are one stream, read _CHUNK at a time
+        seen = []
+
+        def counting_jordan_types(stack, p):
+            seen.append(len(stack))
+            return jordan_types(stack, p)
+
+        monkeypatch.setattr(loci, "jordan_types", counting_jordan_types)
+        assert verify_cell(8, 5, 2, 2, samples, seed=2) == reference_verify_cell(8, 5, 2, 2, samples, seed=2)
+        assert seen == chunks
 
     def test_memory_bounded_by_one_chunk(self):
         # the (13, 4) cell (3, 2); caches filled first, so only the loops count

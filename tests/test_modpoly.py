@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, det2, is_prime, matmul, rank, ranks
+from nilcommute import modpoly
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _reduce, det2, is_prime, matmul, rank, ranks
 
 P = DEFAULT_PRIME
 BIG = 2_147_483_659  # first prime past the int64 fast path
+EDGE_PRIMES = [2, 3, 65_537, P, 2**31 - 1, BIG]
 
 
 def poly(coeffs, n, p=P):
@@ -138,6 +140,67 @@ class TestMatmul:
         assert out.shape == (5, 4, 3)
         assert all(np.array_equal(out[s], matmul(stack[s], b, p)) for s in range(5))
 
+    @pytest.mark.parametrize("p", EDGE_PRIMES)
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+    def test_exact_at_the_extremes(self, p, n):
+        # inner dimensions across the limb-width changes; entries p - 1
+        # push every limb product and partial sum to its bound
+        rng = np.random.default_rng(n)
+        for a, b in [
+            (np.full((2, 3, n), p - 1), np.full((n, 4), p - 1)),
+            (np.full((3, n), p - 1), rng.integers(p, size=(n, 2))),
+            (rng.integers(p, size=(2, 3, n)), rng.integers(p, size=(n, 4))),
+            (rng.integers(p, size=(5, n)), np.full((n, 3), p - 1)),
+        ]:
+            expect = (a.astype(object) @ b.astype(object)) % p
+            out = matmul(a, b, p)
+            assert out.dtype == (np.int64 if p < 2**31 else object)
+            assert np.array_equal(out, expect)
+
+    def test_inner_dimension_above_2_21_uses_python_integers(self):
+        # no limb width keeps float64 exact past n = 2^21; small entries keep
+        # the object arrays' integers shared
+        n = 2**21 + 1
+        a = np.ones((1, n), dtype=np.int64)
+        b = np.ones((n, 1), dtype=np.int64)
+        a[0, :3] = b[:2, 0] = P - 1
+        out = matmul(a, b, P)
+        assert out.dtype == np.int64
+        assert int(out[0, 0]) == (2 * (P - 1) ** 2 + (P - 1) + n - 3) % P
+
+    @pytest.mark.parametrize("p", [P, BIG])
+    def test_vector_factors(self, p):
+        u, v = [p - 1, 2, p + 3], [[p - 1], [5], [-1]]
+        assert int(matmul(u, [x for (x,) in v], p)) == ((p - 1) ** 2 + 10 - 3) % p
+        assert matmul(u, v, p).tolist() == [((p - 1) ** 2 + 10 - 3) % p]
+        assert matmul([[1], [p - 1]], [p - 1], p).tolist() == [p - 1, 1]
+
+    def test_inputs_not_mutated(self):
+        a = np.full((2, 3, 3), P + 5, dtype=np.int64)
+        b = np.arange(9, dtype=np.int64).reshape(3, 3) - 4
+        before = a.copy(), b.copy()
+        matmul(a, b, P)
+        assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+
+class TestReduce:
+    @pytest.mark.parametrize("size_offset", [-1, 0, 4000])
+    def test_both_sides_of_the_crossover(self, size_offset):
+        size = modpoly._REDUCE_BY_DIVISION + size_offset
+        rng = np.random.default_rng(size)
+        for p in [2, 3, 2**31 - 1]:
+            # signed values as an elimination step leaves them, |x| < 2^62
+            x = rng.integers(p, size=size) * rng.integers(p, size=size)
+            x -= rng.integers(p, size=size) * rng.integers(p, size=size)
+            x[:2] = [(p - 1) ** 2, -((p - 1) ** 2)]
+            expect = [v % p for v in x.tolist()]
+            out = _reduce(x, p)
+            assert out is x and x.tolist() == expect
+
+    def test_object_arrays(self):
+        x = np.array([BIG**2 + 3, -BIG - 1, 0], dtype=object)
+        assert _reduce(x, BIG).tolist() == [3, BIG - 1, 0]
+
 
 class TestRanks:
     @staticmethod
@@ -171,10 +234,37 @@ class TestRanks:
             self.check(np.zeros(shape, dtype=np.int64), p)
 
     def test_input_not_mutated(self):
-        stack = np.arange(18, dtype=np.int64).reshape(2, 3, 3)
-        before = stack.copy()
-        ranks(stack)
-        assert np.array_equal(stack, before)
+        # reduced int64 input included: the elimination works in place on a copy
+        for stack in [np.arange(18, dtype=np.int64).reshape(2, 3, 3),
+                      np.random.default_rng(3).integers(P, size=(40, 5, 5)),
+                      np.arange(18, dtype=np.int64).reshape(2, 3, 3).astype(object)]:
+            before = stack.copy()
+            ranks(stack)
+            assert np.array_equal(stack, before)
+
+    @pytest.mark.parametrize("count", [3, 40])
+    def test_int64_edge(self, count):
+        # p = 2^31 - 1 with entries at and near p - 1: pivot and outer
+        # products come near 2^62; 3 x 5 x 5 is below the reduction
+        # crossover, 40 x 5 x 5 above it
+        p = 2**31 - 1
+        rng = np.random.default_rng(count)
+        self.check(np.full((count, 5, 5), p - 1), p)
+        self.check(p - 1 - rng.integers(3, size=(count, 5, 5)), p)
+        self.check(p - 1 - rng.integers(3, size=(count, 4, 7)), p)
+
+    @pytest.mark.parametrize("p", [3, 2**31 - 1])
+    def test_deficient_stacks_with_early_finishers(self, p):
+        # 30 of 40 matrices (zeros among them) finish within 3 steps, so the
+        # 10 products through inner dimension 8 continue after the finished
+        # ones are dropped
+        rng = np.random.default_rng(7)
+        inner = [0, 1, 2, 3] * 7 + [2, 0] + [8] * 10
+        mats = [matmul(rng.integers(p, size=(8, k)), rng.integers(p, size=(k, 8)), p) for k in inner]
+        stack = np.stack(mats)[rng.permutation(len(mats))]
+        self.check(stack, p)
+        expect = [rank(m, p) for m in stack]
+        assert sum(r <= 3 for r in expect) >= 30 and max(expect) >= 6
 
     def test_rejects_non_stack(self):
         with pytest.raises(ValueError):
