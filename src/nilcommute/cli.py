@@ -60,6 +60,13 @@ def _parse_cells(text: str) -> list[tuple[int, int]]:
     return [_parse_cell(chunk) for chunk in text.split("+")]
 
 
+def _stable_shape(text: str) -> Partition:
+    q = _parse_partition(text)
+    if not q or not is_stable(q):
+        raise UsageError(f"--q must be a nonempty stable partition, got {tuple(q)}")
+    return q
+
+
 def _two_part(q: Partition) -> tuple[int, int]:
     if len(q) != 2 or not is_stable(q):
         raise UsageError(f"need a stable two-part partition, got {tuple(q)}")
@@ -111,6 +118,9 @@ def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
 
 def _fmt_partition(p) -> str:
     return "[" + ",".join(str(x) for x in p) + "]"
+
+
+_NO_GENERIC_TYPE = "no generic type (no sampled type dominates the rest)"
 
 
 def cmd_burge(args) -> int:
@@ -171,9 +181,7 @@ def _box_payload(q: Partition) -> tuple[dict, list[str]]:
 
 def cmd_box(args) -> int:
     cfg = _config(args)
-    q = _parse_partition(args.q)
-    if not q or not is_stable(q):
-        raise UsageError(f"--q must be a nonempty stable partition, got {tuple(q)}")
+    q = _stable_shape(args.q)
     payload, lines = _box_payload(q)
     _emit(cfg, payload, lines)
     return 0
@@ -231,9 +239,7 @@ def cmd_verify(args) -> int:
 
 def cmd_survey(args) -> int:
     cfg = _config(args)
-    q = _parse_partition(args.q)
-    if not q or not is_stable(q):
-        raise UsageError(f"--q must be a nonempty stable partition, got {tuple(q)}")
+    q = _stable_shape(args.q)
     rep = survey(q, cfg.samples, seed=cfg.seed, prime=cfg.prime)
     payload = rep.to_dict()
     lines = [f"survey of {_fmt_partition(q)}: {cfg.samples} samples, box size {rep.box_size}"]
@@ -259,7 +265,7 @@ def cmd_intersect(args) -> int:
         if br.max_type:
             lines.append(f"  {name}: generic type {_fmt_partition(br.max_type)} {ar_notation(br.max_type)}")
         else:
-            lines.append(f"  {name}: no generic type (no sampled type dominates the rest)")
+            lines.append(f"  {name}: {_NO_GENERIC_TYPE}")
     _emit(cfg, payload, lines)
     return 0
 
@@ -279,7 +285,8 @@ def cmd_oracle(args) -> int:
         "dmap": list(truth),
         "agree": agree,
     }
-    lines = [f"{_fmt_partition(est)}", f"agrees with dmap: {agree}"]
+    # an empty estimate for a nonempty P: no sampled type dominates the rest
+    lines = [_fmt_partition(est) if est or not p else _NO_GENERIC_TYPE, f"agrees with dmap: {agree}"]
     _emit(cfg, payload, lines)
     return 0 if agree else 1
 

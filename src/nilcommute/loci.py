@@ -24,6 +24,7 @@ from .commutator import (
     _CHUNK,
     TwoPartElement,
     _draw_free,
+    _generic_type,
     _layout,
     _two_part_offsets,
     jordan_type_of_matrix,
@@ -32,7 +33,7 @@ from .commutator import (
     sample_two_part,
 )
 from .modpoly import DEFAULT_PRIME, rank
-from .partitions import EMPTY, Partition, dominance_max
+from .partitions import Partition
 from .tropical import predicted_jordan_type
 
 
@@ -236,16 +237,6 @@ def sample_on_locus(u: int, r: int, k: int, l: int, rng, *, prime: int = DEFAULT
     coordinate (each is linear in it with coefficient a_k).
     """
     return _sample_plan(_solve_plan(u, r, ((k, l),)), rng, prime)
-
-
-def _generic_type(types) -> Partition:
-    """The dominance maximum of the sampled types, or EMPTY when no type
-    dominates the rest (a prime small enough for cancellations to be
-    common): then there is no generic type."""
-    try:
-        return dominance_max(types)
-    except ValueError:
-        return EMPTY
 
 
 def _drawn_types(elements, prime: int):

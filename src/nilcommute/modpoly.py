@@ -3,13 +3,13 @@
 Scalars live in GF(p); truncated polynomials represent elements of
 k[t]/(t^N) as dense coefficient tuples; matrices are numpy int64 arrays
 reduced mod p (object arrays of Python integers for p >= 2^31).  Exact
-ranks come from two kernels: `rank`, a scalar Gaussian elimination that
-serves the sparse rectangular Jacobians of the locus equations, and
-`_eliminate`, an inverse-free elimination over a whole (S, rows, cols)
-stack that serves the Jordan-type readout, which ranks all powers of a
-chunk of sampled matrices at once.  Those powers come from `_mulmod`,
-which multiplies over float64 BLAS in exact limbs.  Both stack kernels
-take already-reduced arrays, so the readout reduces its input once;
+ranks come from one kernel, `_eliminate`, an inverse-free elimination
+over a whole (S, rows, cols) stack.  It serves the Jordan-type readout,
+which ranks all powers of a chunk of sampled matrices at once, and, as
+its one-matrix case `rank`, the sparse rectangular Jacobians of the
+locus equations.  The readout's powers come from `_mulmod`, which
+multiplies over float64 BLAS in exact limbs.  Both stack kernels take
+already-reduced arrays, so the readout reduces its input once; `rank`,
 `ranks` and `matmul` are their public forms, which reduce a copy first.
 The int64 path rests on three bounds, stated at `_INT64_SAFE`:
 elimination entries below 2^62, limb products below 2^53 and the limb
@@ -28,7 +28,7 @@ import numpy as np
 DEFAULT_PRIME = 1_000_000_007
 
 # p < 2^31 keeps int64 exact through three bounds: elimination entries
-# and products (`rank`, `_eliminate`) stay below p^2 < 2^62; `_mulmod`'s
+# and products (`_eliminate`) stay below p^2 < 2^62; `_mulmod`'s
 # float64 limb products and partial sums stay below 2^53, where float64
 # integers are exact; and its int64 recombination stays below 2^54
 _INT64_SAFE = 2**31
@@ -193,36 +193,6 @@ def _as_field_matrix(mat, p: int) -> np.ndarray:
     return _reduce(np.array(mat, dtype=np.int64 if p < _INT64_SAFE else object), p)
 
 
-def rank(mat, p: int = DEFAULT_PRIME) -> int:
-    """Exact rank over GF(p) by Gaussian elimination.
-
-    Args:
-        mat: rectangular array-like of integers (copied, not mutated).
-        p: prime modulus.
-    """
-    a = _as_field_matrix(mat, p)
-    if a.ndim != 2:
-        raise ValueError("rank expects a 2-d matrix")
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivots = np.nonzero(a[r:, c])[0]
-        if pivots.size == 0:
-            continue
-        pr = int(pivots[0]) + r
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        below = np.nonzero(a[r + 1 :, c])[0] + r + 1
-        if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
-        r += 1
-    return r
-
-
 def _eliminate(a: np.ndarray, p: int) -> np.ndarray:
     """Ranks of the reduced (S, rows, cols) stack `a`, which it overwrites.
 
@@ -258,6 +228,19 @@ def _eliminate(a: np.ndarray, p: int) -> np.ndarray:
         _reduce(m, p)
     out[live] = found
     return out
+
+
+def rank(mat, p: int = DEFAULT_PRIME) -> int:
+    """Exact rank over GF(p): the one-matrix case of `ranks`.
+
+    Args:
+        mat: rectangular array-like of integers (copied, not mutated).
+        p: prime modulus.
+    """
+    a = _as_field_matrix(mat, p)
+    if a.ndim != 2:
+        raise ValueError("rank expects a 2-d matrix")
+    return int(_eliminate(a[None], p)[0])
 
 
 def ranks(stack, p: int = DEFAULT_PRIME) -> np.ndarray:

@@ -179,8 +179,8 @@ def dominance_max(types: Iterable[Sequence[int]]) -> Partition:
     """The unique dominance maximum of a nonempty collection.
 
     Raises ValueError when the collection has no element dominating all
-    others; callers treat that as a sampler bug, since generic draws always
-    produce a comparable top type.
+    others; sampled types report that as "no generic type"
+    (`commutator._generic_type`).
     """
     distinct = {Partition(t) for t in types}
     if not distinct:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -180,6 +181,22 @@ class TestIntersectWithoutGenericType:
         assert out.splitlines()[1] == "  single branch: no generic type (no sampled type dominates the rest)"
 
 
+class TestOracleWithoutGenericType:
+    ARGV = ("--prime", "2", "--seed", "3", "oracle", "--p", "3,3,2,1,1", "--samples", "40")
+
+    def test_json_reports_empty_oracle(self, capsys):
+        code, out, err = run(capsys, "--format", "json", *self.ARGV)
+        assert code == 1 and err == ""
+        data = json.loads(out)
+        assert data["oracle"] == [] and data["agree"] is False
+
+    def test_text_says_there_is_none(self, capsys):
+        code, out, err = run(capsys, *self.ARGV)
+        assert code == 1 and err == ""
+        assert out.splitlines() == ["no generic type (no sampled type dominates the rest)",
+                                    "agrees with dmap: False"]
+
+
 def test_parser_is_shared_and_formats_do_not_leak(capsys):
     assert cli.build_parser() is cli.build_parser()
     code, out, _ = run(capsys, "--format", "json", "table", "--q", "5,2")
@@ -234,3 +251,45 @@ class TestExitCodes:
         code, out, err = run(capsys, "oracle", "--p", "2,1")
         assert code == 3 and out == ""
         assert err.strip().splitlines() == ["internal error: RuntimeError: sampler bug"]
+
+
+class TestGoldenPayloads:
+    """SHA-256 digests and exit codes of fixed-seed JSON payloads.
+
+    They pin every sampled type, verdict and report key: a refactor must
+    leave them byte-identical.  A change that moves an RNG draw on purpose
+    updates the digests and says so in CHANGES.md.  At p = 3 cancellations
+    fail some `verify` cells and put types outside the `survey` box (exit 1).
+    """
+
+    COMMANDS = {
+        "verify": ("verify", "--q", "5,2", "--samples", "10"),
+        "verify-cell": ("verify", "--q", "13,4", "--cell", "3,2", "--samples", "6"),
+        "intersect": ("intersect", "--q", "7,3", "--cells", "1,2+2,2", "--samples", "40"),
+        "survey": ("survey", "--q", "8,5,2", "--samples", "30"),
+        "oracle": ("oracle", "--p", "4,2,1", "--samples", "30"),
+    }
+    GOLDEN = {
+        (3, "verify"): (1, "8826c0e0305e7759914b5dc79749d27b003643d2136d71113e6e3b2bf90831a1"),
+        (3, "verify-cell"): (1, "b4f1b392e6becb45e3caa4179ae6b1d70f8e2c7392bdcb6fab63b50200cb25ac"),
+        (3, "intersect"): (0, "a360930fae5077f65f0b5afdbc71d1993afdfc55519577b9deea5d55af0afa21"),
+        (3, "survey"): (1, "2ee73c2ea74228e77555b2dbe5e67294d7641242577b27a0c547d17d67614da3"),
+        (3, "oracle"): (0, "2aeef75cd149a1d053364425fca20560c2feddedd8c2b58921c78f0400cb4e3e"),
+        (1_000_000_007, "verify"): (0, "a6dd0da9fedd83b3cb2a31bb9576b50c899dae9af68040126b973fa5fa0039b5"),
+        (1_000_000_007, "verify-cell"): (0, "bb635b671de7323592d23bdbf3960b5d98d129d5fe785ae3de9ae66c5b8730ef"),
+        (1_000_000_007, "intersect"): (0, "20e08bf6797f5b0141c24117edb2acde15501c5d472ef7f85fc19a4a10d9e7a3"),
+        (1_000_000_007, "survey"): (0, "aa0d3c12145d81508e85ffae94471451fc961fa489e218374588282293c8f94a"),
+        (1_000_000_007, "oracle"): (0, "229af358f5471c9d31f0f141873e48e923acf744e70193dcc9791a162f783a17"),
+        (2_147_483_659, "verify"): (0, "c78b37b8830486439c98313a8f1061e64a7ebdbd59951a900343f5cc63b913d5"),
+        (2_147_483_659, "verify-cell"): (0, "7da4d7a5ee39b101cde23d59e867fa3021651edfc89ba2025782fc08445ede06"),
+        (2_147_483_659, "intersect"): (0, "ab2db732faadc045e64ecf591f5ed0b88c2f7770e167dde270d0c3d2ebda3d61"),
+        (2_147_483_659, "survey"): (0, "9bdb915e1eb3a1623d51ed78f76c98dba3d86d252f58835338a1a4e20c8500b0"),
+        (2_147_483_659, "oracle"): (0, "f1487fa1aa121e3abef30c71e15f6b6d50bb39068fd2ee6dd3fa3fb2a9d67c8f"),
+    }
+
+    @pytest.mark.parametrize("prime, name", sorted(GOLDEN))
+    def test_payload_is_unchanged(self, capsys, prime, name):
+        argv = ("--prime", str(prime), "--format", "json", "--seed", "3", *self.COMMANDS[name])
+        code, out, err = run(capsys, *argv)
+        assert err == ""
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.GOLDEN[prime, name]

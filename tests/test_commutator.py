@@ -20,8 +20,9 @@ from nilcommute.commutator import (
     sample_two_part,
 )
 from nilcommute.burge import dmap
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _eliminate, matmul, rank
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _eliminate, matmul
 from nilcommute.partitions import EMPTY, Partition, is_stable, jordan_from_coranks, partitions_of
+from test_modpoly import reference_rank
 
 P = DEFAULT_PRIME
 
@@ -92,7 +93,7 @@ def reference_assemble(parts, entries):
 
 
 def reference_jordan_type(mat, p=P):
-    """Power-by-power readout with one scalar `rank` per power."""
+    """Power-by-power readout with one scalar `reference_rank` per power."""
     m0 = np.asarray(mat, dtype=np.int64 if p < 2**31 else object) % p
     n = m0.shape[0]
     if n == 0:
@@ -100,7 +101,7 @@ def reference_jordan_type(mat, p=P):
     coranks = [0]
     power = m0
     for _ in range(n):
-        c = n - rank(power, p)
+        c = n - reference_rank(power, p)
         coranks.append(c)
         if c == n:
             break
@@ -498,3 +499,9 @@ class TestDmapOracle:
     def test_rejects_oversize(self):
         with pytest.raises(ValueError):
             dmap_oracle((13,), 10, np.random.default_rng(0))
+
+    def test_incomparable_types_give_no_generic_type(self):
+        # at p = 2 cancellations make incomparable top types common; the
+        # generator is the one `nilcommute --seed 3 oracle` builds
+        p = (3, 3, 2, 1, 1)
+        assert dmap_oracle(p, 40, np.random.default_rng([3, *p]), prime=2) == EMPTY

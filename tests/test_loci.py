@@ -26,6 +26,7 @@ from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, rank
 from nilcommute.partitions import EMPTY, Partition
 from nilcommute.tropical import predicted_jordan_type
 from test_commutator import two_part
+from test_modpoly import reference_rank
 
 P = DEFAULT_PRIME
 
@@ -238,7 +239,25 @@ class TestJacobian:
                             jac, ref = eqs.jacobian_at(e), reference_jacobian(eqs, e)
                             assert jac.shape == ref.shape
                             assert sorted(map(tuple, jac.T.tolist())) == sorted(map(tuple, ref.T.tolist()))
-                            assert rank(jac, p) == rank(ref, p)
+                            assert rank(jac, p) == reference_rank(ref, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 1_000_000_007, 2_147_483_659, 2**63 - 25])
+    def test_ranks_match_reference_on_verified_cells(self, monkeypatch, p):
+        # every Jacobian that verify_cell ranks on each cell of three shapes;
+        # p >= 2^31 takes the Python-integer path
+        seen = []
+
+        def recorded(mat, prime):
+            seen.append((mat, prime, rank(mat, prime)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(loci, "rank", recorded)
+        for u, r in [(8, 5), (12, 7), (13, 9)]:
+            for k in range(1, r):
+                for l in range(1, u - r + 1):
+                    verify_cell(u, r, k, l, 2, seed=1, prime=p)
+        assert len(seen) == 2 * 74
+        assert all(prime == p and got == reference_rank(mat, p) for mat, prime, got in seen)
 
 
 class TestVerifyCell:
