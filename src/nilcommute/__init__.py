@@ -19,7 +19,6 @@ from .partitions import (
     dominance_max,
     dominates,
     frequency,
-    is_almost_rectangular,
     is_stable,
     jordan_from_coranks,
     key,
@@ -38,25 +37,19 @@ from .burge import (
     table,
     two_part_code,
 )
-from .modpoly import DEFAULT_PRIME, TruncPoly, det2, is_prime, matmul, rank
+from .modpoly import DEFAULT_PRIME, TruncPoly, is_prime, matmul, rank
 from .commutator import (
     CommutatorElement,
-    TwoPartElement,
     assemble_blocks,
     dmap_oracle,
     jordan_type_of_matrix,
     jordan_types,
     sample_commutator,
-    sample_two_part,
 )
 from .tropical import (
-    INF,
-    TropicalHypothesisError,
     closed_form_power,
-    corank_from_orders,
     minplus_mul,
     minplus_power,
-    order_matrix,
     predicted_coranks,
     predicted_jordan_type,
 )

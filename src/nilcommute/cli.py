@@ -226,9 +226,12 @@ def cmd_verify(args) -> int:
     lines = []
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
+        if rep.max_type:
+            found = f"max={ar_notation(rep.max_type)}={_fmt_partition(rep.max_type)}"
+        else:
+            found = _NO_GENERIC_TYPE
         lines.append(
-            f"cell ({rep.cell[0]},{rep.cell[1]}): max={ar_notation(rep.max_type)}"
-            f"={_fmt_partition(rep.max_type)} expected={_fmt_partition(rep.expected)} "
+            f"cell ({rep.cell[0]},{rep.cell[1]}): {found} expected={_fmt_partition(rep.expected)} "
             f"match={rep.match_rate:.2f} jac={rep.jacobian_rank_ok} trop={rep.tropical_agree} "
             f"{status}"
         )

@@ -5,8 +5,9 @@ multiplication by a truncated polynomial followed by the natural
 projection, well defined exactly when its order is at least q_i - q_j.
 For a stable shape the nilpotent commutant is the linear slice where every
 diagonal entry has positive order.  An element is stored as its block
-coefficients, numbered by `_layout`; its grid of entries and, for a
-two-part shape, its coordinates a, b, g, h are views of that vector.
+coefficients, numbered by `_layout`, and its grid of entries is a view of
+that vector; for a two-part shape (u, u-r) the coordinates a, g, h, b of
+the locus equations are slices of it (`_two_part_offsets`).
 Assembling the blocks in bases ordered by decreasing t-power reproduces
 the familiar banded matrices, and ranks of powers of the assembled matrix
 recover the Jordan type.  Samples are read as one (S, n, n) stack, reduced
@@ -24,7 +25,7 @@ from itertools import islice
 
 import numpy as np
 
-from .modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod, det2
+from .modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod
 from .modpoly import rank  # noqa: F401  (perfbench's tracer test asserts commutator.rank exists)
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
 
@@ -224,7 +225,7 @@ class CommutatorElement:
                     acc = acc + left[i][m].mul_trunc(right[m][j].lift(q[i]), q[i])
                 row.append(acc)
             rows.append(tuple(row))
-        return type(self).from_entries(q, rows, p)
+        return CommutatorElement.from_entries(q, rows, p)
 
     def __matmul__(self, other: "CommutatorElement") -> "CommutatorElement":
         return self.multiply(other)
@@ -232,7 +233,7 @@ class CommutatorElement:
     def __add__(self, other: "CommutatorElement") -> "CommutatorElement":
         if self.q != other.q or self.p != other.p:
             raise ValueError("elements live on different shapes")
-        return type(self)(self.q, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), self.p)
+        return CommutatorElement(self.q, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), self.p)
 
 
 def _order_error(parts, coeff: int, free) -> str:
@@ -268,66 +269,6 @@ def _two_part_offsets(u: int, r: int) -> tuple[int, int, int]:
     The layout's blocks are a | t^r g | h | b, and a_0 is number 0.
     """
     return u + r, 2 * u, 3 * u - r
-
-
-class TwoPartElement(CommutatorElement):
-    """Commutant element of the two-block shape (u, u-r), with named views.
-
-    a = a_1 t + ... + a_{u-1} t^{u-1} mod t^u and b likewise mod t^{u-r};
-    g and h live mod t^{u-r} with free constant terms.  Assembled, g sits
-    above the diagonal carrying a t^r shift and h below it.  The views are
-    slices of the block coefficients at `_two_part_offsets`.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.q) != 2:
-            raise ValueError(f"need a two-part shape, got {tuple(self.q)}")
-
-    @property
-    def u(self) -> int:
-        return self.q[0]
-
-    @property
-    def r(self) -> int:
-        return self.q[0] - self.q[1]
-
-    def _view(self, lo: int, hi: int | None) -> TruncPoly:
-        return TruncPoly(self.coeffs[lo:hi], self.p)
-
-    @property
-    def a(self) -> TruncPoly:
-        return self._view(0, self.u)
-
-    @property
-    def g(self) -> TruncPoly:
-        g0, h0, _ = _two_part_offsets(self.u, self.r)
-        return self._view(g0, h0)
-
-    @property
-    def h(self) -> TruncPoly:
-        _, h0, b0 = _two_part_offsets(self.u, self.r)
-        return self._view(h0, b0)
-
-    @property
-    def b(self) -> TruncPoly:
-        return self._view(_two_part_offsets(self.u, self.r)[2], None)
-
-    @classmethod
-    def from_blocks(cls, u: int, r: int, coeffs, p: int = DEFAULT_PRIME) -> "TwoPartElement":
-        """The element of the shape (u, u-r) whose block coefficients are `coeffs`."""
-        if not u > r >= 2:
-            raise ValueError(f"need u > r >= 2, got u={u}, r={r}")
-        return cls((u, u - r), coeffs, p)
-
-    def det2(self) -> TruncPoly:
-        """ab - g h t^r in k[t]/(t^u)."""
-        return det2(self.a, self.b, self.g, self.h, self.r)
-
-
-def sample_two_part(u: int, r: int, rng, *, p: int = DEFAULT_PRIME) -> TwoPartElement:
-    """Uniform draw from the full nilpotent commutant of the shape (u, u-r)."""
-    return TwoPartElement.from_blocks(u, r, _draw_free(Partition((u, u - r)), rng, p).tolist(), p)
 
 
 def _generic_type(types) -> Partition:

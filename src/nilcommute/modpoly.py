@@ -9,8 +9,8 @@ which ranks all powers of a chunk of sampled matrices at once, and, as
 its one-matrix case `rank`, the sparse rectangular Jacobians of the
 locus equations.  The readout's powers come from `_mulmod`, which
 multiplies over float64 BLAS in exact limbs.  Both stack kernels take
-already-reduced arrays, so the readout reduces its input once; `rank`,
-`ranks` and `matmul` are their public forms, which reduce a copy first.
+already-reduced arrays, so the readout reduces its input once; `rank`
+and `matmul` are their public forms, which reduce a copy first.
 The int64 path rests on three bounds, stated at `_INT64_SAFE`:
 elimination entries below 2^62, limb products below 2^53 and the limb
 recombination below 2^54.  The default prime is large enough that random
@@ -19,7 +19,6 @@ cancellations never disturb desk-scale Monte-Carlo runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,10 +91,6 @@ class TruncPoly:
         return cls((0,) * n, p)
 
     @classmethod
-    def one(cls, n: int, p: int = DEFAULT_PRIME) -> "TruncPoly":
-        return cls((1,) + (0,) * (n - 1), p)
-
-    @classmethod
     def t_power(cls, j: int, n: int, p: int = DEFAULT_PRIME) -> "TruncPoly":
         if j >= n:
             return cls.zero(n, p)
@@ -105,16 +100,6 @@ class TruncPoly:
     def n(self) -> int:
         """Modulus exponent N."""
         return len(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def order(self) -> int | float:
-        """t-adic order; math.inf for the zero element."""
-        for j, c in enumerate(self.coeffs):
-            if c:
-                return j
-        return math.inf
 
     def _check(self, other: "TruncPoly") -> None:
         if self.p != other.p:
@@ -127,14 +112,6 @@ class TruncPoly:
     def __add__(self, other: "TruncPoly") -> "TruncPoly":
         self._check(other)
         return TruncPoly(tuple((a + b) % self.p for a, b in zip(self.coeffs, other.coeffs)), self.p)
-
-    def __sub__(self, other: "TruncPoly") -> "TruncPoly":
-        self._check(other)
-        return TruncPoly(tuple((a - b) % self.p for a, b in zip(self.coeffs, other.coeffs)), self.p)
-
-    def __mul__(self, other: "TruncPoly") -> "TruncPoly":
-        self._check(other)
-        return self.mul_trunc(other, self.n)
 
     def mul_trunc(self, other: "TruncPoly", n: int) -> "TruncPoly":
         """Product truncated at t^n; the one place mixed moduli are allowed."""
@@ -152,24 +129,6 @@ class TruncPoly:
     def lift(self, n: int) -> "TruncPoly":
         """Canonical representative in k[t]/(t^n), zero-padded or truncated."""
         return TruncPoly.from_coeffs(self.coeffs, n, self.p)
-
-    def shift(self, r: int, n: int) -> "TruncPoly":
-        """t^r * self, landing in k[t]/(t^n)."""
-        return TruncPoly.from_coeffs((0,) * r + self.coeffs, n, self.p)
-
-
-def det2(a: TruncPoly, b: TruncPoly, g: TruncPoly, h: TruncPoly, r: int) -> TruncPoly:
-    """ab - g h t^r in k[t]/(t^n) with n = a.n, lifting the short entries.
-
-    The canonical lift of b is ambiguous above t^(b.n); the ambiguity only
-    reaches the result at order >= ord(a) + b.n, which is exactly where the
-    corank formula caps it, so every coefficient that is ever used is
-    intrinsic.
-    """
-    n = a.n
-    ab = a.mul_trunc(b.lift(n), n)
-    gh = g.lift(n).mul_trunc(h.lift(n), n)
-    return ab - gh.shift(r, n)
 
 
 def _reduce(a: np.ndarray, p: int) -> np.ndarray:
@@ -231,7 +190,7 @@ def _eliminate(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def rank(mat, p: int = DEFAULT_PRIME) -> int:
-    """Exact rank over GF(p): the one-matrix case of `ranks`.
+    """Exact rank over GF(p): the one-matrix case of the stacked `_eliminate`.
 
     Args:
         mat: rectangular array-like of integers (copied, not mutated).
@@ -241,20 +200,6 @@ def rank(mat, p: int = DEFAULT_PRIME) -> int:
     if a.ndim != 2:
         raise ValueError("rank expects a 2-d matrix")
     return int(_eliminate(a[None], p)[0])
-
-
-def ranks(stack, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """Exact ranks over GF(p) of every matrix in an (S, rows, cols) stack,
-    by one inverse-free elimination over the whole stack (`_eliminate`).
-
-    Args:
-        stack: array-like of integers of shape (S, rows, cols) (not mutated).
-        p: prime modulus.
-    """
-    a = _as_field_matrix(stack, p)
-    if a.ndim != 3:
-        raise ValueError("ranks expects an (S, rows, cols) stack")
-    return _eliminate(a, p)
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -123,10 +123,6 @@ def almost_rectangular(m: int, k: int) -> Partition:
     return Partition([q + 1] * rem + [q] * (k - rem))
 
 
-def is_almost_rectangular(p: Sequence[int]) -> bool:
-    return len(p) == 0 or p[0] - p[-1] <= 1
-
-
 def is_stable(p: Sequence[int]) -> bool:
     """True iff consecutive parts differ by at least two."""
     return all(p[i] - p[i + 1] >= 2 for i in range(len(p) - 1))

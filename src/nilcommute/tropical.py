@@ -1,34 +1,24 @@
 """Min-plus calculus on 2x2 order (valuation) matrices.
 
-The order matrix of a two-block commutant element records entrywise t-adic
-orders, with the lower-left entry shifted by r.  Powers of generic
-elements obey closed-form min-plus formulas; combining their top-left
-entry with the two saturation terms u and 2u - r predicts the corank
-profile, hence the Jordan type, of a generic point on an equation locus.
-The exact assembled-matrix computation always remains the source of truth;
-this layer is an accelerator and cross-check.
+An order matrix [[ord a, ord g], [r + ord h, ord b]] records the t-adic
+orders of the blocks of a two-block commutant element of the shape
+(u, u-r), the lower-left entry shifted by r.  The min-plus powers of an
+element's order matrix bound the orders of its powers from below, with
+equality absent cancellation, and `closed_form_power` gives the powers of
+[[k, 0], [r, l]] in closed form.  Their top-left entry, combined with the
+two saturation terms u and 2u - r, predicts the corank profile, hence the
+Jordan type, of a generic point on an equation locus.  The exact
+assembled-matrix computation always remains the source of truth; this
+layer is an accelerator and cross-check.
 """
 
 from __future__ import annotations
 
-import math
-
 from .burge import check_cell
 from .partitions import Partition, jordan_from_coranks
 
-INF = math.inf
-
 # 2x2 nested tuples of int-or-inf
 OrderMatrix = tuple
-
-
-class TropicalHypothesisError(ValueError):
-    """Order data outside the regime where the corank shortcut applies."""
-
-
-def order_matrix(e) -> OrderMatrix:
-    """Entrywise orders [[ord a, ord g], [r + ord h, ord b]]."""
-    return ((e.a.order(), e.g.order()), (e.r + e.h.order(), e.b.order()))
 
 
 def minplus_mul(x: OrderMatrix, y: OrderMatrix) -> OrderMatrix:
@@ -81,21 +71,6 @@ def closed_form_power(k: int, l: int, r: int, s: int) -> OrderMatrix:
             min((s - 2) * k + r, k + h * r, l + h * r, s * l),
         ),
     )
-
-
-def corank_from_orders(e) -> int:
-    """Corank of a two-block element from order data alone.
-
-    Valid when a is nonzero and ord(a) <= r + min(ord g, ord h); then the
-    corank is min(ord(ab - g h t^r), ord(a) + u - r).  Outside that regime
-    callers must fall back to the exact assembled rank.
-    """
-    oa = e.a.order()
-    if e.a.is_zero():
-        raise TropicalHypothesisError("a = 0")
-    if oa > e.r + min(e.g.order(), e.h.order()):
-        raise TropicalHypothesisError("ord(a) exceeds r + min(ord g, ord h)")
-    return int(min(e.det2().order(), oa + e.u - e.r))
 
 
 def _predicted_corank(u: int, r: int, k: int, l: int, s: int) -> int:

@@ -1,0 +1,67 @@
+"""The public API is what the package, its CLI, the acceptance suite, the
+demos and the benchmark use: a name that only unit tests reach belongs in
+the tests, as a reference, not in `src/`."""
+
+import ast
+import types
+from pathlib import Path
+
+import nilcommute
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC = [
+    "BranchReport", "BurgeDecodeError", "BurgeWord", "CellReport", "CommutatorElement",
+    "ContainmentReport", "DEFAULT_PRIME", "Dominance", "EMPTY", "EquationSet",
+    "IntersectReport", "Partition", "Quadric", "SurveyReport", "TruncPoly",
+    "almost_rectangular", "ar_blocks", "ar_notation", "assemble_blocks", "box_codes",
+    "box_partitions", "burge", "classify", "closed_form_power", "closure_contains",
+    "commutator", "decode", "delta", "dmap", "dmap_oracle", "dominance_compare",
+    "dominance_max", "dominates", "encode", "equations", "frequency", "intersect_experiment",
+    "is_prime", "is_stable", "jordan_from_coranks", "jordan_type_of_matrix", "jordan_types",
+    "key", "loci", "matmul", "min_ar_cover", "minplus_mul", "minplus_power", "modpoly",
+    "partitions", "partitions_of", "predicted_coranks", "predicted_jordan_type", "r_set",
+    "rank", "sample_commutator", "sample_on_locus", "survey", "table", "tropical",
+    "two_part_code", "verify_cell",
+]
+
+
+def _callers() -> list[Path]:
+    """The files whose use makes a name public: package modules other than
+    `__init__.py`, the acceptance suite, the demos and the benchmark."""
+    src = [f for f in sorted((ROOT / "src" / "nilcommute").glob("*.py")) if f.name != "__init__.py"]
+    return [*src, ROOT / "tests" / "test_acceptance.py",
+            *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py"))]
+
+
+def _used_names(path: Path) -> set[str]:
+    """Identifiers a file uses: loaded names, attributes and the identifiers
+    inside string literals other than docstrings (the benchmark's tracer
+    names its targets in strings).  Definitions, assignment targets,
+    imports, comments and docstrings do not count."""
+    tree = ast.parse(path.read_text(), str(path))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            used.update(node.value.replace(".", " ").split())
+    return used
+
+
+def test_public_names_are_pinned():
+    assert sorted(nilcommute.__all__) == PUBLIC
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    used = set().union(*map(_used_names, _callers()))
+    names = [n for n in nilcommute.__all__ if not isinstance(getattr(nilcommute, n), types.ModuleType)]
+    assert sorted(n for n in names if n not in used) == []

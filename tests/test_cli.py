@@ -197,6 +197,25 @@ class TestOracleWithoutGenericType:
                                     "agrees with dmap: False"]
 
 
+class TestVerifyWithoutGenericType:
+    ARGV = ("--prime", "2", "verify", "--q", "5,2", "--cell", "2,1")
+
+    def test_json_reports_empty_max_type(self, capsys):
+        code, out, err = run(capsys, "--format", "json", *self.ARGV)
+        assert code == 1 and err == ""
+        (rep,) = json.loads(out)["reports"]
+        assert rep["max_type"] == [] and rep["pass"] is False
+
+    def test_text_says_there_is_none(self, capsys):
+        code, out, err = run(capsys, *self.ARGV)
+        assert code == 1 and err == ""
+        assert out.splitlines() == [
+            "cell (2,1): no generic type (no sampled type dominates the rest) expected=[4,2,1] "
+            "match=0.00 jac=True trop=True FAIL",
+            "0/1 cells pass",
+        ]
+
+
 def test_parser_is_shared_and_formats_do_not_leak(capsys):
     assert cli.build_parser() is cli.build_parser()
     code, out, _ = run(capsys, "--format", "json", "table", "--q", "5,2")

@@ -15,7 +15,6 @@ from nilcommute.partitions import (
     dominance_max,
     dominates,
     frequency,
-    is_almost_rectangular,
     is_stable,
     jordan_from_coranks,
     key,
@@ -137,10 +136,6 @@ class TestAlmostRectangular:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             almost_rectangular(2, 3)
-
-    def test_predicate(self):
-        assert is_almost_rectangular((3, 2, 2))
-        assert not is_almost_rectangular((3, 1))
 
 
 class TestStability:
