@@ -11,10 +11,12 @@ the locus equations are slices of it (`_two_part_offsets`).
 Assembling the blocks in bases ordered by decreasing t-power reproduces
 the familiar banded matrices, and ranks of powers of the assembled matrix
 recover the Jordan type.  Samples are read as one (S, n, n) stack, reduced
-mod p once and read `_CHUNK` at a time: the powers of a chunk are built by
-repeated doubling (`modpoly._mulmod`), and all of them are ranked in one
-stacked elimination (`modpoly._eliminate`), both on the reduced stack.
-`jordan_type_of_matrix` is the one-sample case.
+mod p once.  `jordan_types` ranks every power of a chunk (doubled by
+`modpoly._mulmod`) in one stacked `modpoly._eliminate`, for `survey`,
+`dmap_oracle`, `jordan_type_of_matrix` and `CommutatorElement.jordan_type`.
+`verify_cell` and `intersect_experiment` use `_two_part_types`, which reads
+a two-part shape from the 2x2 minors of [Phi^s | D]; `jordan_types` is its
+test oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod
+from .modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod, _reduce
 from .modpoly import rank  # noqa: F401  (perfbench's tracer test asserts commutator.rank exists)
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
 
@@ -124,9 +126,7 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     (`_mulmod`), and one elimination (`_eliminate`) reads every corank in
     place; both kernels take the reduced copy as it is.  A matrix whose
     powers reach zero early contributes only zero powers after that, which
-    repeat its final corank n.  The matrices need not come from one
-    sampler: `loci.verify_cell` passes its on-locus draws and then its
-    converse draws as one chained stream, so a chunk may hold both.
+    repeat its final corank n.
     """
     m = _as_field_matrix(stack, p)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
@@ -134,7 +134,7 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     count, n, _ = m.shape
     if n == 0:
         return [EMPTY] * count
-    out = []
+    rows = []
     for lo in range(0, count, _CHUNK):
         powers = m[lo : lo + _CHUNK, None]
         while powers[:, -1].any():
@@ -143,8 +143,62 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
                 raise ValueError("matrix is not nilpotent")
             powers = np.concatenate([powers, _mulmod(powers[:, : n - k], powers[:, -1:], p)], axis=1)
         coranks = n - _eliminate(powers.reshape(-1, n, n), p).reshape(len(powers), -1)
-        out.extend(jordan_from_coranks([0, *c, n]) for c in coranks.tolist())
-    return out
+        rows.extend(coranks.tolist())
+    return _profile_types(rows, n)
+
+
+def _profile_types(rows, n: int) -> list[Partition]:
+    """Jordan types of corank rows (powers 1..k of n x n matrices with
+    M^k = 0), converting each distinct row once."""
+    keys = [tuple(row) for row in rows]
+    seen = {key: jordan_from_coranks([0, *key, n]) for key in dict.fromkeys(keys)}
+    return [seen[key] for key in keys]
+
+
+def _two_part_types(stack, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partition]:
+    """Jordan types of an (S, n, n) stack of nilpotent commutant elements of
+    the shape (u, u-r), n = 2u - r, read without ranking any n x n power.
+
+    An element is an endomorphism phi of k[t]^2 / D k[t]^2, D = diag(t^u,
+    t^(u-r)), given by any polynomial lift Phi = [[a, t^r g], [h, b]].
+    dim ker phi^s = dim coker phi^s = length k[t]^2 / (Phi^s k[t]^2 +
+    D k[t]^2), the order of the gcd of the 2x2 minors of [Phi^s | D] (its
+    Fitting ideal).  For Phi^s = [[x11, x12], [x21, x22]] they are
+    (det Phi)^s, t^(u-r) x11, t^(u-r) x12, -t^u x21, -t^u x22 and t^(2u-r):
+
+        corank phi^s = min(s ord(ab - t^r g h), (u-r) + ord row_1, u + ord row_2, 2u - r).
+
+    Row orders of u (row 1) or u - r (row 2) and up only reach the last
+    term, so row i may be read mod t^(q_i), as the assembled matrix holds
+    it; a zero row counts as order u or u - r, which implies the last term.
+    Columns u - 1 and n - 1 of M^s are phi^s of the generators, so the
+    doubled W = [ME, ..., M^k E] holds every row order (M^k E = 0 exactly
+    when M^k = 0, as M commutes with J), and V = ME the exact det mod p.
+    """
+    m = _as_field_matrix(stack, p)
+    n = 2 * u - r
+    if m.shape[1:] != (n, n):
+        raise ValueError(f"_two_part_types expects an (S, {n}, {n}) stack")
+    power, w = m, m[:, :, [u - 1, n - 1]]
+    while w[:, :, -2:].any():
+        if w.shape[2] >= 2 * n:
+            raise ValueError("matrix is not nilpotent")
+        if w.shape[2] > 2:
+            power = _mulmod(power, power, p)  # M^k for the k powers in w
+        w = np.concatenate([w, _mulmod(power, w, p)], axis=2)
+    # rows in increasing t-power: row 2 of Phi^s, then row 1
+    nz = (w[:, ::-1] != 0).reshape(len(w), n, -1, 2).any(axis=3)
+    row2 = np.where(nz[:, : u - r].any(axis=1), nz[:, : u - r].argmax(axis=1), u - r)
+    row1 = np.where(nz[:, u - r :].any(axis=1), nz[:, u - r :].argmax(axis=1), u)
+    top, bottom = w[:, u - 1 :: -1, :2], w[:, : u - 1 : -1, :2]  # (a, t^r g), (h, b)
+    det = np.zeros((len(w), n), dtype=m.dtype)
+    for j in range(u - r):
+        det[:, j : j + u] += top[:, :, 0] * bottom[:, j, 1, None] - top[:, :, 1] * bottom[:, j, 0, None]
+        _reduce(det[:, j : j + u], p)
+    delta = np.where(det.any(axis=1), (det != 0).argmax(axis=1), n)[:, None]
+    s = np.arange(1, w.shape[2] // 2 + 1)
+    coranks = np.minimum(np.minimum(s * delta, (u - r) + row1), u + row2)
+    return _profile_types(coranks.tolist(), n)
 
 
 def jordan_type_of_matrix(mat, p: int = DEFAULT_PRIME) -> Partition:

@@ -7,6 +7,9 @@ equations: the vanishing coordinates a_1..a_{k-1} and b_1..b_{l-1} when
 k + l <= r, otherwise a_1..a_{k-1}, b_1..b_{r-k-1} and the staircase of
 bilinear forms sum_j a_{k+j} b_{r-k+d-j} - sum_j g_j h_{d-j} for
 d = 0..k+l-r-1, which are the coefficients of t^{r+d} in ab - g h t^r.
+
+`verify_cell` and `intersect_experiment` read their draws with
+`commutator._two_part_types`, and `survey` with `commutator.jordan_types`.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from .commutator import (
     _generic_type,
     _layout,
     _two_part_offsets,
-    jordan_type_of_matrix,
+    _two_part_types,
     jordan_types,
-    sample_commutant_matrix,
     sample_commutator,
 )
 from .modpoly import DEFAULT_PRIME, rank
@@ -229,13 +231,14 @@ def sample_on_locus(u: int, r: int, k: int, l: int, rng, *, prime: int = DEFAULT
 
 def _drawn_types(elements, prime: int):
     """Yield (element, Jordan type) for each element of the lazy stream
-    `elements`, in stream order.  Elements are drawn, read as one stack and
-    released `_CHUNK` at a time, so memory stays bounded by one chunk, and
-    a chunk may span two chained streams (`verify_cell`'s on-locus and
-    converse draws)."""
+    `elements`, all of one two-part shape, in stream order.  Elements are
+    drawn, read as one stack by `_two_part_types` and released `_CHUNK` at
+    a time, so memory stays bounded by one chunk, and a chunk may span two
+    chained streams (`verify_cell`'s on-locus and converse draws)."""
     elements = iter(elements)
     while chunk := list(islice(elements, _CHUNK)):
-        yield from zip(chunk, jordan_types(np.stack([e.assemble() for e in chunk]), prime))
+        u, m = chunk[0].q
+        yield from zip(chunk, _two_part_types(np.stack([e.assemble() for e in chunk]), u, u - m, prime))
 
 
 def _type_counts(counter: Counter) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -506,15 +509,18 @@ class SurveyReport(_Report):
 
 
 def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> SurveyReport:
-    """Sample the nilpotent commutant of a stable shape and bucket the types."""
+    """Sample the nilpotent commutant of a stable shape, a chunk per draw, and bucket the types."""
     if samples < 1:
         raise ValueError("need at least one sample")
     q = Partition(q)
     box_vals = set(box_partitions(q).values())
     rng = np.random.default_rng([abs(seed)] + list(q))
+    take, free = _layout(q)
     counts: Counter = Counter()
-    for _ in range(samples):
-        counts[jordan_type_of_matrix(sample_commutant_matrix(q, rng, p=prime), prime)] += 1
+    for lo in range(0, samples, _CHUNK):
+        coeffs = np.zeros((min(_CHUNK, samples - lo), q.size * len(q) + 1), dtype=np.int64)
+        coeffs[:, free] = rng.integers(prime, size=(len(coeffs), free.size))
+        counts.update(jordan_types(coeffs[:, take], prime))
     outside = tuple(tuple(t) for t in sorted(set(counts) - box_vals, reverse=True))
     return SurveyReport(
         q=q,

@@ -21,7 +21,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        parts = tuple(int(x) for x in parts)
+        parts = tuple([int(x) for x in parts])
         prev = None
         for x in parts:
             if x < 1:

@@ -7,9 +7,9 @@ element's order matrix bound the orders of its powers from below, with
 equality absent cancellation, and `closed_form_power` gives the powers of
 [[k, 0], [r, l]] in closed form.  Their top-left entry, combined with the
 two saturation terms u and 2u - r, predicts the corank profile, hence the
-Jordan type, of a generic point on an equation locus.  The exact
-assembled-matrix computation always remains the source of truth; this
-layer is an accelerator and cross-check.
+Jordan type, of a generic point on an equation locus.  `_predicted_corank`
+is the no-cancellation form of the exact formula that
+`commutator._two_part_types` reads, which remains the source of truth.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from nilcommute.commutator import (
     _grid,
     _layout,
     _two_part_offsets,
+    _two_part_types,
     assemble_blocks,
     dmap_oracle,
     jordan_type_of_matrix,
@@ -19,6 +20,7 @@ from nilcommute.commutator import (
     sample_commutator,
 )
 from nilcommute.burge import dmap
+from nilcommute.loci import sample_on_locus
 from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _eliminate, matmul
 from nilcommute.partitions import EMPTY, Partition, is_stable, jordan_from_coranks, partitions_of
 from test_modpoly import reference_rank
@@ -391,6 +393,88 @@ class TestJordanTypes:
             jordan_types(np.zeros((2, 3, 4), dtype=np.int64))
         with pytest.raises(ValueError, match="stack"):
             jordan_types(np.zeros((3, 3), dtype=np.int64))
+
+
+
+TWO_PART_SHAPES = [(2, 1), (3, 1), (5, 2), (7, 1), (8, 3), (9, 7), (12, 5), (13, 4), (20, 9)]
+
+
+def two_part_stack(q, rng, p):
+    """Commutant elements of J_q for a two-part q: zero, J_q itself,
+    commutant draws (every other one 60% sparsified, which makes
+    cancellations common) and two on-locus draws of every table cell."""
+    u, m = q
+    r = u - m
+    out = [np.zeros((u + m, u + m), dtype=np.int64), jordan_matrix(q)]
+    for i in range(12):
+        coeffs = _draw_free(q, rng, p)
+        if i % 2:
+            coeffs[rng.random(coeffs.size) < 0.6] = 0
+        out.append(_assemble_flat(q, coeffs))
+    cells = [(k, l) for k in range(1, r) for l in range(1, m + 1)]
+    out += [sample_on_locus(u, r, k, l, rng, prime=p).assemble() for k, l in cells for _ in range(2)]
+    return np.stack(out)
+
+
+class TestTwoPartTypes:
+    @pytest.mark.parametrize("p", [3, 5, P, 2_147_483_659])
+    @pytest.mark.parametrize("q", TWO_PART_SHAPES)
+    def test_equals_jordan_types_row_for_row(self, q, p):
+        u, m = q
+        stack = two_part_stack(q, np.random.default_rng([p % 1000, u, m]), p)
+        for lo in range(0, len(stack), commutator._CHUNK):
+            chunk = stack[lo : lo + commutator._CHUNK]
+            assert _two_part_types(chunk, u, u - m, p) == jordan_types(chunk, p)
+
+    @pytest.mark.parametrize("p", [P, 2_147_483_659])
+    def test_whole_stack_without_elimination(self, monkeypatch, p):
+        # one call on a stack of many nilpotency indices, and no `_eliminate`
+        stack = two_part_stack((13, 4), np.random.default_rng(5), p)
+        expected = jordan_types(stack, p)
+
+        def no_eliminate(stack, p):
+            raise AssertionError("the two-part readout ranked a matrix")
+
+        monkeypatch.setattr(commutator, "_eliminate", no_eliminate)
+        for s in [stack, stack.astype(object)]:
+            before = s.copy()
+            assert _two_part_types(s, 13, 9, p) == expected
+            assert np.array_equal(s, before)
+
+    @pytest.mark.parametrize("p", [P, 2_147_483_659])
+    def test_non_nilpotent_member_rejected(self, p):
+        # the identity commutes with J and is never nilpotent
+        stack = two_part_stack((8, 3), np.random.default_rng(6), p)[:8]
+        stack[5] = np.eye(11, dtype=np.int64)
+        with pytest.raises(ValueError, match="not nilpotent"):
+            _two_part_types(stack, 8, 5, p)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="stack"):
+            _two_part_types(np.zeros((2, 10, 10), dtype=np.int64), 8, 5)
+        with pytest.raises(ValueError, match="stack"):
+            _two_part_types(np.zeros((11, 11), dtype=np.int64), 8, 5)
+
+
+class TestProfileTypes:
+    def test_each_distinct_profile_converted_once(self, monkeypatch):
+        calls = []
+
+        def counting(coranks):
+            calls.append(tuple(coranks))
+            return jordan_from_coranks(coranks)
+
+        monkeypatch.setattr(commutator, "jordan_from_coranks", counting)
+        stack = np.stack([jordan_matrix((3, 1))] * 5 + [jordan_matrix((2, 2))] * 3)
+        assert jordan_types(stack) == [(3, 1)] * 5 + [(2, 2)] * 3
+        assert len(calls) == 2
+        calls.clear()
+        assert _two_part_types(stack[:5], 3, 2) == [(3, 1)] * 5
+        assert len(calls) == 1
+
+    def test_invalid_profile_still_raises(self):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            commutator._profile_types([[1, 3]], 3)
 
 
 class TestSampling:

@@ -6,7 +6,14 @@ import pytest
 
 from nilcommute import loci
 from nilcommute.burge import table
-from nilcommute.commutator import CommutatorElement, _layout, jordan_types, sample_commutator
+from nilcommute.commutator import (
+    CommutatorElement,
+    _layout,
+    _two_part_types,
+    jordan_type_of_matrix,
+    sample_commutant_matrix,
+    sample_commutator,
+)
 from nilcommute.loci import (
     BranchReport,
     CellReport,
@@ -306,11 +313,11 @@ class TestVerifyCell:
         # on-locus then converse draws are one stream, read _CHUNK at a time
         seen = []
 
-        def counting_jordan_types(stack, p):
+        def counting_two_part_types(stack, u, r, p):
             seen.append(len(stack))
-            return jordan_types(stack, p)
+            return _two_part_types(stack, u, r, p)
 
-        monkeypatch.setattr(loci, "jordan_types", counting_jordan_types)
+        monkeypatch.setattr(loci, "_two_part_types", counting_two_part_types)
         assert verify_cell(8, 5, 2, 2, samples, seed=2) == reference_verify_cell(8, 5, 2, 2, samples, seed=2)
         assert seen == chunks
 
@@ -473,6 +480,16 @@ class TestSurvey:
     def test_rejects_no_samples(self):
         with pytest.raises(ValueError, match="need at least one sample"):
             survey((8, 5, 2), 0)
+
+    @pytest.mark.parametrize("p", [3, 5, P, 2_147_483_659])
+    @pytest.mark.parametrize("samples", [1, 7, 8, 9, 17])
+    def test_chunked_draws_match_per_sample_reading(self, samples, p):
+        # one draw per chunk continues the generator exactly as one per sample
+        for q in [(5, 2), (8, 5, 2)]:
+            rng = np.random.default_rng([3, *q])
+            types = Counter(jordan_type_of_matrix(sample_commutant_matrix(q, rng, p=p), p)
+                            for _ in range(samples))
+            assert survey(q, samples, seed=3, prime=p).type_counts == _type_counts(types)
 
 
 def test_generic_type():
