@@ -10,13 +10,15 @@ that vector; for a two-part shape (u, u-r) the coordinates a, g, h, b of
 the locus equations are slices of it (`_two_part_offsets`).
 Assembling the blocks in bases ordered by decreasing t-power reproduces
 the familiar banded matrices, and ranks of powers of the assembled matrix
-recover the Jordan type.  Samples are read as one (S, n, n) stack, reduced
-mod p once.  `jordan_types` ranks every power of a chunk (doubled by
+recover the Jordan type.  A chunk of samples is drawn as coefficient rows
+in one generator call (`_draw_free`, the same draws as one per sample),
+assembled through `_layout`'s `take` and read as one (S, n, n) stack,
+reduced mod p once.  `jordan_types` ranks every power of a chunk (doubled by
 `modpoly._mulmod`) in one stacked `modpoly._eliminate`, for `survey`,
 `dmap_oracle`, `jordan_type_of_matrix` and `CommutatorElement.jordan_type`.
 `verify_cell` and `intersect_experiment` use `_two_part_types`, which reads
-a two-part shape from the 2x2 minors of [Phi^s | D]; `jordan_types` is its
-test oracle.
+a two-part shape from the 2x2 minors of [Phi^s | D] and squares no power;
+`jordan_types` is its test oracle.
 """
 
 from __future__ import annotations
@@ -76,17 +78,20 @@ def _layout(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assemble_flat(parts: tuple[int, ...], coeffs) -> np.ndarray:
-    """Assemble the block coefficients of `parts`, numbered as in `_layout`."""
-    flat = np.zeros(sum(parts) * len(parts) + 1, dtype=np.int64)
-    flat[:-1] = coeffs
-    return flat[_layout(parts)[0]]
+    """Assemble the block coefficients of `parts`, numbered as in `_layout`,
+    or (S, coefficients) rows of them into an (S, n, n) stack."""
+    flat = np.zeros(np.shape(coeffs)[:-1] + (sum(parts) * len(parts) + 1,), dtype=np.int64)
+    flat[..., :-1] = coeffs
+    return flat[..., _layout(parts)[0]]
 
 
-def _draw_free(parts: tuple[int, ...], rng, p: int) -> np.ndarray:
-    """Block coefficients of a uniform draw from the slice `_layout` describes."""
-    coeffs = np.zeros(sum(parts) * len(parts), dtype=np.int64)
+def _draw_free(parts: tuple[int, ...], rng, p: int, count: int | None = None) -> np.ndarray:
+    """Block coefficients of a uniform draw from the slice `_layout` describes,
+    or `count` rows of them, drawn exactly as by `count` one-draw calls."""
+    lead = () if count is None else (count,)
+    coeffs = np.zeros(lead + (sum(parts) * len(parts),), dtype=np.int64)
     free = _layout(parts)[1]
-    coeffs[free] = rng.integers(p, size=free.size)
+    coeffs[..., free] = rng.integers(p, size=lead + (free.size,))
     return coeffs
 
 
@@ -155,6 +160,25 @@ def _profile_types(rows, n: int) -> list[Partition]:
     return [seen[key] for key in keys]
 
 
+@lru_cache(maxsize=512)
+def _two_part_indices(u: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the shape (u, u-r), n = 2u - r: the index that assembles a
+    commutant element from its generator columns u - 1 and n - 1 (flattened
+    row by row as an (n, 2) pair; -1 is an appended zero, as in `_layout`),
+    and the 0/1 matrix summing a flattened (u, u-r) array along its
+    anti-diagonals.  Column u-1-i is J^i times column u - 1, and column
+    n-1-i is J^i times column n - 1; J^i shifts each block's rows up by i."""
+    n = 2 * u - r
+    row, col = np.arange(n)[:, None], np.arange(n)[None, :]
+    gen = col >= u
+    src = row + np.where(gen, n - 1, u - 1) - col
+    gather = np.where(src <= np.where(row < u, u - 1, n - 1), 2 * src + gen, -1)
+    degree = np.add.outer(np.arange(u), np.arange(u - r)).reshape(-1, 1)
+    sums = (degree == np.arange(n - 1)).astype(np.int64)
+    gather.flags.writeable = sums.flags.writeable = False
+    return gather, sums
+
+
 def _two_part_types(stack, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partition]:
     """Jordan types of an (S, n, n) stack of nilpotent commutant elements of
     the shape (u, u-r), n = 2u - r, read without ranking any n x n power.
@@ -173,29 +197,34 @@ def _two_part_types(stack, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Parti
     it; a zero row counts as order u or u - r, which implies the last term.
     Columns u - 1 and n - 1 of M^s are phi^s of the generators, so the
     doubled W = [ME, ..., M^k E] holds every row order (M^k E = 0 exactly
-    when M^k = 0, as M commutes with J), and V = ME the exact det mod p.
+    when M^k = 0, as M commutes with J).  A map commuting with J is fixed
+    by its images of the generators, so each doubling round gathers M^k
+    from the last column pair of W and makes one product, M^k W.
+
+    delta = ord(ab - t^r g h) comes from V = ME: the reduced outer product
+    of (a, t^r g) and (h, b), summed along anti-diagonals by a 0/1 matrix,
+    in float64 for p < 2^31 (exact: every sum is below (u-r) p < 2^53) and
+    on Python integers above.
     """
-    m = _as_field_matrix(stack, p)
-    n = 2 * u - r
-    if m.shape[1:] != (n, n):
+    stack, n = np.asarray(stack), 2 * u - r
+    if stack.shape[1:] != (n, n):
         raise ValueError(f"_two_part_types expects an (S, {n}, {n}) stack")
-    power, w = m, m[:, :, [u - 1, n - 1]]
+    gather, sums = _two_part_indices(u, r)
+    w = _as_field_matrix(stack[:, :, [u - 1, n - 1]], p)
     while w[:, :, -2:].any():
         if w.shape[2] >= 2 * n:
             raise ValueError("matrix is not nilpotent")
-        if w.shape[2] > 2:
-            power = _mulmod(power, power, p)  # M^k for the k powers in w
-        w = np.concatenate([w, _mulmod(power, w, p)], axis=2)
+        pair = np.concatenate([w[:, :, -2:].reshape(len(w), -1), np.zeros((len(w), 1), w.dtype)], axis=1)
+        w = np.concatenate([w, _mulmod(pair[:, gather], w, p)], axis=2)  # M^k from M^k E, times W
     # rows in increasing t-power: row 2 of Phi^s, then row 1
     nz = (w[:, ::-1] != 0).reshape(len(w), n, -1, 2).any(axis=3)
     row2 = np.where(nz[:, : u - r].any(axis=1), nz[:, : u - r].argmax(axis=1), u - r)
     row1 = np.where(nz[:, u - r :].any(axis=1), nz[:, u - r :].argmax(axis=1), u)
     top, bottom = w[:, u - 1 :: -1, :2], w[:, : u - 1 : -1, :2]  # (a, t^r g), (h, b)
-    det = np.zeros((len(w), n), dtype=m.dtype)
-    for j in range(u - r):
-        det[:, j : j + u] += top[:, :, 0] * bottom[:, j, 1, None] - top[:, :, 1] * bottom[:, j, 0, None]
-        _reduce(det[:, j : j + u], p)
-    delta = np.where(det.any(axis=1), (det != 0).argmax(axis=1), n)[:, None]
+    outer = top[:, :, None, 0] * bottom[:, None, :, 1] - top[:, :, None, 1] * bottom[:, None, :, 0]
+    outer = _reduce(outer, p).reshape(len(w), -1)
+    det = outer.astype(np.float64 if outer.dtype != object else object) @ sums % p != 0
+    delta = np.where(det.any(axis=1), det.argmax(axis=1), n)[:, None]
     s = np.arange(1, w.shape[2] // 2 + 1)
     coranks = np.minimum(np.minimum(s * delta, (u - r) + row1), u + row2)
     return _profile_types(coranks.tolist(), n)

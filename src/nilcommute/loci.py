@@ -8,16 +8,17 @@ k + l <= r, otherwise a_1..a_{k-1}, b_1..b_{r-k-1} and the staircase of
 bilinear forms sum_j a_{k+j} b_{r-k+d-j} - sum_j g_j h_{d-j} for
 d = 0..k+l-r-1, which are the coefficients of t^{r+d} in ab - g h t^r.
 
-`verify_cell` and `intersect_experiment` read their draws with
-`commutator._two_part_types`, and `survey` with `commutator.jordan_types`.
+Every harness draws `_CHUNK` samples at a time as coefficient rows
+(`_plan_rows` on a locus, `commutator._draw_free` on the commutant), the
+same draws in the same order as one at a time, reads each chunk as one stack
+(`_two_part_types`; `jordan_types` in `survey`) and checks equations on rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from itertools import chain, islice
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -26,13 +27,13 @@ from .burge import box_partitions, check_cell, table
 from .commutator import (
     _CHUNK,
     CommutatorElement,
+    _assemble_flat,
     _draw_free,
     _generic_type,
     _layout,
     _two_part_offsets,
     _two_part_types,
     jordan_types,
-    sample_commutator,
 )
 from .modpoly import DEFAULT_PRIME, rank
 from .partitions import Partition
@@ -82,6 +83,7 @@ class EquationSet:
         if e.q != shape:
             raise ValueError(f"element of shape {tuple(e.q)} against equations on {shape}")
 
+    @cached_property
     def _block_terms(self) -> tuple[tuple[int, ...], list[list[tuple[int, int, int]]]]:
         """The linear coordinates, and each quadric as (sign, i, j) terms, in
         block coefficient numbers (`CommutatorElement.coeffs`)."""
@@ -93,36 +95,52 @@ class EquationSet:
         ]
         return linear, quads
 
+    def _values(self, c, p: int) -> tuple[int, ...]:
+        """Values of all equations at the block coefficients `c` (reduced mod p)."""
+        linear, quads = self._block_terms
+        quad_vals = [sum(sign * c[i] * c[j] for sign, i, j in terms) % p for terms in quads]
+        return tuple(c[i] for i in linear) + tuple(quad_vals)
+
     def evaluate(self, e: CommutatorElement) -> tuple[int, ...]:
         """Values of all equations at e; all zero iff e lies on the locus."""
         self._check_shape(e)
-        c = e.coeffs
-        linear, quads = self._block_terms()
-        quad_vals = [sum(sign * c[i] * c[j] for sign, i, j in terms) % e.p for terms in quads]
-        return tuple(c[i] for i in linear) + tuple(quad_vals)
+        return self._values(e.coeffs, e.p)
 
     def satisfied_by(self, e: CommutatorElement) -> bool:
         return not any(self.evaluate(e))
+
+    def _jacobian(self, c, p: int) -> np.ndarray:
+        """Jacobian at the block coefficients `c` (reduced mod p): rows =
+        equations, columns = all block coefficients."""
+        linear, quads = self._block_terms
+        jac = np.zeros((self.codim, len(c)), dtype=np.int64)
+        jac[range(len(linear)), list(linear)] = 1
+        for row, terms in enumerate(quads, start=len(linear)):
+            for sign, i, j in terms:  # a coefficient appears at most once in a quadric
+                jac[row, i] = sign * c[j] % p
+                jac[row, j] = sign * c[i] % p
+        return jac
 
     def jacobian_at(self, e: CommutatorElement) -> np.ndarray:
         """Matrix of partial derivatives, rows = equations, columns = the free
         coordinates in block order (a, g, h, b)."""
         self._check_shape(e)
-        c = e.coeffs
-        linear, quads = self._block_terms()
-        jac = np.zeros((self.codim, len(c)), dtype=np.int64)
-        jac[range(len(linear)), linear] = 1
-        p = e.p
-        for row, terms in enumerate(quads, start=len(linear)):
-            for sign, i, j in terms:
-                jac[row, i] = (jac[row, i] + sign * c[j]) % p
-                jac[row, j] = (jac[row, j] + sign * c[i]) % p
-        return jac[:, _layout(e.q)[1]]
+        return self._jacobian(e.coeffs, e.p)[:, _layout(e.q)[1]]
+
+    def _jacobian_rank(self, c, p: int) -> int:
+        """Jacobian rank at the coefficients `c` (reduced mod p): the linear
+        rows are unit vectors on free columns, so it is |linear| plus the rank
+        of the quadric rows on the other free columns, ranked even if empty."""
+        linear = self._block_terms[0]
+        cols = [i for i in _layout((self.u, self.u - self.r))[1].tolist() if i not in linear]
+        return len(linear) + rank(self._jacobian(c, p)[len(linear) :, cols], p)
 
     def jacobian_rank_at(self, e: CommutatorElement) -> int:
-        return rank(self.jacobian_at(e), e.p)
+        self._check_shape(e)
+        return self._jacobian_rank(e.coeffs, e.p)
 
 
+@lru_cache(maxsize=1024)
 def equations(u: int, r: int, k: int, l: int) -> EquationSet:
     """The k + l - 2 defining equations of the (k, l) table locus."""
     check_cell(u, r, k, l)
@@ -203,20 +221,33 @@ def _solve_plan(u: int, r: int, cells: tuple[tuple[int, int], ...]) -> _SolvePla
     return _SolvePlan(u, r, zero, big_k, tuple(steps), split)
 
 
-def _sample_plan(plan: _SolvePlan, rng, prime: int, zero_gh: int | None = None) -> CommutatorElement:
-    """One point of the plan's locus; zero_gh = 0 or 1 zeroes g_0 or h_0."""
+def _plan_rows(plan: _SolvePlan, rng, prime: int, count: int, zero_gh: int | None = None) -> np.ndarray:
+    """`count` points of the plan's locus as (count, coefficients) rows;
+    zero_gh = 0 or 1 zeroes g_0 or h_0.  One draw takes each row's free
+    coordinates, then its pivot, as `count` one-point draws would; each row
+    solves the steps in Python integers with one inverse of a_k."""
     u, r = plan.u, plan.r
-    c = _draw_free((u, u - r), rng, prime)
-    c[list(plan.zero)] = 0
-    c[plan.pivot] = 1 + rng.integers(prime - 1)
+    free = _layout((u, u - r))[1]
+    draw = rng.integers([prime] * free.size + [prime - 1], size=(count, free.size + 1))
+    rows = np.zeros((count, 4 * u - 2 * r), dtype=np.int64)
+    rows[:, free] = draw[:, :-1]
+    rows[:, list(plan.zero)] = 0
+    rows[:, plan.pivot] = 1 + draw[:, -1]
     if zero_gh is not None:
-        c[plan.split[zero_gh]] = 0
-    c = c.tolist()
-    inv_ak = pow(c[plan.pivot], -1, prime)
-    for solved, ab, gh in plan.steps:
-        rhs = sum(c[i] * c[j] for i, j in gh) - sum(c[i] * c[j] for i, j in ab)
-        c[solved] = rhs % prime * inv_ak % prime
-    return CommutatorElement((u, u - r), c, prime)
+        rows[:, plan.split[zero_gh]] = 0
+    out = rows.tolist()
+    for c in out:
+        inv_ak = pow(c[plan.pivot], -1, prime)
+        for solved, ab, gh in plan.steps:
+            rhs = sum(c[i] * c[j] for i, j in gh) - sum(c[i] * c[j] for i, j in ab)
+            c[solved] = rhs % prime * inv_ak % prime
+    return np.array(out, dtype=np.int64).reshape(rows.shape)
+
+
+def _sample_plan(plan: _SolvePlan, rng, prime: int, zero_gh: int | None = None) -> CommutatorElement:
+    """One point of the plan's locus: the one-row case of `_plan_rows`."""
+    row = _plan_rows(plan, rng, prime, 1, zero_gh)[0].tolist()
+    return CommutatorElement((plan.u, plan.u - plan.r), row, prime)
 
 
 def sample_on_locus(u: int, r: int, k: int, l: int, rng, *, prime: int = DEFAULT_PRIME) -> CommutatorElement:
@@ -227,18 +258,6 @@ def sample_on_locus(u: int, r: int, k: int, l: int, rng, *, prime: int = DEFAULT
     coordinate (each is linear in it with coefficient a_k).
     """
     return _sample_plan(_solve_plan(u, r, ((k, l),)), rng, prime)
-
-
-def _drawn_types(elements, prime: int):
-    """Yield (element, Jordan type) for each element of the lazy stream
-    `elements`, all of one two-part shape, in stream order.  Elements are
-    drawn, read as one stack by `_two_part_types` and released `_CHUNK` at
-    a time, so memory stays bounded by one chunk, and a chunk may span two
-    chained streams (`verify_cell`'s on-locus and converse draws)."""
-    elements = iter(elements)
-    while chunk := list(islice(elements, _CHUNK)):
-        u, m = chunk[0].q
-        yield from zip(chunk, _two_part_types(np.stack([e.assemble() for e in chunk]), u, u - m, prime))
 
 
 def _type_counts(counter: Counter) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -315,43 +334,44 @@ def verify_cell(
     and the tropical prediction.
 
     The expected type is read from the memoized table.  The `samples`
-    on-locus draws and then the `samples` converse draws form one chained
-    stream, drawn in that order from one generator and read `_CHUNK` at a
-    time as one stack (`_drawn_types`), so a chunk may hold the last
-    on-locus and the first converse draws; only the type counts are kept.
-    Cells whose type is never hit by the independent samples count as a
-    vacuous pass for the converse direction.
+    on-locus draws and then the `samples` converse draws form one stream,
+    drawn in that order from one generator as stacked coefficient rows,
+    `_CHUNK` at a time, so a chunk may hold the last on-locus and the first
+    converse draws (the draws of the one-sample samplers), read as one
+    stack, with Jacobian ranks and equations checked on its rows.  Cells
+    whose type is never hit by the independent samples count as a vacuous
+    pass for the converse direction.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     eqs = equations(u, r, k, l)
     expected = table((u, u - r))[k - 1][l - 1]
     rng = np.random.default_rng([abs(seed), u, r, k, l])
+    plan = _solve_plan(u, r, ((k, l),))
     counts: Counter = Counter()
-    jac_hits = 0
-    on_locus = (sample_on_locus(u, r, k, l, rng, prime=prime) for _ in range(samples))
-    converse = (sample_commutator((u, u - r), rng, p=prime) for _ in range(samples))
-    read = _drawn_types(chain(on_locus, converse), prime)
-    for e, t in islice(read, samples):
-        counts[t] += 1
-        jac_hits += eqs.jacobian_rank_at(e) == eqs.codim
-    max_type = _generic_type(counts)  # EMPTY fails the cell
-    match_rate = counts[expected] / samples
-    converse_hits = 0
+    jac_hits = converse_hits = 0
     converse_ok = True
-    for amb, t in read:
-        if t == expected:
-            converse_hits += 1
-            converse_ok = converse_ok and eqs.satisfied_by(amb)
+    for lo in range(0, 2 * samples, _CHUNK):
+        hi = min(lo + _CHUNK, 2 * samples)
+        on = max(0, min(hi, samples) - lo)  # on-locus rows in this chunk
+        rows = np.concatenate([
+            _plan_rows(plan, rng, prime, on), _draw_free((u, u - r), rng, prime, hi - lo - on)])
+        types = _two_part_types(_assemble_flat((u, u - r), rows), u, r, prime)
+        counts.update(types[:on])
+        jac_hits += sum(eqs._jacobian_rank(c, prime) == eqs.codim for c in rows[:on].tolist())
+        for c, t in zip(rows[on:].tolist(), types[on:]):
+            if t == expected:
+                converse_hits += 1
+                converse_ok = converse_ok and not any(eqs._values(c, prime))
     return CellReport(
         q=Partition((u, u - r)),
         cell=(k, l),
         prime=prime,
         seed=seed,
         samples=samples,
-        max_type=max_type,
+        max_type=_generic_type(counts),  # EMPTY fails the cell
         expected=expected,
-        match_rate=match_rate,
+        match_rate=counts[expected] / samples,
         converse_hits=converse_hits,
         converse_ok=converse_ok,
         tropical_agree=predicted_jordan_type(u, r, k, l) == expected,
@@ -394,7 +414,8 @@ def closure_contains(
 
     The closed form is (k = k' and l <= l') or (k <= k', l <= l' and
     k' + l <= r); the Monte-Carlo side checks the outer equations on
-    generic inner samples.
+    generic inner samples, drawn `_CHUNK` rows at a time (`_plan_rows`) up
+    to the chunk that holds the first one off the outer locus.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -405,10 +426,9 @@ def closure_contains(
     predicate = (k == k2 and l <= l2) or (k <= k2 and l <= l2 and k2 + l <= r)
     eqs = equations(u, r, k, l)
     rng = np.random.default_rng([abs(seed), u, r, k, l, k2, l2])
-    montecarlo = all(
-        eqs.satisfied_by(sample_on_locus(u, r, k2, l2, rng, prime=prime))
-        for _ in range(samples)
-    )
+    plan = _solve_plan(u, r, ((k2, l2),))
+    chunks = (_plan_rows(plan, rng, prime, min(_CHUNK, samples - lo)) for lo in range(0, samples, _CHUNK))
+    montecarlo = all(not any(eqs._values(c, prime)) for rows in chunks for c in rows.tolist())
     return ContainmentReport(
         q=Partition((u, u - r)),
         outer=(k, l),
@@ -480,8 +500,10 @@ def intersect_experiment(
     branches = []
     for bidx, (label, zero_gh) in enumerate(branch_defs):
         rng = np.random.default_rng([abs(seed), u, r, bidx] + [x for c in cells for x in c])
-        draws = (_sample_plan(plan, rng, prime, zero_gh) for _ in range(samples))
-        counts = Counter(t for _, t in _drawn_types(draws, prime))
+        counts: Counter = Counter()
+        for lo in range(0, samples, _CHUNK):
+            rows = _plan_rows(plan, rng, prime, min(_CHUNK, samples - lo), zero_gh)
+            counts.update(_two_part_types(_assemble_flat((u, u - r), rows), u, r, prime))
         branches.append(
             BranchReport(label=label, max_type=_generic_type(counts), type_counts=_type_counts(counts))
         )
@@ -515,12 +537,10 @@ def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> Sur
     q = Partition(q)
     box_vals = set(box_partitions(q).values())
     rng = np.random.default_rng([abs(seed)] + list(q))
-    take, free = _layout(q)
     counts: Counter = Counter()
     for lo in range(0, samples, _CHUNK):
-        coeffs = np.zeros((min(_CHUNK, samples - lo), q.size * len(q) + 1), dtype=np.int64)
-        coeffs[:, free] = rng.integers(prime, size=(len(coeffs), free.size))
-        counts.update(jordan_types(coeffs[:, take], prime))
+        rows = _draw_free(q, rng, prime, min(_CHUNK, samples - lo))
+        counts.update(jordan_types(_assemble_flat(q, rows), prime))
     outside = tuple(tuple(t) for t in sorted(set(counts) - box_vals, reverse=True))
     return SurveyReport(
         q=q,

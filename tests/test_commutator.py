@@ -10,6 +10,7 @@ from nilcommute.commutator import (
     _draw_free,
     _grid,
     _layout,
+    _two_part_indices,
     _two_part_offsets,
     _two_part_types,
     assemble_blocks,
@@ -21,7 +22,7 @@ from nilcommute.commutator import (
 )
 from nilcommute.burge import dmap
 from nilcommute.loci import sample_on_locus
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _eliminate, matmul
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod, matmul
 from nilcommute.partitions import EMPTY, Partition, is_stable, jordan_from_coranks, partitions_of
 from test_modpoly import reference_rank
 
@@ -454,6 +455,23 @@ class TestTwoPartTypes:
             _two_part_types(np.zeros((2, 10, 10), dtype=np.int64), 8, 5)
         with pytest.raises(ValueError, match="stack"):
             _two_part_types(np.zeros((11, 11), dtype=np.int64), 8, 5)
+
+
+class TestGeneratorGather:
+    @pytest.mark.parametrize("p", [3, P, 2_147_483_659])
+    @pytest.mark.parametrize("q", TWO_PART_SHAPES)
+    def test_powers_assemble_from_their_generator_columns(self, q, p):
+        # every power M^k of a commutant element is fixed by M^k E
+        u, m = q
+        n = u + m
+        stack = _as_field_matrix(two_part_stack(q, np.random.default_rng([p % 1000, u, m, 1]), p), p)
+        power = stack
+        for _ in range(n):
+            pair = np.zeros((len(power), 2 * n + 1), dtype=power.dtype)
+            pair[:, :-1] = power[:, :, [u - 1, n - 1]].reshape(len(power), -1)
+            assert np.array_equal(pair[:, _two_part_indices(u, u - m)[0]], power)
+            power = _mulmod(power, stack, p)
+        assert not power.any()
 
 
 class TestProfileTypes:

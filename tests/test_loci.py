@@ -8,7 +8,9 @@ from nilcommute import loci
 from nilcommute.burge import table
 from nilcommute.commutator import (
     CommutatorElement,
+    _draw_free,
     _layout,
+    _two_part_offsets,
     _two_part_types,
     jordan_type_of_matrix,
     sample_commutant_matrix,
@@ -19,6 +21,7 @@ from nilcommute.loci import (
     CellReport,
     IntersectReport,
     _generic_type,
+    _plan_rows,
     _sample_plan,
     _solve_plan,
     _type_counts,
@@ -64,6 +67,34 @@ def reference_jacobian(eqs, e):
             jac[row, cols[f"h{hi}"]] = (jac[row, cols[f"h{hi}"]] - g[gi]) % p
         row += 1
     return jac
+
+
+def reference_plan_point(plan, rng, prime, zero_gh=None):
+    """One point of the plan's locus, drawn alone: the free coordinates, then
+    a nonzero pivot, then each step solved in turn."""
+    u, r = plan.u, plan.r
+    c = _draw_free((u, u - r), rng, prime)
+    c[list(plan.zero)] = 0
+    c[plan.pivot] = 1 + rng.integers(prime - 1)
+    if zero_gh is not None:
+        c[plan.split[zero_gh]] = 0
+    c = c.tolist()
+    inv_ak = pow(c[plan.pivot], -1, prime)
+    for solved, ab, gh in plan.steps:
+        rhs = sum(c[i] * c[j] for i, j in gh) - sum(c[i] * c[j] for i, j in ab)
+        c[solved] = rhs % prime * inv_ak % prime
+    return c
+
+
+def reference_closure_failure(u, r, outer, inner, samples, *, seed=0, prime=P):
+    """The first inner sample, drawn one at a time, that misses the outer
+    equations, or None; `closure_contains`' montecarlo is `is None`."""
+    eqs = equations(u, r, *outer)
+    rng = np.random.default_rng([abs(seed), u, r, *outer, *inner])
+    for i in range(samples):
+        if not eqs.satisfied_by(sample_on_locus(u, r, *inner, rng, prime=prime)):
+            return i
+    return None
 
 
 def reference_verify_cell(u, r, k, l, samples, *, seed=0, prime=P):
@@ -217,6 +248,48 @@ class TestSampleOnLocus:
                     assert len(_layout((u, u - r))[1]) - eqs.codim == 4 * u - 3 * r - k - l
 
 
+class TestPlanRows:
+    @pytest.mark.parametrize("p", [2, 3, P, 2_147_483_659, 2**63 - 25])
+    def test_rows_continue_the_generator_as_one_point_draws(self, p):
+        # every cell of three shapes, and the split plans of intersect --q 7,4
+        # --cells 1,2+2,2 and --cells 1,2+2,3 (the second with a step) on
+        # each branch and unsplit
+        plans = [(_solve_plan(u, r, ((k, l),)), None)
+                 for u, r in [(5, 3), (8, 5), (12, 7)]
+                 for k in range(1, r) for l in range(1, u - r + 1)]
+        for cells in [((1, 2), (2, 2)), ((1, 2), (2, 3))]:
+            split = _solve_plan(7, 3, cells)
+            assert split.split and not split.reason
+            plans += [(split, zero_gh) for zero_gh in (None, 0, 1)]
+        assert split.steps
+        for i, (plan, zero_gh) in enumerate(plans):
+            for count in (1, 3, 9):
+                stacked, alone = np.random.default_rng([i, count]), np.random.default_rng([i, count])
+                rows = _plan_rows(plan, stacked, p, count, zero_gh)
+                assert rows.shape == (count, 4 * plan.u - 2 * plan.r)
+                assert rows.tolist() == [reference_plan_point(plan, alone, p, zero_gh) for _ in range(count)]
+                assert stacked.bit_generator.state == alone.bit_generator.state
+            assert _plan_rows(plan, stacked, p, 0, zero_gh).shape == (0, 4 * plan.u - 2 * plan.r)
+            assert stacked.bit_generator.state == alone.bit_generator.state
+
+    @pytest.mark.parametrize("p", [2, 3, P])
+    def test_closure_montecarlo_matches_one_sample_draws(self, p):
+        failures = set()
+        for u, r in [(5, 3), (7, 4)]:
+            cells = [(k, l) for k in range(1, r) for l in range(1, u - r + 1)]
+            for seed in range(4):
+                for outer in cells:
+                    for inner in cells:
+                        for samples in (1, 20):
+                            first = reference_closure_failure(u, r, outer, inner, samples, seed=seed, prime=p)
+                            rep = closure_contains(u, r, outer, inner, samples, seed=seed, prime=p)
+                            assert rep.montecarlo == (first is None), (outer, inner, samples, seed)
+                            failures.add(first)
+        if p == 2:
+            # failures on the first sample, later in the first chunk and in a later chunk
+            assert 0 in failures and failures & set(range(1, 8)) and failures & set(range(8, 20))
+
+
 class TestJacobian:
     def test_generic_rank(self):
         rng = np.random.default_rng(34)
@@ -254,6 +327,34 @@ class TestJacobian:
                             assert jac.shape == ref.shape
                             assert sorted(map(tuple, jac.T.tolist())) == sorted(map(tuple, ref.T.tolist()))
                             assert rank(jac, p) == reference_rank(ref, p)
+
+    @pytest.mark.parametrize("p", [2, 3, P, 2_147_483_659])
+    def test_quadric_block_reduction(self, p):
+        # |linear| + rank of the quadric block is the Jacobian's rank: on-locus,
+        # commutant (off-locus) and on-locus points with a_k = 0, with g = h = 0,
+        # or with a_k = 0 and g = h = b = 0 (the degree-r quadric then has a
+        # zero row), on every cell, including the cells without quadrics
+        rng = np.random.default_rng(p % 1000)
+        deficient = 0
+        for u, r in [(5, 3), (8, 5), (9, 4), (12, 7)]:
+            g0, _, b0 = _two_part_offsets(u, r)
+            for k in range(1, r):
+                for l in range(1, u - r + 1):
+                    eqs = equations(u, r, k, l)
+                    points = [sample_on_locus(u, r, k, l, rng, prime=p).coeffs,
+                              sample_commutator((u, u - r), rng, p=p).coeffs]
+                    for zero in ([k], range(g0, b0), [k, *range(g0, 4 * u - 2 * r)]):
+                        c = list(sample_on_locus(u, r, k, l, rng, prime=p).coeffs)
+                        for i in zero:
+                            c[i] = 0
+                        points.append(c)
+                    for c in points:
+                        e = CommutatorElement((u, u - r), c, p)
+                        want = reference_rank(reference_jacobian(eqs, e), p)
+                        assert reference_rank(eqs.jacobian_at(e), p) == want
+                        assert eqs._jacobian_rank(c, p) == eqs.jacobian_rank_at(e) == want, (u, r, k, l, c)
+                        deficient += want < eqs.codim
+        assert deficient > 0
 
     @pytest.mark.parametrize("p", [2, 3, 1_000_000_007, 2_147_483_659, 2**63 - 25])
     def test_ranks_match_reference_on_verified_cells(self, monkeypatch, p):
