@@ -92,9 +92,12 @@ def _config(args) -> RunConfig:
         raise UsageError(f"--prime {prime} is too large: supported primes are 2 <= p < 2^63")
     if not is_prime(prime):
         raise UsageError(f"--prime {prime} is not prime")
-    seed = args.seed
+    seed, source = args.seed, f"--seed {args.seed}"
     if seed is None:
         seed = _env_int("NILCOMMUTE_SEED", 0)
+        source = f"NILCOMMUTE_SEED={seed}"
+    if seed < 0:
+        raise UsageError(f"{source} is negative: seeds must be at least 0")
     samples = getattr(args, "samples", 1)
     if samples < 1:
         raise UsageError("--samples must be at least 1")
@@ -278,7 +281,7 @@ def cmd_oracle(args) -> int:
     p = _parse_partition(args.p)
     if p.size > cfg.size_bound:
         raise UsageError(f"|P|={p.size} exceeds --size-bound {cfg.size_bound}")
-    rng = np.random.default_rng([abs(cfg.seed)] + list(p))
+    rng = np.random.default_rng([cfg.seed] + list(p))
     est = dmap_oracle(p, cfg.samples, rng, prime=cfg.prime, size_limit=cfg.size_bound)
     truth = dmap(p)
     agree = est == truth

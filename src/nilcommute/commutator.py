@@ -337,15 +337,6 @@ def sample_commutator(q, rng, *, p: int = DEFAULT_PRIME) -> CommutatorElement:
     return CommutatorElement(q, _draw_free(q, rng, p).tolist(), p)
 
 
-def sample_commutant_matrix(parts, rng, *, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """Assembled random nilpotent commutant element of J_parts (see `_layout`).
-
-    For a stable shape it equals `sample_commutator(parts, rng).assemble()`.
-    """
-    parts = tuple(parts)
-    return _assemble_flat(parts, _draw_free(parts, rng, p))
-
-
 def _two_part_offsets(u: int, r: int) -> tuple[int, int, int]:
     """Block coefficient numbers of g_0, h_0 and b_0 for the shape (u, u-r).
 
@@ -389,5 +380,5 @@ def dmap_oracle(
         return EMPTY
     types = set()
     for _ in range(samples):
-        types.add(jordan_type_of_matrix(sample_commutant_matrix(pt, rng, p=prime), prime))
+        types.add(jordan_type_of_matrix(_assemble_flat(pt, _draw_free(pt, rng, prime)), prime))
     return _generic_type(types)

@@ -8,6 +8,10 @@ k + l <= r, otherwise a_1..a_{k-1}, b_1..b_{r-k-1} and the staircase of
 bilinear forms sum_j a_{k+j} b_{r-k+d-j} - sum_j g_j h_{d-j} for
 d = 0..k+l-r-1, which are the coefficients of t^{r+d} in ab - g h t^r.
 
+`_solve_plan` alone builds that staircase, in block coefficient numbers:
+`equations` is the one-cell plan read in a, b, g, h indices, `EquationSet`
+checks rows against the plan's terms and the samplers solve its steps.
+
 Every harness draws `_CHUNK` samples at a time as coefficient rows
 (`_plan_rows` on a locus, `commutator._draw_free` on the commutant), the
 same draws in the same order as one at a time, reads each chunk as one stack
@@ -48,16 +52,12 @@ class Quadric:
     gh_terms: tuple[tuple[int, int], ...]
 
     def label(self) -> str:
-        bits = [f"a{i}b{j}" for i, j in self.ab_terms]
-        out = "+".join(bits) if bits else "0"
-        for i, j in self.gh_terms:
-            out += f"-g{i}h{j}"
-        return out
+        return "+".join(f"a{i}b{j}" for i, j in self.ab_terms) + "".join(f"-g{i}h{j}" for i, j in self.gh_terms)
 
 
 @dataclass(frozen=True)
 class EquationSet:
-    """Defining equations of one table locus."""
+    """Defining equations of one table locus, in a, b, g, h indices."""
 
     u: int
     r: int
@@ -84,56 +84,37 @@ class EquationSet:
             raise ValueError(f"element of shape {tuple(e.q)} against equations on {shape}")
 
     @cached_property
-    def _block_terms(self) -> tuple[tuple[int, ...], list[list[tuple[int, int, int]]]]:
-        """The linear coordinates, and each quadric as (sign, i, j) terms, in
-        block coefficient numbers (`CommutatorElement.coeffs`)."""
-        g0, h0, b0 = _two_part_offsets(self.u, self.r)
-        linear = self.linear_a + tuple(b0 + i for i in self.linear_b)
-        quads = [
-            [(1, i, b0 + j) for i, j in qd.ab_terms] + [(-1, g0 + i, h0 + j) for i, j in qd.gh_terms]
-            for qd in self.quadrics
-        ]
-        return linear, quads
+    def _block_terms(self) -> tuple:
+        """The one-cell plan in block coefficient numbers: its linear
+        coordinates, each step as (sign, i, j) terms, and the quadric block of
+        the Jacobian on the free columns that no linear equation fixes: its
+        shape and, per entry, its row, column, coefficient and sign (the term
+        sign c_i c_j puts sign c_j in column i and sign c_i in column j)."""
+        plan = _solve_plan(self.u, self.r, ((self.k, self.l),))
+        quads = tuple(
+            ((1, plan.pivot, solved), *((1, i, j) for i, j in ab), *((-1, i, j) for i, j in gh))
+            for solved, ab, gh in plan.steps
+        )
+        free = [i for i in _layout((self.u, self.u - self.r))[1].tolist() if i not in plan.zero]
+        entries = [(row, free.index(x), y, sign) for row, terms in enumerate(quads)
+                   for sign, i, j in terms for x, y in ((i, j), (j, i))]
+        block = ((len(quads), len(free)), *np.array(entries, dtype=np.intp).reshape(-1, 4).T)
+        return plan.zero, quads, block
 
-    def _values(self, c, p: int) -> tuple[int, ...]:
-        """Values of all equations at the block coefficients `c` (reduced mod p)."""
-        linear, quads = self._block_terms
-        quad_vals = [sum(sign * c[i] * c[j] for sign, i, j in terms) % p for terms in quads]
-        return tuple(c[i] for i in linear) + tuple(quad_vals)
-
-    def evaluate(self, e: CommutatorElement) -> tuple[int, ...]:
-        """Values of all equations at e; all zero iff e lies on the locus."""
-        self._check_shape(e)
-        return self._values(e.coeffs, e.p)
-
-    def satisfied_by(self, e: CommutatorElement) -> bool:
-        return not any(self.evaluate(e))
-
-    def _jacobian(self, c, p: int) -> np.ndarray:
-        """Jacobian at the block coefficients `c` (reduced mod p): rows =
-        equations, columns = all block coefficients."""
-        linear, quads = self._block_terms
-        jac = np.zeros((self.codim, len(c)), dtype=np.int64)
-        jac[range(len(linear)), list(linear)] = 1
-        for row, terms in enumerate(quads, start=len(linear)):
-            for sign, i, j in terms:  # a coefficient appears at most once in a quadric
-                jac[row, i] = sign * c[j] % p
-                jac[row, j] = sign * c[i] % p
-        return jac
-
-    def jacobian_at(self, e: CommutatorElement) -> np.ndarray:
-        """Matrix of partial derivatives, rows = equations, columns = the free
-        coordinates in block order (a, g, h, b)."""
-        self._check_shape(e)
-        return self._jacobian(e.coeffs, e.p)[:, _layout(e.q)[1]]
+    def _holds(self, c, p: int) -> bool:
+        """Whether the block coefficients `c` (reduced mod p) satisfy every equation."""
+        linear, quads, _ = self._block_terms
+        return not any(c[i] for i in linear) and not any(
+            sum(sign * c[i] * c[j] for sign, i, j in terms) % p for terms in quads)
 
     def _jacobian_rank(self, c, p: int) -> int:
-        """Jacobian rank at the coefficients `c` (reduced mod p): the linear
-        rows are unit vectors on free columns, so it is |linear| plus the rank
-        of the quadric rows on the other free columns, ranked even if empty."""
-        linear = self._block_terms[0]
-        cols = [i for i in _layout((self.u, self.u - self.r))[1].tolist() if i not in linear]
-        return len(linear) + rank(self._jacobian(c, p)[len(linear) :, cols], p)
+        """Jacobian rank at the block coefficients `c` (reduced mod p): the
+        linear rows are unit vectors on free columns, so it is |linear| plus the
+        rank of the quadric block on the other free columns, ranked even if empty."""
+        linear, _, (shape, row, col, src, sign) = self._block_terms
+        block = np.zeros(shape, dtype=np.int64)
+        block[row, col] = sign * np.asarray(c)[src] % p
+        return len(linear) + rank(block, p)
 
     def jacobian_rank_at(self, e: CommutatorElement) -> int:
         self._check_shape(e)
@@ -142,34 +123,34 @@ class EquationSet:
 
 @lru_cache(maxsize=1024)
 def equations(u: int, r: int, k: int, l: int) -> EquationSet:
-    """The k + l - 2 defining equations of the (k, l) table locus."""
-    check_cell(u, r, k, l)
-    if k + l <= r:
-        lin_b = tuple(range(1, l))
-        quads: tuple[Quadric, ...] = ()
-    else:
-        lin_b = tuple(range(1, r - k))
-        quads = tuple(
-            Quadric(
-                ab_terms=tuple((k + j, r - k + d - j) for j in range(d + 1)),
-                gh_terms=tuple((j, d - j) for j in range(d + 1)),
-            )
-            for d in range(k + l - r)
+    """The k + l - 2 defining equations of the (k, l) table locus: the
+    one-cell plan in a, b, g, h indices, its zero coordinates as the linear
+    equations and step d, a_k b_solved + ab - gh, as quadric d."""
+    plan = _solve_plan(u, r, ((k, l),))
+    g0, h0, b0 = _two_part_offsets(u, r)
+    quads = tuple(
+        Quadric(
+            ab_terms=tuple((i, j - b0) for i, j in ((plan.pivot, solved), *ab)),
+            gh_terms=tuple((i - g0, j - h0) for i, j in gh),
         )
-    return EquationSet(u, r, k, l, tuple(range(1, k)), lin_b, quads)
+        for solved, ab, gh in plan.steps
+    )
+    lin_a = tuple(i for i in plan.zero if i < b0)
+    return EquationSet(u, r, k, l, lin_a, tuple(i - b0 for i in plan.zero[len(lin_a) :]), quads)
 
 
 @dataclass(frozen=True)
 class _SolvePlan:
-    """A sampler for the common zero locus of a set of cells, in block
-    coefficient numbers (`CommutatorElement.coeffs`).
+    """The staircase of a set of cells in block coefficient numbers
+    (`CommutatorElement.coeffs`), which `equations`, `EquationSet` and the
+    samplers all read.
 
-    A uniform draw of the free coordinates has its `zero` coordinates
-    cleared and the `pivot` a_k redrawn nonzero.  Each step (solved b, ab
-    pairs without the pivot term, gh pairs) then solves one degree's
-    constraint for that b coordinate.  `split` holds (g_0, h_0) when
-    g_0 h_0 = 0 splits the locus; a nonempty `reason` marks a system this
-    cannot sample.
+    The linear equations clear `zero`.  Step (solved, ab, gh) is one
+    degree's coefficient of ab - g h t^r: the `pivot` a_k times the solved
+    b coordinate, plus the ab pairs, minus the gh pairs; a sampler solves it
+    for that b.  `split` holds (g_0, h_0) when g_0 h_0 = 0 splits the locus;
+    a nonempty `reason` marks a system this cannot sample.  A one-cell plan
+    has neither.
     """
 
     u: int
@@ -183,15 +164,15 @@ class _SolvePlan:
 
 @lru_cache(maxsize=1024)
 def _solve_plan(u: int, r: int, cells: tuple[tuple[int, int], ...]) -> _SolvePlan:
-    """Plan for the union of the cells' equations; `cells` sorted, nonempty.
+    """The staircase of the union of the cells' equations; `cells` sorted, nonempty.
 
     Under the union of the linear equations, every remaining bilinear
     constraint collapses to one det coefficient per degree D: the terms
     a_i b_j with i >= max k, j >= the union b bound and i + j = D minus
     the g h convolution of degree D - r.  A degree with no a,b term and
     D = r leaves g_0 h_0 = 0 (once); any other degree without a pivot
-    term makes the plan unsampleable.  For one cell the steps are its
-    quadrics, each solved for the next b coordinate.
+    term makes the plan unsampleable.  For one cell (k, l) the degrees
+    r..k+l-1 each have the pivot term a_k b_{r-k+d}: the cell's quadrics.
     """
     for k, l in cells:
         check_cell(u, r, k, l)
@@ -244,20 +225,15 @@ def _plan_rows(plan: _SolvePlan, rng, prime: int, count: int, zero_gh: int | Non
     return np.array(out, dtype=np.int64).reshape(rows.shape)
 
 
-def _sample_plan(plan: _SolvePlan, rng, prime: int, zero_gh: int | None = None) -> CommutatorElement:
-    """One point of the plan's locus: the one-row case of `_plan_rows`."""
-    row = _plan_rows(plan, rng, prime, 1, zero_gh)[0].tolist()
-    return CommutatorElement((plan.u, plan.u - plan.r), row, prime)
-
-
 def sample_on_locus(u: int, r: int, k: int, l: int, rng, *, prime: int = DEFAULT_PRIME) -> CommutatorElement:
-    """Generic point of the (k, l) locus.
+    """Generic point of the (k, l) locus: the one-row case of `_plan_rows`.
 
     Zeroes the linear coordinates, draws a_k nonzero and everything else
     uniformly, then solves each bilinear equation for the next b
     coordinate (each is linear in it with coefficient a_k).
     """
-    return _sample_plan(_solve_plan(u, r, ((k, l),)), rng, prime)
+    row = _plan_rows(_solve_plan(u, r, ((k, l),)), rng, prime, 1)[0]
+    return CommutatorElement((u, u - r), row.tolist(), prime)
 
 
 def _type_counts(counter: Counter) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -346,7 +322,7 @@ def verify_cell(
         raise ValueError("need at least one sample")
     eqs = equations(u, r, k, l)
     expected = table((u, u - r))[k - 1][l - 1]
-    rng = np.random.default_rng([abs(seed), u, r, k, l])
+    rng = np.random.default_rng([seed, u, r, k, l])
     plan = _solve_plan(u, r, ((k, l),))
     counts: Counter = Counter()
     jac_hits = converse_hits = 0
@@ -358,11 +334,11 @@ def verify_cell(
             _plan_rows(plan, rng, prime, on), _draw_free((u, u - r), rng, prime, hi - lo - on)])
         types = _two_part_types(_assemble_flat((u, u - r), rows), u, r, prime)
         counts.update(types[:on])
-        jac_hits += sum(eqs._jacobian_rank(c, prime) == eqs.codim for c in rows[:on].tolist())
+        jac_hits += sum(eqs._jacobian_rank(c, prime) == eqs.codim for c in rows[:on])
         for c, t in zip(rows[on:].tolist(), types[on:]):
             if t == expected:
                 converse_hits += 1
-                converse_ok = converse_ok and not any(eqs._values(c, prime))
+                converse_ok = converse_ok and eqs._holds(c, prime)
     return CellReport(
         q=Partition((u, u - r)),
         cell=(k, l),
@@ -425,10 +401,10 @@ def closure_contains(
     check_cell(u, r, k2, l2)
     predicate = (k == k2 and l <= l2) or (k <= k2 and l <= l2 and k2 + l <= r)
     eqs = equations(u, r, k, l)
-    rng = np.random.default_rng([abs(seed), u, r, k, l, k2, l2])
+    rng = np.random.default_rng([seed, u, r, k, l, k2, l2])
     plan = _solve_plan(u, r, ((k2, l2),))
     chunks = (_plan_rows(plan, rng, prime, min(_CHUNK, samples - lo)) for lo in range(0, samples, _CHUNK))
-    montecarlo = all(not any(eqs._values(c, prime)) for rows in chunks for c in rows.tolist())
+    montecarlo = all(eqs._holds(c, prime) for rows in chunks for c in rows.tolist())
     return ContainmentReport(
         q=Partition((u, u - r)),
         outer=(k, l),
@@ -499,7 +475,7 @@ def intersect_experiment(
     branch_defs = [("g0=0", 0), ("h0=0", 1)] if plan.split else [("", None)]
     branches = []
     for bidx, (label, zero_gh) in enumerate(branch_defs):
-        rng = np.random.default_rng([abs(seed), u, r, bidx] + [x for c in cells for x in c])
+        rng = np.random.default_rng([seed, u, r, bidx] + [x for c in cells for x in c])
         counts: Counter = Counter()
         for lo in range(0, samples, _CHUNK):
             rows = _plan_rows(plan, rng, prime, min(_CHUNK, samples - lo), zero_gh)
@@ -536,7 +512,7 @@ def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> Sur
         raise ValueError("need at least one sample")
     q = Partition(q)
     box_vals = set(box_partitions(q).values())
-    rng = np.random.default_rng([abs(seed)] + list(q))
+    rng = np.random.default_rng([seed] + list(q))
     counts: Counter = Counter()
     for lo in range(0, samples, _CHUNK):
         rows = _draw_free(q, rng, prime, min(_CHUNK, samples - lo))

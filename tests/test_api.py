@@ -4,6 +4,7 @@ the tests, as a reference, not in `src/`."""
 
 import ast
 import types
+from functools import cached_property
 from pathlib import Path
 
 import nilcommute
@@ -65,3 +66,18 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
     used = set().union(*map(_used_names, _callers()))
     names = [n for n in nilcommute.__all__ if not isinstance(getattr(nilcommute, n), types.ModuleType)]
     assert sorted(n for n in names if n not in used) == []
+
+
+def _public_members(cls) -> list[str]:
+    """The methods and properties that a class and its package bases define,
+    other than private names and dunders."""
+    kinds = (types.FunctionType, property, cached_property, classmethod, staticmethod)
+    return [name for klass in cls.__mro__ if klass.__module__.startswith("nilcommute.")
+            for name, value in vars(klass).items() if not name.startswith("_") and isinstance(value, kinds)]
+
+
+def test_every_public_member_has_a_caller_outside_the_unit_tests():
+    used = set().union(*map(_used_names, _callers()))
+    classes = [v for v in map(nilcommute.__dict__.get, nilcommute.__all__) if isinstance(v, type)]
+    members = {f"{cls.__name__}.{name}" for cls in classes for name in _public_members(cls) if name not in used}
+    assert sorted(members) == []

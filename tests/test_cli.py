@@ -150,6 +150,18 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err.strip().splitlines() == [f"error: {name}='{value}' is not an integer"]
 
+    def test_negative_seed_flag_exits_2(self, capsys):
+        # -3 and 3 would name one generator state under two seeds
+        code, out, err = run(capsys, "--seed", "-3", "survey", "--q", "8,5,2")
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == ["error: --seed -3 is negative: seeds must be at least 0"]
+
+    def test_negative_seed_variable_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("NILCOMMUTE_SEED", "-3")
+        code, out, err = run(capsys, "survey", "--q", "8,5,2")
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == ["error: NILCOMMUTE_SEED=-3 is negative: seeds must be at least 0"]
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -17,7 +17,6 @@ from nilcommute.commutator import (
     dmap_oracle,
     jordan_type_of_matrix,
     jordan_types,
-    sample_commutant_matrix,
     sample_commutator,
 )
 from nilcommute.burge import dmap
@@ -60,6 +59,11 @@ def two_part_matrix(u, r, a, b, g, h, p=P):
 def two_part(u, r, a, b, g, h, p=P):
     """The element with named coordinates a, b, g, h, laid out a | t^r g | h | b."""
     return CommutatorElement((u, u - r), a.coeffs + (0,) * r + g.coeffs + h.coeffs + b.coeffs, p)
+
+
+def commutant_matrix(parts, rng, p=P):
+    """An assembled uniform draw from the nilpotent commutant slice of any shape."""
+    return _assemble_flat(tuple(parts), _draw_free(tuple(parts), rng, p))
 
 
 def coords(e):
@@ -304,7 +308,7 @@ class TestJordanType:
         for n in range(1, 11):
             for parts in partitions_of(n):
                 for _ in range(2):
-                    m = sample_commutant_matrix(parts, rng, p=p)
+                    m = commutant_matrix(parts, rng, p)
                     assert jordan_type_of_matrix(m, p) == reference_jordan_type(m, p)
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -526,13 +530,13 @@ class TestCommutantMatrix:
             for parts in partitions_of(n):
                 jm = jordan_matrix(parts)
                 for _ in range(3):
-                    m = sample_commutant_matrix(parts, rng)
+                    m = commutant_matrix(parts, rng)
                     assert np.array_equal(matmul(m, jm), matmul(jm, m))
                     assert jordan_type_of_matrix(m).size == n
 
     @pytest.mark.parametrize("q", [(1,), (5, 2), (8, 5, 2), (10, 7, 4, 1)])
     def test_equals_assembled_element_on_stable_shapes(self, q):
-        m = sample_commutant_matrix(q, np.random.default_rng(20))
+        m = commutant_matrix(q, np.random.default_rng(20))
         e = sample_commutator(q, np.random.default_rng(20))
         assert np.array_equal(m, e.assemble())
 

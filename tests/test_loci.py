@@ -5,24 +5,22 @@ import numpy as np
 import pytest
 
 from nilcommute import loci
-from nilcommute.burge import table
+from nilcommute.burge import check_cell, table
 from nilcommute.commutator import (
     CommutatorElement,
     _draw_free,
     _layout,
     _two_part_offsets,
     _two_part_types,
-    jordan_type_of_matrix,
-    sample_commutant_matrix,
     sample_commutator,
 )
 from nilcommute.loci import (
     BranchReport,
     CellReport,
     IntersectReport,
+    Quadric,
     _generic_type,
     _plan_rows,
-    _sample_plan,
     _solve_plan,
     _type_counts,
     closure_contains,
@@ -39,6 +37,38 @@ from test_commutator import coords, det2, order, two_part
 from test_modpoly import reference_rank
 
 P = DEFAULT_PRIME
+
+
+def reference_equations(u, r, k, l):
+    """The (k, l) locus equations by the paper's formula, in a, b, g, h
+    indices: a_1..a_{k-1} and b_1..b_{l-1} when k + l <= r, otherwise
+    a_1..a_{k-1}, b_1..b_{r-k-1} and, for d = 0..k+l-r-1, the coefficient of
+    t^{r+d} in ab - g h t^r."""
+    check_cell(u, r, k, l)
+    if k + l <= r:
+        lin_b = tuple(range(1, l))
+        quads = ()
+    else:
+        lin_b = tuple(range(1, r - k))
+        quads = tuple(
+            Quadric(
+                ab_terms=tuple((k + j, r - k + d - j) for j in range(d + 1)),
+                gh_terms=tuple((j, d - j) for j in range(d + 1)),
+            )
+            for d in range(k + l - r)
+        )
+    return loci.EquationSet(u, r, k, l, tuple(range(1, k)), lin_b, quads)
+
+
+def reference_values(eqs, e):
+    """Values of the equations at e, read off its named coordinates: the
+    linear coordinates, then each quadric sum a_i b_j - sum g_i h_j mod p;
+    all zero iff e lies on the locus."""
+    assert e.q == (eqs.u, eqs.u - eqs.r)
+    a, b, g, h = coords(e)
+    return (*(a[i] for i in eqs.linear_a), *(b[i] for i in eqs.linear_b), *(
+        (sum(a[i] * b[j] for i, j in qd.ab_terms) - sum(g[i] * h[j] for i, j in qd.gh_terms)) % e.p
+        for qd in eqs.quadrics))
 
 
 def reference_jacobian(eqs, e):
@@ -90,9 +120,9 @@ def reference_closure_failure(u, r, outer, inner, samples, *, seed=0, prime=P):
     """The first inner sample, drawn one at a time, that misses the outer
     equations, or None; `closure_contains`' montecarlo is `is None`."""
     eqs = equations(u, r, *outer)
-    rng = np.random.default_rng([abs(seed), u, r, *outer, *inner])
+    rng = np.random.default_rng([seed, u, r, *outer, *inner])
     for i in range(samples):
-        if not eqs.satisfied_by(sample_on_locus(u, r, *inner, rng, prime=prime)):
+        if any(reference_values(eqs, sample_on_locus(u, r, *inner, rng, prime=prime))):
             return i
     return None
 
@@ -101,7 +131,7 @@ def reference_verify_cell(u, r, k, l, samples, *, seed=0, prime=P):
     """`verify_cell` reading one sample at a time, in draw order."""
     eqs = equations(u, r, k, l)
     expected = table((u, u - r))[k - 1][l - 1]
-    rng = np.random.default_rng([abs(seed), u, r, k, l])
+    rng = np.random.default_rng([seed, u, r, k, l])
     types = []
     jac_hits = 0
     for _ in range(samples):
@@ -114,7 +144,7 @@ def reference_verify_cell(u, r, k, l, samples, *, seed=0, prime=P):
         amb = sample_commutator((u, u - r), rng, p=prime)
         if amb.jordan_type() == expected:
             converse_hits += 1
-            converse_ok = converse_ok and eqs.satisfied_by(amb)
+            converse_ok = converse_ok and not any(reference_values(eqs, amb))
     return CellReport(
         q=Partition((u, u - r)), cell=(k, l), prime=prime, seed=seed, samples=samples,
         max_type=_generic_type(types), expected=expected,
@@ -135,10 +165,11 @@ def reference_intersect(u, r, cells, samples, *, seed=0, prime=P):
     branches = []
     branch_defs = [("g0=0", 0), ("h0=0", 1)] if plan.split else [("", None)]
     for bidx, (label, zero_gh) in enumerate(branch_defs):
-        rng = np.random.default_rng([abs(seed), u, r, bidx] + [x for c in cells for x in c])
+        rng = np.random.default_rng([seed, u, r, bidx] + [x for c in cells for x in c])
         counts = Counter()
         for _ in range(samples):
-            counts[_sample_plan(plan, rng, prime, zero_gh).jordan_type()] += 1
+            e = CommutatorElement((u, u - r), reference_plan_point(plan, rng, prime, zero_gh), prime)
+            counts[e.jordan_type()] += 1
         branches.append(BranchReport(label, _generic_type(counts), _type_counts(counts)))
     return IntersectReport(**base, sampled=True, reason="", branches=tuple(branches))
 
@@ -159,6 +190,18 @@ class TestEquations:
             for k in range(1, r):
                 for l in range(1, u - r + 1):
                     assert equations(u, r, k, l).codim == k + l - 2
+
+    def test_matches_reference_formula(self):
+        # the one-cell plan read in a, b, g, h indices is the paper's staircase
+        cells = 0
+        for u in range(3, 17):
+            for r in range(2, u):
+                for k in range(1, r):
+                    for l in range(1, u - r + 1):
+                        eqs, ref = equations(u, r, k, l), reference_equations(u, r, k, l)
+                        assert eqs == ref and eqs.labels() == ref.labels(), (u, r, k, l)
+                        cells += 1
+        assert cells == 2_380
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -185,15 +228,17 @@ class TestEvaluate:
             5, 3, TruncPoly.t_power(1, 5), TruncPoly.t_power(1, 2),
             TruncPoly.zero(2), TruncPoly.zero(2),
         )
-        vals = equations(5, 3, 2, 2).evaluate(e)
-        assert vals[0] == 1  # a_1 = 1
+        eqs = equations(5, 3, 2, 2)
+        assert reference_values(eqs, e)[0] == 1  # a_1 = 1
+        assert not eqs._holds(e.coeffs, e.p)
 
     def test_special_point_on_locus(self):
         e = two_part(
             5, 3, TruncPoly.t_power(2, 5), TruncPoly.t_power(1, 2),
             TruncPoly.t_power(0, 2), TruncPoly.t_power(0, 2),
         )
-        assert equations(5, 3, 2, 2).evaluate(e) == (0, 0)
+        eqs = equations(5, 3, 2, 2)
+        assert reference_values(eqs, e) == (0, 0) and eqs._holds(e.coeffs, e.p)
 
     def test_order_form_equivalence_random(self):
         # the valuation reading of the equations: ord(a) >= k and
@@ -205,14 +250,34 @@ class TestEvaluate:
         eqs = equations(7, 4, 2, 3)
         for _ in range(50):
             on = sample_on_locus(7, 4, 2, 3, rng)
-            assert eqs.satisfied_by(on) and order_form_holds(eqs, on)
+            assert eqs._holds(on.coeffs, on.p) and order_form_holds(eqs, on)
             off = sample_commutator((7, 3), rng)
-            assert eqs.satisfied_by(off) == order_form_holds(eqs, off)
+            assert eqs._holds(off.coeffs, off.p) == order_form_holds(eqs, off)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(31)
         with pytest.raises(ValueError):
-            equations(5, 3, 2, 2).evaluate(sample_commutator((7, 3), rng))
+            equations(5, 3, 2, 2).jacobian_rank_at(sample_commutator((7, 3), rng))
+
+    @pytest.mark.parametrize("p", [2, 3, P, 2**63 - 25])
+    def test_holds_matches_reference_values(self, p):
+        # on-locus and commutant points of every cell with u <= 9, and both
+        # with about 60% of their coordinates zeroed
+        rng = np.random.default_rng(p % 1000)
+        outcomes = Counter()
+        for u in range(3, 10):
+            for r in range(2, u):
+                for k in range(1, r):
+                    for l in range(1, u - r + 1):
+                        eqs = equations(u, r, k, l)
+                        for e in (sample_on_locus(u, r, k, l, rng, prime=p), sample_commutator((u, u - r), rng, p=p)):
+                            sparse = np.where(rng.random(len(e.coeffs)) < 0.6, 0, e.coeffs)
+                            for c in (list(e.coeffs), sparse.tolist()):
+                                point = CommutatorElement((u, u - r), c, p)
+                                holds = eqs._holds(c, p)
+                                assert holds == (not any(reference_values(eqs, point))), (u, r, k, l, c)
+                                outcomes[holds] += 1
+        assert outcomes[True] and outcomes[False]
 
 
 class TestSampleOnLocus:
@@ -221,18 +286,18 @@ class TestSampleOnLocus:
         rng = np.random.default_rng(32)
         eqs = equations(5, 3, *cell)
         for _ in range(20):
-            assert eqs.satisfied_by(sample_on_locus(5, 3, *cell, rng))
+            assert not any(reference_values(eqs, sample_on_locus(5, 3, *cell, rng)))
 
     def test_every_cell_up_to_u10(self):
-        # the sampler solves its own plan; the equations are an independent check
+        # the sampler solves its own plan; the paper's formula is an independent check
         rng = np.random.default_rng(34)
         for u in range(3, 11):
             for r in range(2, u):
                 for k in range(1, r):
                     for l in range(1, u - r + 1):
-                        eqs = equations(u, r, k, l)
+                        eqs = reference_equations(u, r, k, l)
                         for _ in range(3):
-                            assert eqs.satisfied_by(sample_on_locus(u, r, k, l, rng))
+                            assert not any(reference_values(eqs, sample_on_locus(u, r, k, l, rng)))
 
     def test_orders(self):
         rng = np.random.default_rng(33)
@@ -323,10 +388,7 @@ class TestJacobian:
                             if i == 2:
                                 keep = rng.random(4 * u - 2 * r) < 0.5
                                 e = CommutatorElement((u, u - r), np.where(keep, e.coeffs, 0), p)
-                            jac, ref = eqs.jacobian_at(e), reference_jacobian(eqs, e)
-                            assert jac.shape == ref.shape
-                            assert sorted(map(tuple, jac.T.tolist())) == sorted(map(tuple, ref.T.tolist()))
-                            assert rank(jac, p) == reference_rank(ref, p)
+                            assert eqs.jacobian_rank_at(e) == reference_rank(reference_jacobian(eqs, e), p)
 
     @pytest.mark.parametrize("p", [2, 3, P, 2_147_483_659])
     def test_quadric_block_reduction(self, p):
@@ -351,7 +413,6 @@ class TestJacobian:
                     for c in points:
                         e = CommutatorElement((u, u - r), c, p)
                         want = reference_rank(reference_jacobian(eqs, e), p)
-                        assert reference_rank(eqs.jacobian_at(e), p) == want
                         assert eqs._jacobian_rank(c, p) == eqs.jacobian_rank_at(e) == want, (u, r, k, l, c)
                         deficient += want < eqs.codim
         assert deficient > 0
@@ -512,7 +573,7 @@ class TestIntersect:
                 TruncPoly.from_coeffs([0, int(rng.integers(P))], 2),
                 TruncPoly.from_coeffs([int(x) for x in rng.integers(P, size=2)], 2),
             )
-            assert all(eqs.satisfied_by(e) for eqs in eq_sets)
+            assert not any(v for eqs in eq_sets for v in reference_values(eqs, e))
 
     def test_plan_samples_lie_on_every_cell(self):
         rng = np.random.default_rng(11)
@@ -525,8 +586,8 @@ class TestIntersect:
                         continue
                     eq_sets = [equations(u, r, *c) for c in (c1, c2)]
                     for zero_gh in (0, 1) if plan.split else (None,):
-                        e = _sample_plan(plan, rng, P, zero_gh)
-                        assert all(eqs.satisfied_by(e) for eqs in eq_sets)
+                        e = CommutatorElement((u, u - r), _plan_rows(plan, rng, P, 1, zero_gh)[0], P)
+                        assert not any(v for eqs in eq_sets for v in reference_values(eqs, e))
                         if zero_gh is not None:
                             assert coords(e)[2 + zero_gh][0] == 0
 
@@ -588,9 +649,21 @@ class TestSurvey:
         # one draw per chunk continues the generator exactly as one per sample
         for q in [(5, 2), (8, 5, 2)]:
             rng = np.random.default_rng([3, *q])
-            types = Counter(jordan_type_of_matrix(sample_commutant_matrix(q, rng, p=p), p)
-                            for _ in range(samples))
+            types = Counter(sample_commutator(q, rng, p=p).jordan_type() for _ in range(samples))
             assert survey(q, samples, seed=3, prime=p).type_counts == _type_counts(types)
+
+
+@pytest.mark.parametrize("run", [
+    lambda seed: verify_cell(5, 3, 2, 2, 1, seed=seed),
+    lambda seed: closure_contains(5, 3, (2, 1), (2, 2), 1, seed=seed),
+    lambda seed: intersect_experiment(5, 3, [(2, 2)], 1, seed=seed),
+    lambda seed: survey((5, 2), 1, seed=seed),
+])
+def test_negative_seed_is_refused(run):
+    # -3 and 3 would otherwise name one generator state under two seeds
+    run(3)
+    with pytest.raises(ValueError):
+        run(-3)
 
 
 def test_generic_type():
