@@ -8,14 +8,12 @@ min-plus corank prediction.
 
 from .partitions import (
     EMPTY,
-    Dominance,
     Partition,
     almost_rectangular,
     ar_blocks,
     ar_notation,
     classify,
     delta,
-    dominance_compare,
     dominance_max,
     dominates,
     frequency,

@@ -5,9 +5,10 @@ multiplication by a truncated polynomial followed by the natural
 projection, well defined exactly when its order is at least q_i - q_j.
 For a stable shape the nilpotent commutant is the linear slice where every
 diagonal entry has positive order.  An element is stored as its block
-coefficients, numbered by `_layout`, and its grid of entries is a view of
-that vector; for a two-part shape (u, u-r) the coordinates a, g, h, b of
-the locus equations are slices of it (`_two_part_offsets`).
+coefficients, numbered by `_layout`, and products compose blocks on them
+(`_blocks`); a grid of `TruncPoly` entries is only an input format.  For a
+two-part shape (u, u-r) the coordinates a, g, h, b of the locus equations
+are slices of them (`_two_part_offsets`).
 Assembling the blocks in bases ordered by decreasing t-power reproduces
 the familiar banded matrices, and ranks of powers of the assembled matrix
 recover the Jordan type.  A chunk of samples is drawn as coefficient rows
@@ -100,10 +101,11 @@ def _flatten(entries) -> list[int]:
     return [c for row in entries for f in row for c in f.coeffs]
 
 
-def _grid(parts, coeffs, p: int) -> tuple[tuple[TruncPoly, ...], ...]:
-    """The grid of entries whose block coefficients are `coeffs` (inverse of `_flatten`)."""
+def _blocks(parts, coeffs) -> list[list[tuple[int, ...]]]:
+    """The l x l grid of block coefficient lists of `coeffs`, numbered as in
+    `_layout`: row i holds q_i coefficients per block (inverse of `_flatten`)."""
     it = iter(coeffs)
-    return tuple(tuple(TruncPoly(tuple(islice(it, qi)), p) for _ in parts) for qi in parts)
+    return [[tuple(islice(it, qi)) for _ in parts] for qi in parts]
 
 
 def _check_grid(parts, entries, p: int) -> None:
@@ -238,7 +240,8 @@ def jordan_type_of_matrix(mat, p: int = DEFAULT_PRIME) -> Partition:
 @dataclass(frozen=True)
 class CommutatorElement:
     """Nilpotent commutant element of the Jordan matrix of a stable shape q,
-    stored as its block coefficients in the `_layout` numbering."""
+    stored as its block coefficients in the `_layout` numbering, its one
+    representation; `from_entries` and `jordan` flatten a grid of entries."""
 
     q: Partition
     coeffs: tuple[int, ...]
@@ -257,10 +260,6 @@ class CommutatorElement:
         fixed = {i for i, x in enumerate(c) if x}.difference(free)
         if fixed:
             raise ValueError(_order_error(q, min(fixed), free))
-
-    @property
-    def entries(self) -> tuple[tuple[TruncPoly, ...], ...]:
-        return _grid(self.q, self.coeffs, self.p)
 
     @classmethod
     def from_entries(cls, q, entries, p: int = DEFAULT_PRIME) -> "CommutatorElement":
@@ -293,22 +292,25 @@ class CommutatorElement:
         return jordan_type_of_matrix(self.assemble(), self.p)
 
     def multiply(self, other: "CommutatorElement") -> "CommutatorElement":
-        """Composition of block maps; assembles to the matrix product."""
+        """Composition of block maps; assembles to the matrix product.
+
+        Block (i, j) is the sum over m of f_im f_mj truncated at t^{q_i}, in
+        Python integers; any lift of f_mj serves, as ord f_im >= q_i - q_m."""
         if self.q != other.q or self.p != other.p:
             raise ValueError("elements live on different shapes")
-        q, p = self.q, self.p
-        ell = len(q)
-        left, right = self.entries, other.entries
-        rows = []
-        for i in range(ell):
-            row = []
-            for j in range(ell):
-                acc = TruncPoly.zero(q[i], p)
-                for m in range(ell):
-                    acc = acc + left[i][m].mul_trunc(right[m][j].lift(q[i]), q[i])
-                row.append(acc)
-            rows.append(tuple(row))
-        return CommutatorElement.from_entries(q, rows, p)
+        q = self.q
+        left, right = _blocks(q, self.coeffs), _blocks(q, other.coeffs)
+        out = []
+        for i, qi in enumerate(q):
+            for j in range(len(q)):
+                acc = [0] * qi
+                for f, g in zip(left[i], (row[j] for row in right)):
+                    for d, x in enumerate(f):
+                        if x:
+                            for e, y in enumerate(g[: qi - d]):
+                                acc[d + e] += x * y
+                out.extend(acc)
+        return CommutatorElement(q, out, self.p)
 
     def __matmul__(self, other: "CommutatorElement") -> "CommutatorElement":
         return self.multiply(other)

@@ -9,8 +9,9 @@ bilinear forms sum_j a_{k+j} b_{r-k+d-j} - sum_j g_j h_{d-j} for
 d = 0..k+l-r-1, which are the coefficients of t^{r+d} in ab - g h t^r.
 
 `_solve_plan` alone builds that staircase, in block coefficient numbers:
-`equations` is the one-cell plan read in a, b, g, h indices, `EquationSet`
-checks rows against the plan's terms and the samplers solve its steps.
+`EquationSet` reads the one-cell plan in a, b, g, h indices from the cell
+alone and checks rows against the plan's terms, `equations` caches one set
+per cell, and the samplers solve the plan's steps.
 
 Every harness draws `_CHUNK` samples at a time as coefficient rows
 (`_plan_rows` on a locus, `commutator._draw_free` on the commutant), the
@@ -21,7 +22,7 @@ same draws in the same order as one at a time, reads each chunk as one stack
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import ClassVar
 
@@ -57,15 +58,33 @@ class Quadric:
 
 @dataclass(frozen=True)
 class EquationSet:
-    """Defining equations of one table locus, in a, b, g, h indices."""
+    """The k + l - 2 defining equations of the (k, l) table locus of the
+    shape (u, u-r), in a, b, g, h indices, built from the cell alone: the
+    one-cell plan's zero coordinates are the linear equations and its step
+    d, a_k b_solved + ab - gh, is quadric d."""
 
     u: int
     r: int
     k: int
     l: int
-    linear_a: tuple[int, ...]
-    linear_b: tuple[int, ...]
-    quadrics: tuple[Quadric, ...]
+    linear_a: tuple[int, ...] = field(init=False)
+    linear_b: tuple[int, ...] = field(init=False)
+    quadrics: tuple[Quadric, ...] = field(init=False)
+
+    def __post_init__(self):
+        plan = _solve_plan(self.u, self.r, ((self.k, self.l),))
+        g0, h0, b0 = _two_part_offsets(self.u, self.r)
+        quads = tuple(
+            Quadric(
+                ab_terms=tuple((i, j - b0) for i, j in ((plan.pivot, solved), *ab)),
+                gh_terms=tuple((i - g0, j - h0) for i, j in gh),
+            )
+            for solved, ab, gh in plan.steps
+        )
+        lin_a = tuple(i for i in plan.zero if i < b0)
+        object.__setattr__(self, "linear_a", lin_a)
+        object.__setattr__(self, "linear_b", tuple(i - b0 for i in plan.zero[len(lin_a) :]))
+        object.__setattr__(self, "quadrics", quads)
 
     @property
     def codim(self) -> int:
@@ -123,27 +142,14 @@ class EquationSet:
 
 @lru_cache(maxsize=1024)
 def equations(u: int, r: int, k: int, l: int) -> EquationSet:
-    """The k + l - 2 defining equations of the (k, l) table locus: the
-    one-cell plan in a, b, g, h indices, its zero coordinates as the linear
-    equations and step d, a_k b_solved + ab - gh, as quadric d."""
-    plan = _solve_plan(u, r, ((k, l),))
-    g0, h0, b0 = _two_part_offsets(u, r)
-    quads = tuple(
-        Quadric(
-            ab_terms=tuple((i, j - b0) for i, j in ((plan.pivot, solved), *ab)),
-            gh_terms=tuple((i - g0, j - h0) for i, j in gh),
-        )
-        for solved, ab, gh in plan.steps
-    )
-    lin_a = tuple(i for i in plan.zero if i < b0)
-    return EquationSet(u, r, k, l, lin_a, tuple(i - b0 for i in plan.zero[len(lin_a) :]), quads)
+    """The equation set of the (k, l) table locus, built once per cell."""
+    return EquationSet(u, r, k, l)
 
 
 @dataclass(frozen=True)
 class _SolvePlan:
     """The staircase of a set of cells in block coefficient numbers
-    (`CommutatorElement.coeffs`), which `equations`, `EquationSet` and the
-    samplers all read.
+    (`CommutatorElement.coeffs`), which `EquationSet` and the samplers read.
 
     The linear equations clear `zero`.  Step (solved, ab, gh) is one
     degree's coefficient of ab - g h t^r: the `pivot` a_k times the solved
@@ -461,6 +467,8 @@ def intersect_experiment(
         raise ValueError("need at least one cell")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     plan = _solve_plan(u, r, tuple(cells))
     base = dict(
         q=Partition((u, u - r)),

@@ -1,7 +1,7 @@
 """Exact arithmetic over a large prime field.
 
-Scalars live in GF(p); truncated polynomials represent elements of
-k[t]/(t^N) as dense coefficient tuples; matrices are numpy int64 arrays
+Scalars live in GF(p); `TruncPoly` is the validated entry of a block grid,
+an element of k[t]/(t^N) with no arithmetic; matrices are numpy int64 arrays
 reduced mod p (object arrays of Python integers for p >= 2^31).  Exact
 ranks come from one kernel, `_eliminate`, an inverse-free elimination
 over a whole (S, rows, cols) stack.  It serves the Jordan-type readout,
@@ -70,7 +70,9 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class TruncPoly:
-    """Element of k[t]/(t^N): coeffs[j] is the coefficient of t^j for j < N."""
+    """Element of k[t]/(t^N): coeffs[j] is the coefficient of t^j for j < N.
+
+    The validated entry of a block grid, with no arithmetic of its own."""
 
     coeffs: tuple[int, ...]
     p: int = DEFAULT_PRIME
@@ -79,12 +81,6 @@ class TruncPoly:
         if not self.coeffs:
             raise ValueError("the modulus exponent must be at least 1")
         object.__setattr__(self, "coeffs", tuple(int(c) % self.p for c in self.coeffs))
-
-    @classmethod
-    def from_coeffs(cls, coeffs, n: int, p: int = DEFAULT_PRIME) -> "TruncPoly":
-        """Build from an arbitrary coefficient sequence, padded or cut to length n."""
-        c = [int(x) % p for x in list(coeffs)[:n]]
-        return cls(tuple(c) + (0,) * (n - len(c)), p)
 
     @classmethod
     def zero(cls, n: int, p: int = DEFAULT_PRIME) -> "TruncPoly":
@@ -100,35 +96,6 @@ class TruncPoly:
     def n(self) -> int:
         """Modulus exponent N."""
         return len(self.coeffs)
-
-    def _check(self, other: "TruncPoly") -> None:
-        if self.p != other.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
-        if self.n != other.n:
-            raise ValueError(
-                f"mixed moduli t^{self.n} and t^{other.n}; retarget with mul_trunc or lift"
-            )
-
-    def __add__(self, other: "TruncPoly") -> "TruncPoly":
-        self._check(other)
-        return TruncPoly(tuple((a + b) % self.p for a, b in zip(self.coeffs, other.coeffs)), self.p)
-
-    def mul_trunc(self, other: "TruncPoly", n: int) -> "TruncPoly":
-        """Product truncated at t^n; the one place mixed moduli are allowed."""
-        if self.p != other.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
-        out = [0] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: n - i]):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % self.p
-        return TruncPoly(tuple(out), self.p)
-
-    def lift(self, n: int) -> "TruncPoly":
-        """Canonical representative in k[t]/(t^n), zero-padded or truncated."""
-        return TruncPoly.from_coeffs(self.coeffs, n, self.p)
 
 
 def _reduce(a: np.ndarray, p: int) -> np.ndarray:

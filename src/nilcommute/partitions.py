@@ -10,8 +10,8 @@ tens of thousands of times.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import lru_cache
+from itertools import accumulate, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 
@@ -137,38 +137,12 @@ def key(q: Sequence[int]) -> tuple[int, ...]:
     return tuple(q[i] - q[i + 1] - 1 for i in range(len(q) - 1)) + (q[-1],)
 
 
-class Dominance(Enum):
-    GE = "greater-or-equal"
-    LE = "less-or-equal"
-    EQ = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-def dominance_compare(p: Sequence[int], p2: Sequence[int]) -> Dominance:
-    """Compare prefix sums of two partitions of equal size."""
+def dominates(p: Sequence[int], p2: Sequence[int]) -> bool:
+    """True iff p >= p2 in dominance order (equality allowed): no prefix sum
+    of p falls below that of p2.  The sizes must be equal."""
     if sum(p) != sum(p2):
         raise ValueError(f"dominance compares equal sizes, got {sum(p)} and {sum(p2)}")
-    ge = le = True
-    s = s2 = 0
-    for i in range(max(len(p), len(p2))):
-        s += p[i] if i < len(p) else 0
-        s2 += p2[i] if i < len(p2) else 0
-        if s < s2:
-            ge = False
-        elif s > s2:
-            le = False
-    if ge and le:
-        return Dominance.EQ
-    if ge:
-        return Dominance.GE
-    if le:
-        return Dominance.LE
-    return Dominance.INCOMPARABLE
-
-
-def dominates(p: Sequence[int], p2: Sequence[int]) -> bool:
-    """True iff p >= p2 in dominance order (equality allowed)."""
-    return dominance_compare(p, p2) in (Dominance.GE, Dominance.EQ)
+    return all(s >= 0 for s in accumulate(a - b for a, b in zip_longest(p, p2, fillvalue=0)))
 
 
 def dominance_max(types: Iterable[Sequence[int]]) -> Partition:

@@ -13,11 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
     "BranchReport", "BurgeDecodeError", "BurgeWord", "CellReport", "CommutatorElement",
-    "ContainmentReport", "DEFAULT_PRIME", "Dominance", "EMPTY", "EquationSet",
+    "ContainmentReport", "DEFAULT_PRIME", "EMPTY", "EquationSet",
     "IntersectReport", "Partition", "Quadric", "SurveyReport", "TruncPoly",
     "almost_rectangular", "ar_blocks", "ar_notation", "assemble_blocks", "box_codes",
     "box_partitions", "burge", "classify", "closed_form_power", "closure_contains",
-    "commutator", "decode", "delta", "dmap", "dmap_oracle", "dominance_compare",
+    "commutator", "decode", "delta", "dmap", "dmap_oracle",
     "dominance_max", "dominates", "encode", "equations", "frequency", "intersect_experiment",
     "is_prime", "is_stable", "jordan_from_coranks", "jordan_type_of_matrix", "jordan_types",
     "key", "loci", "matmul", "min_ar_cover", "minplus_mul", "minplus_power", "modpoly",
@@ -27,11 +27,15 @@ PUBLIC = [
 ]
 
 
+def _src() -> list[Path]:
+    """The package modules other than `__init__.py`."""
+    return [f for f in sorted((ROOT / "src" / "nilcommute").glob("*.py")) if f.name != "__init__.py"]
+
+
 def _callers() -> list[Path]:
     """The files whose use makes a name public: package modules other than
     `__init__.py`, the acceptance suite, the demos and the benchmark."""
-    src = [f for f in sorted((ROOT / "src" / "nilcommute").glob("*.py")) if f.name != "__init__.py"]
-    return [*src, ROOT / "tests" / "test_acceptance.py",
+    return [*_src(), ROOT / "tests" / "test_acceptance.py",
             *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py"))]
 
 
@@ -81,3 +85,24 @@ def test_every_public_member_has_a_caller_outside_the_unit_tests():
     classes = [v for v in map(nilcommute.__dict__.get, nilcommute.__all__) if isinstance(v, type)]
     members = {f"{cls.__name__}.{name}" for cls in classes for name in _public_members(cls) if name not in used}
     assert sorted(members) == []
+
+
+def _private_definitions(path: Path) -> list[str]:
+    """The private module-level functions and classes of a module and the
+    private methods of its classes, as "module.name"; dunders are not private."""
+    tree = ast.parse(path.read_text(), str(path))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in tree.body:
+        if isinstance(node, defs):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.extend(f.name for f in node.body if isinstance(f, defs))
+    return [f"{path.stem}.{n}" for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    # a helper kept only for the tests belongs in the tests
+    used = set().union(*map(_used_names, _src()))
+    private = [name for path in _src() for name in _private_definitions(path)]
+    assert sorted(n for n in private if n.split(".")[1] not in used) == []

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from nilcommute.commutator import (
     CommutatorElement,
     _assemble_flat,
     _draw_free,
-    _grid,
     _layout,
     _two_part_indices,
     _two_part_offsets,
@@ -80,6 +80,17 @@ def order(coeffs):
     return next((j for j, c in enumerate(coeffs) if c), math.inf)
 
 
+def mul_trunc(f, g, n, p=P):
+    """f g truncated at t^n, on coefficient tuples; a factor shorter than n
+    is lifted by zero padding.  The reference product of the valuation
+    claims."""
+    out = [0] * n
+    for i, x in enumerate(f[:n]):
+        for j, y in enumerate(g[: n - i]):
+            out[i + j] += x * y
+    return tuple(c % p for c in out)
+
+
 def det2(e):
     """ab - g h t^r in k[t]/(t^u), on Python integers, for an element of the
     shape (u, u-r).
@@ -102,6 +113,13 @@ def det2(e):
             if r + i + j < u:
                 out[r + i + j] -= x * y
     return tuple(c % e.p for c in out)
+
+
+def grid(parts, coeffs, p=P):
+    """The grid of `TruncPoly` entries whose block coefficients are `coeffs`,
+    numbered as in `_layout`: row i holds q_i coefficients per block."""
+    it = iter(coeffs)
+    return tuple(tuple(TruncPoly(tuple(islice(it, qi)), p) for _ in parts) for qi in parts)
 
 
 def reference_order_violation(q, entries):
@@ -259,7 +277,7 @@ class TestAssemble:
                 for c in range(size):
                     coeffs = [0] * size
                     coeffs[c] = 1
-                    violation = reference_order_violation(q, _grid(q, coeffs, P))
+                    violation = reference_order_violation(q, grid(q, coeffs))
                     if violation is None:
                         assert CommutatorElement(q, coeffs).coeffs == tuple(coeffs)
                         continue
@@ -563,6 +581,15 @@ class TestMultiply:
             e1 = sample_commutator(q, rng)
             e2 = sample_commutator(q, rng)
             assert np.array_equal((e1 @ e2).assemble(), matmul(e1.assemble(), e2.assemble(), P))
+
+    @pytest.mark.parametrize("p", [2, 3, 2_147_483_659, 2**63 - 25])
+    @pytest.mark.parametrize("q", [(5, 2), (8, 5, 2), (10, 7, 4, 1)])
+    def test_assembles_to_matrix_product_at_every_prime(self, q, p):
+        # the block products accumulate in Python integers, past int64 above 2^31
+        rng = np.random.default_rng([p % 1000, *q])
+        for _ in range(10):
+            e1, e2 = sample_commutator(q, rng, p=p), sample_commutator(q, rng, p=p)
+            assert np.array_equal((e1 @ e2).assemble(), matmul(e1.assemble(), e2.assemble(), p))
 
     def test_algebra_laws(self):
         from nilcommute.modpoly import matmul

@@ -41,9 +41,9 @@ P = DEFAULT_PRIME
 
 def reference_equations(u, r, k, l):
     """The (k, l) locus equations by the paper's formula, in a, b, g, h
-    indices: a_1..a_{k-1} and b_1..b_{l-1} when k + l <= r, otherwise
-    a_1..a_{k-1}, b_1..b_{r-k-1} and, for d = 0..k+l-r-1, the coefficient of
-    t^{r+d} in ab - g h t^r."""
+    indices, as the triple (linear_a, linear_b, quadrics): a_1..a_{k-1} and
+    b_1..b_{l-1} when k + l <= r, otherwise a_1..a_{k-1}, b_1..b_{r-k-1}
+    and, for d = 0..k+l-r-1, the coefficient of t^{r+d} in ab - g h t^r."""
     check_cell(u, r, k, l)
     if k + l <= r:
         lin_b = tuple(range(1, l))
@@ -57,18 +57,22 @@ def reference_equations(u, r, k, l):
             )
             for d in range(k + l - r)
         )
-    return loci.EquationSet(u, r, k, l, tuple(range(1, k)), lin_b, quads)
+    return tuple(range(1, k)), lin_b, quads
 
 
 def reference_values(eqs, e):
     """Values of the equations at e, read off its named coordinates: the
     linear coordinates, then each quadric sum a_i b_j - sum g_i h_j mod p;
-    all zero iff e lies on the locus."""
-    assert e.q == (eqs.u, eqs.u - eqs.r)
+    all zero iff e lies on the locus.  `eqs` is an `EquationSet` or the
+    triple of `reference_equations`."""
+    if isinstance(eqs, loci.EquationSet):
+        assert e.q == (eqs.u, eqs.u - eqs.r)
+        eqs = eqs.linear_a, eqs.linear_b, eqs.quadrics
+    linear_a, linear_b, quadrics = eqs
     a, b, g, h = coords(e)
-    return (*(a[i] for i in eqs.linear_a), *(b[i] for i in eqs.linear_b), *(
+    return (*(a[i] for i in linear_a), *(b[i] for i in linear_b), *(
         (sum(a[i] * b[j] for i, j in qd.ab_terms) - sum(g[i] * h[j] for i, j in qd.gh_terms)) % e.p
-        for qd in eqs.quadrics))
+        for qd in quadrics))
 
 
 def reference_jacobian(eqs, e):
@@ -198,10 +202,20 @@ class TestEquations:
             for r in range(2, u):
                 for k in range(1, r):
                     for l in range(1, u - r + 1):
-                        eqs, ref = equations(u, r, k, l), reference_equations(u, r, k, l)
-                        assert eqs == ref and eqs.labels() == ref.labels(), (u, r, k, l)
+                        eqs = equations(u, r, k, l)
+                        fields = (eqs.linear_a, eqs.linear_b, eqs.quadrics)
+                        assert fields == reference_equations(u, r, k, l), (u, r, k, l)
                         cells += 1
         assert cells == 2_380
+
+    def test_built_from_the_cell_alone(self):
+        # the equations are not arguments, so a set cannot list other
+        # equations than the ones its row checks read
+        assert loci.EquationSet(5, 3, 2, 2) == equations(5, 3, 2, 2)
+        with pytest.raises(TypeError):
+            loci.EquationSet(5, 3, 2, 2, (), (), ())
+        with pytest.raises(ValueError):
+            loci.EquationSet(5, 3, 3, 1)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -568,10 +582,10 @@ class TestIntersect:
         for _ in range(20):
             e = two_part(
                 5, 3,
-                TruncPoly.from_coeffs([0, 0] + [int(x) for x in rng.integers(P, size=3)], 5),
+                TruncPoly((0, 0, *(int(x) for x in rng.integers(P, size=3)))),
                 TruncPoly.zero(2),
-                TruncPoly.from_coeffs([0, int(rng.integers(P))], 2),
-                TruncPoly.from_coeffs([int(x) for x in rng.integers(P, size=2)], 2),
+                TruncPoly((0, int(rng.integers(P)))),
+                TruncPoly(tuple(int(x) for x in rng.integers(P, size=2))),
             )
             assert not any(v for eqs in eq_sets for v in reference_values(eqs, e))
 
@@ -657,6 +671,7 @@ class TestSurvey:
     lambda seed: verify_cell(5, 3, 2, 2, 1, seed=seed),
     lambda seed: closure_contains(5, 3, (2, 1), (2, 2), 1, seed=seed),
     lambda seed: intersect_experiment(5, 3, [(2, 2)], 1, seed=seed),
+    lambda seed: intersect_experiment(9, 4, [(1, 5), (3, 5)], 5, seed=seed),  # unsampled
     lambda seed: survey((5, 2), 1, seed=seed),
 ])
 def test_negative_seed_is_refused(run):

@@ -4,14 +4,12 @@ from hypothesis import strategies as st
 
 from nilcommute.partitions import (
     EMPTY,
-    Dominance,
     Partition,
     almost_rectangular,
     ar_blocks,
     ar_notation,
     classify,
     delta,
-    dominance_compare,
     dominance_max,
     dominates,
     frequency,
@@ -159,17 +157,19 @@ class TestStability:
 
 class TestDominance:
     def test_ge(self):
-        assert dominance_compare((5, 1, 1), (4, 2, 1)) == Dominance.GE
+        assert dominates((5, 1, 1), (4, 2, 1)) and not dominates((4, 2, 1), (5, 1, 1))
 
     def test_incomparable(self):
-        assert dominance_compare((4, 1, 1), (3, 3)) == Dominance.INCOMPARABLE
+        assert not dominates((4, 1, 1), (3, 3)) and not dominates((3, 3), (4, 1, 1))
 
     def test_equal(self):
-        assert dominance_compare((3, 2), (3, 2)) == Dominance.EQ
+        assert dominates((3, 2), (3, 2)) and dominates((3, 2, 0), (3, 2))
 
     def test_rejects_unequal_sizes(self):
         with pytest.raises(ValueError):
-            dominance_compare((3,), (2,))
+            dominates((3,), (2,))
+        with pytest.raises(ValueError):
+            dominates((2,), (3,))
 
     def test_partial_order_on_n8(self):
         ps = list(partitions_of(8))
