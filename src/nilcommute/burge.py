@@ -3,18 +3,18 @@
 A partition is encoded by iterating the block-removal step and recording,
 for each iterate, whether its lowest almost-rectangular block reaches part
 size 1 ('b') or not ('a'); the terminal zero partition contributes the
-final 'a'.  Decoding runs the word right to left, inverting one removal
-step per letter.  Reading the word left to right, the ends of the 'b'
-runs are exactly the parts of the stable partition attached to the input,
-and for a stable shape the full preimage of that map is a box of
-partitions indexed by its key.  Each box is decoded once per shape and
-memoized; `box_partitions` and `table` build fresh containers from it.
+final 'a'.  The codes are exactly 'a' and the words ending in 'ba', and
+decoding inverts one removal step per letter, right to left, by direct
+construction.  Reading the word left to right, the ends of the 'b' runs
+are exactly the parts of the stable partition attached to the input, and
+for a stable shape the full preimage of that map is a box of partitions
+indexed by its key.  Each box is decoded once per shape and memoized;
+`box_partitions` and `table` build fresh containers from it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 from .partitions import (
@@ -27,7 +27,8 @@ from .partitions import (
 
 
 class BurgeDecodeError(ValueError):
-    """The word is not the code of any partition."""
+    """The word is not the code of any partition: it has two or more
+    letters and does not end in 'ba'."""
 
 
 class BurgeWord(str):
@@ -84,73 +85,44 @@ def encode(p) -> BurgeWord:
     return BurgeWord("".join(letters))
 
 
-def _delta_preimage(f: list[int], want_b: bool) -> list[int] | None:
-    """The frequency vector with one removal step to f and given bottom class.
+def _delta_preimage(f: list[int], want_b: bool) -> list[int]:
+    """The frequency vector whose removal step gives f, in the given class.
 
-    The block tops J of a preimage must tile the support of f: a top j
-    covers the indices {j-1, j}, consecutive tops sit at least two apart
-    with no support strictly between the blocks, and a top j >= 2 must find
-    f[j-1] >= 1 to take back the box it pushed down.  Scanning the support
-    downward, the only freedom is whether the current support maximum m is
-    covered by a top at m or at m+1; a bottom top at 1 (and nothing else)
-    may sit below the support.  Injectivity of the code means at most one
-    choice sequence survives the bottom-class requirement.
+    Each block top j moves down to j - 1, so every block keeps its bottom
+    j - 1 in the support of f, and tops sit at least two apart.  Class 'b'
+    means a part of size 1 went to 0, so index 0 joins the support.  The
+    lowest index of a run of consecutive support indices cannot be a top,
+    so the bottoms are every other index of each run, counted from its
+    lowest, and each top is its bottom + 1.
     """
-    support = [j for j in range(len(f) - 1, 0, -1) if f[j] > 0]
-    results: list[list[int]] = []
-
-    def extend(tops: list[int], ptr: int) -> None:
-        if len(results) > 1:
-            return
-        bound = (tops[-1] - 2) if tops else math.inf
-        if ptr >= len(support):
-            if tops and tops[-1] == 1:
-                if want_b:
-                    results.append(tops)
-                return
-            if not want_b:
-                results.append(tops)
-            elif bound >= 1:
-                results.append(tops + [1])
-            return
-        m = support[ptr]
-        if m > bound:
-            return
-        for j in (m + 1, m):
-            if j > bound or (j >= 2 and f[j - 1] == 0):
-                continue
-            q = ptr
-            while q < len(support) and support[q] >= j - 1:
-                q += 1
-            extend(tops + [j], q)
-
-    extend([], 0)
-    if not results:
-        return None
-    if len(results) > 1:
-        raise RuntimeError(f"ambiguous removal-step preimage, this is a bug: {results}")
-    tops = results[0]
-    out = list(f) + [0] * (max(tops, default=0) + 1 - len(f))
-    for j in tops:
-        out[j] += 1
-        if j >= 2:
-            out[j - 1] -= 1
-    while len(out) > 1 and out[-1] == 0:
+    out = list(f) + [0]
+    j = 0 if want_b else 1
+    while j < len(f):
+        if f[j] or j == 0:
+            out[j + 1] += 1
+            if j:
+                out[j] -= 1
+            j += 2
+        else:
+            j += 1
+    if out[-1] == 0:
         out.pop()
     return out
 
 
 def decode(word) -> Partition:
-    """The unique partition whose code is the given word."""
+    """The unique partition whose code is the given word.
+
+    The codes are exactly 'a' and the words ending in 'ba': the zero
+    partition's class-'a' preimage is zero, and every other preimage adds
+    boxes, so every letter but the last inverts one removal step.
+    """
     w = word if isinstance(word, BurgeWord) else BurgeWord(str(word))
-    f: list[int] = [0]
-    for i in range(len(w) - 2, -1, -1):
-        g = _delta_preimage(f, w[i] == "b")
-        if g is None:
-            raise BurgeDecodeError(f"{str(w)!r} is not a code (no preimage at letter {i + 1})")
-        if len(g) == 1:
-            raise BurgeDecodeError(f"{str(w)!r} is not a code (hits zero before its last letter)")
-        f = g
+    if w[-2:-1] == "a":
+        raise BurgeDecodeError(f"{str(w)!r} is not a code: a code is 'a' or ends in 'ba'")
+    f = [0]
+    for letter in reversed(w[:-1]):
+        f = _delta_preimage(f, letter == "b")
     return _parts_from_freq1(f)
 
 

@@ -269,11 +269,6 @@ class CommutatorElement:
         return cls(q, _flatten(entries), p)
 
     @classmethod
-    def zero(cls, q, p: int = DEFAULT_PRIME) -> "CommutatorElement":
-        q = Partition(q)
-        return cls(q, (0,) * (q.size * len(q)), p)
-
-    @classmethod
     def jordan(cls, q, p: int = DEFAULT_PRIME) -> "CommutatorElement":
         """The element assembling to the Jordan matrix itself (t on the diagonal)."""
         rows = tuple(

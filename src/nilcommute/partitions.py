@@ -44,12 +44,7 @@ EMPTY = Partition()
 
 def frequency(p: Sequence[int]) -> tuple[int, ...]:
     """Multiplicity vector of p: entry i-1 counts the parts equal to i."""
-    if not p:
-        return ()
-    f = [0] * max(p)
-    for x in p:
-        f[x - 1] += 1
-    return tuple(f)
+    return tuple(_freq1(p)[1:])
 
 
 def _freq1(p: Sequence[int]) -> list[int]:
@@ -88,15 +83,7 @@ def r_set(p: Sequence[int]) -> frozenset[int]:
 
 def ar_blocks(p: Sequence[int]) -> list[tuple[int, ...]]:
     """Maximal almost-rectangular blocks of p, largest parts first."""
-    blocks = []
-    i = 0
-    while i < len(p):
-        j = i
-        while j < len(p) and p[j] >= p[i] - 1:
-            j += 1
-        blocks.append(tuple(p[i:j]))
-        i = j
-    return blocks
+    return [tuple(x for x in p if j - 1 <= x <= j) for j in _tops_from_freq1(_freq1(p))]
 
 
 def classify(p: Sequence[int]) -> str:

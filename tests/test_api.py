@@ -3,6 +3,7 @@ demos and the benchmark use: a name that only unit tests reach belongs in
 the tests, as a reference, not in `src/`."""
 
 import ast
+import inspect
 import types
 from functools import cached_property
 from pathlib import Path
@@ -43,7 +44,9 @@ def _used_names(path: Path) -> set[str]:
     """Identifiers a file uses: loaded names, attributes and the identifiers
     inside string literals other than docstrings (the benchmark's tracer
     names its targets in strings).  Definitions, assignment targets,
-    imports, comments and docstrings do not count."""
+    imports, comments and docstrings do not count.  An attribute read off a
+    name also counts qualified, as "Name.attr", and read off `cls` inside a
+    class as "Class.attr"; so does each dotted pair in a string literal."""
     tree = ast.parse(path.read_text(), str(path))
     docstrings = {
         id(node.body[0].value)
@@ -57,8 +60,16 @@ def _used_names(path: Path) -> set[str]:
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                used.add(f"{node.value.id}.{node.attr}")
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
-            used.update(node.value.replace(".", " ").split())
+            for token in node.value.split():
+                parts = token.split(".")
+                used.update(parts)
+                used.update(f"{a}.{b}" for a, b in zip(parts, parts[1:]))
+        elif isinstance(node, ast.ClassDef):
+            used.update(f"{node.name}.{sub.attr}" for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "cls")
     return used
 
 
@@ -80,10 +91,20 @@ def _public_members(cls) -> list[str]:
             for name, value in vars(klass).items() if not name.startswith("_") and isinstance(value, kinds)]
 
 
+def _reached(cls, name: str, used: set[str]) -> bool:
+    """A classmethod is reached through its class, so only "Class.name"
+    counts for it: a bare name would let it hide behind a namesake on
+    another class.  Any other member counts by its bare name."""
+    if isinstance(inspect.getattr_static(cls, name), classmethod):
+        return f"{cls.__name__}.{name}" in used
+    return name in used
+
+
 def test_every_public_member_has_a_caller_outside_the_unit_tests():
     used = set().union(*map(_used_names, _callers()))
     classes = [v for v in map(nilcommute.__dict__.get, nilcommute.__all__) if isinstance(v, type)]
-    members = {f"{cls.__name__}.{name}" for cls in classes for name in _public_members(cls) if name not in used}
+    members = {f"{cls.__name__}.{name}" for cls in classes for name in _public_members(cls)
+               if not _reached(cls, name, used)}
     assert sorted(members) == []
 
 

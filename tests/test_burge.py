@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +20,9 @@ from nilcommute.burge import (
 from nilcommute.partitions import (
     EMPTY,
     Partition,
+    _freq1,
+    _parts_from_freq1,
+    classify,
     delta,
     is_stable,
     key,
@@ -27,6 +33,84 @@ from nilcommute.partitions import (
 partitions = st.lists(st.integers(1, 9), max_size=8).map(
     lambda xs: Partition(sorted(xs, reverse=True))
 )
+
+
+def reference_preimage(f, want_b):
+    """The frequency vector with one removal step to f and given bottom class.
+
+    The block tops J of a preimage must tile the support of f: a top j
+    covers the indices {j-1, j}, consecutive tops sit at least two apart
+    with no support strictly between the blocks, and a top j >= 2 must find
+    f[j-1] >= 1 to take back the box it pushed down.  Scanning the support
+    downward, the only freedom is whether the current support maximum m is
+    covered by a top at m or at m+1; a bottom top at 1 (and nothing else)
+    may sit below the support.  Injectivity of the code means at most one
+    choice sequence survives the bottom-class requirement.
+    """
+    support = [j for j in range(len(f) - 1, 0, -1) if f[j] > 0]
+    results = []
+
+    def extend(tops, ptr):
+        if len(results) > 1:
+            return
+        bound = (tops[-1] - 2) if tops else math.inf
+        if ptr >= len(support):
+            if tops and tops[-1] == 1:
+                if want_b:
+                    results.append(tops)
+                return
+            if not want_b:
+                results.append(tops)
+            elif bound >= 1:
+                results.append(tops + [1])
+            return
+        m = support[ptr]
+        if m > bound:
+            return
+        for j in (m + 1, m):
+            if j > bound or (j >= 2 and f[j - 1] == 0):
+                continue
+            q = ptr
+            while q < len(support) and support[q] >= j - 1:
+                q += 1
+            extend(tops + [j], q)
+
+    extend([], 0)
+    if not results:
+        return None
+    if len(results) > 1:
+        raise RuntimeError(f"ambiguous removal-step preimage, this is a bug: {results}")
+    tops = results[0]
+    out = list(f) + [0] * (max(tops, default=0) + 1 - len(f))
+    for j in tops:
+        out[j] += 1
+        if j >= 2:
+            out[j - 1] -= 1
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def reference_decode(word):
+    """Decode by searching each removal step's preimage over the choice of
+    top at or above each support maximum; the decoder's test oracle."""
+    w = word if isinstance(word, BurgeWord) else BurgeWord(str(word))
+    f = [0]
+    for i in range(len(w) - 2, -1, -1):
+        g = reference_preimage(f, w[i] == "b")
+        if g is None:
+            raise BurgeDecodeError(f"{str(w)!r} is not a code (no preimage at letter {i + 1})")
+        if len(g) == 1:
+            raise BurgeDecodeError(f"{str(w)!r} is not a code (hits zero before its last letter)")
+        f = g
+    return _parts_from_freq1(f)
+
+
+def _decode_or_error(decoder, word):
+    try:
+        return decoder(word)
+    except BurgeDecodeError:
+        return BurgeDecodeError
 
 
 class TestBurgeWord:
@@ -108,6 +192,22 @@ class TestDecode:
             for mid in itertools.product("ab", repeat=m - 2):
                 w = BurgeWord("".join(mid) + "ba")
                 assert encode(decode(w)) == w
+
+    def test_matches_reference_decoder_exhaustive(self):
+        # every word over {a, b} ending in 'a' with at most 14 letters
+        for m in range(1, 15):
+            for mid in itertools.product("ab", repeat=m - 1):
+                w = BurgeWord("".join(mid) + "a")
+                assert _decode_or_error(decode, w) == _decode_or_error(reference_decode, w), w
+
+    def test_preimage_law_exhaustive(self):
+        # one removal step undoes the preimage, which lands in the class asked for
+        for n in range(21):
+            for p in partitions_of(n):
+                for want_b in (False, True):
+                    g = _parts_from_freq1(burge._delta_preimage(_freq1(p), want_b))
+                    assert delta(g) == p
+                    assert classify(g) == ("B" if want_b else "A")
 
     def test_trivial(self):
         assert decode(BurgeWord("a")) == EMPTY

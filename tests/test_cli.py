@@ -44,6 +44,14 @@ class TestBurgeCommands:
         code, _, err = run(capsys, "burge", "decode", "--code", "a a")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_code_names_the_ending_rule(self, capsys, fmt):
+        code, out, err = run(capsys, "--format", fmt, "burge", "decode", "--code", "b a2")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "ends in 'ba'" in lines[0] and "Traceback" not in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "burge", "dmap", "--partition", "2,2")
         assert code == 0

@@ -26,6 +26,20 @@ partitions = st.lists(st.integers(1, 10), max_size=8).map(
 )
 
 
+def reference_ar_blocks(p):
+    """Maximal almost-rectangular blocks of p, scanned from the largest part:
+    each block takes every following part within one of its first."""
+    blocks = []
+    i = 0
+    while i < len(p):
+        j = i
+        while j < len(p) and p[j] >= p[i] - 1:
+            j += 1
+        blocks.append(tuple(p[i:j]))
+        i = j
+    return blocks
+
+
 class TestPartitionType:
     def test_valid(self):
         assert Partition([5, 2]) == (5, 2)
@@ -70,12 +84,20 @@ class TestRSet:
     @given(partitions)
     def test_matches_block_decomposition(self, p):
         # independent reading: maximal almost-rectangular prefixes from the top
-        assert r_set(p) == {blk[0] for blk in ar_blocks(p)}
+        assert r_set(p) == {blk[0] for blk in reference_ar_blocks(p)}
 
     @given(partitions)
     def test_blocks_are_almost_rectangular(self, p):
         for blk in ar_blocks(p):
             assert blk[0] - blk[-1] <= 1
+
+
+class TestFrequencyParse:
+    def test_blocks_and_frequency_match_scans_exhaustive(self):
+        for n in range(19):
+            for p in partitions_of(n):
+                assert ar_blocks(p) == reference_ar_blocks(p)
+                assert frequency(p) == tuple(p.count(i) for i in range(1, max(p, default=0) + 1))
 
 
 class TestClassify:
