@@ -19,7 +19,9 @@ reduced mod p once.  `jordan_types` ranks every power of a chunk (doubled by
 `dmap_oracle`, `jordan_type_of_matrix` and `CommutatorElement.jordan_type`.
 `verify_cell` and `intersect_experiment` use `_two_part_types`, which reads
 a two-part shape from the 2x2 minors of [Phi^s | D] and squares no power;
-`jordan_types` is its test oracle.
+`jordan_types` is its test oracle.  Both end in the same corank profiles
+over and over, so each distinct profile is converted to a Jordan type once
+per process (`_profile_type`).
 """
 
 from __future__ import annotations
@@ -154,12 +156,17 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     return _profile_types(rows, n)
 
 
+@lru_cache(maxsize=4096)
+def _profile_type(key: tuple[int, ...], n: int) -> Partition:
+    """Jordan type of the corank row `key` of an n x n matrix, memoized
+    across calls (a bad row raises on every call: errors are not cached)."""
+    return jordan_from_coranks([0, *key, n])
+
+
 def _profile_types(rows, n: int) -> list[Partition]:
     """Jordan types of corank rows (powers 1..k of n x n matrices with
-    M^k = 0), converting each distinct row once."""
-    keys = [tuple(row) for row in rows]
-    seen = {key: jordan_from_coranks([0, *key, n]) for key in dict.fromkeys(keys)}
-    return [seen[key] for key in keys]
+    M^k = 0), converting each distinct row once per process."""
+    return [_profile_type(tuple(row), n) for row in rows]
 
 
 @lru_cache(maxsize=512)

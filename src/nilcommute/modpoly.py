@@ -7,14 +7,15 @@ ranks come from one kernel, `_eliminate`, an inverse-free elimination
 over a whole (S, rows, cols) stack.  It serves the Jordan-type readout,
 which ranks all powers of a chunk of sampled matrices at once, and, as
 its one-matrix case `rank`, the sparse rectangular Jacobians of the
-locus equations.  The readout's powers come from `_mulmod`, which
-multiplies over float64 BLAS in exact limbs.  Both stack kernels take
-already-reduced arrays, so the readout reduces its input once; `rank`
-and `matmul` are their public forms, which reduce a copy first.
-The int64 path rests on three bounds, stated at `_INT64_SAFE`:
-elimination entries below 2^62, limb products below 2^53 and the limb
-recombination below 2^54.  The default prime is large enough that random
-cancellations never disturb desk-scale Monte-Carlo runs.
+locus equations.  The readout's powers come from `_mulmod`: one int64
+product when n (p-1)^2 < 2^63 for inner dimension n <= `_PRODUCT_MAX_INNER`,
+float64 BLAS products of exact limbs above that, and Python integers past
+n = 2^21 or for p >= 2^31.  Both stack kernels take already-reduced
+arrays, so the readout reduces its input once; `rank` and `matmul` are
+their public forms, which reduce a copy first.
+The int64 path rests on the bounds stated at `_INT64_SAFE`.  The default
+prime is large enough that random cancellations never disturb desk-scale
+Monte-Carlo runs.
 """
 
 from __future__ import annotations
@@ -26,11 +27,22 @@ import numpy as np
 
 DEFAULT_PRIME = 1_000_000_007
 
-# p < 2^31 keeps int64 exact through three bounds: elimination entries
-# and products (`_eliminate`) stay below p^2 < 2^62; `_mulmod`'s
-# float64 limb products and partial sums stay below 2^53, where float64
-# integers are exact; and its int64 recombination stays below 2^54
+# p < 2^31 keeps int64 exact through these bounds: elimination entries
+# and products (`_eliminate`) stay below p^2 < 2^62; `_mulmod`'s one int64
+# product is taken only when its sums, at most n (p-1)^2, stay below
+# 2^63; otherwise its float64 limb products and partial sums stay below
+# 2^53, where float64 integers are exact, and its int64 recombination
+# stays below 2^54
 _INT64_SAFE = 2**31
+
+# `_mulmod` takes one int64 product only up to this inner dimension n, as
+# numpy's int64 matmul runs no BLAS; 9 is also where the bound ends at the
+# default prime.  Best-of-9 times, numpy 2.4 on a 2-vCPU x86-64 host, of
+# (S,K,n,n) @ (S,1,n,n), float64 limbs vs int64: at the default prime (two
+# limbs) 23.8 vs 6.1 us at (1,3,8,8) and 71.8 vs 42.9 us at (8,7,9,9); at
+# p = 3 (one limb) 7.7 vs 4.5 us at (1,3,9,9) but 33.4 vs 46.9 us at
+# (8,7,9,9), 49.5 vs 96.0 at (8,7,12,12) and 248 vs 603 at (8,7,22,22)
+_PRODUCT_MAX_INNER = 9
 
 # int64 arrays of at least this many entries are reduced by `a - a // p * p`
 # rather than `%` (`_reduce`).  Medians of paired runs on elimination-sized
@@ -119,6 +131,14 @@ def _as_field_matrix(mat, p: int) -> np.ndarray:
     return _reduce(np.array(mat, dtype=np.int64 if p < _INT64_SAFE else object), p)
 
 
+@lru_cache(maxsize=256)
+def _grid_index(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each entry of a row-major flattened rows x cols matrix."""
+    row_of, col_of = np.divmod(np.arange(rows * cols), cols)
+    row_of.flags.writeable = col_of.flags.writeable = False
+    return row_of, col_of
+
+
 def _eliminate(a: np.ndarray, p: int) -> np.ndarray:
     """Ranks of the reduced (S, rows, cols) stack `a`, which it overwrites.
 
@@ -134,21 +154,21 @@ def _eliminate(a: np.ndarray, p: int) -> np.ndarray:
     found = np.zeros(count, dtype=np.intp)  # pivots found by each matrix of `flat`
     live = at = np.arange(count)
     flat = a.reshape(count, rows * cols)
+    row_of, col_of = _grid_index(rows, cols)
     for _ in range(min(rows, cols)):
         first = (flat != 0).argmax(axis=1)
         pivot = flat[at, first]
         nonzero = pivot != 0
-        found += nonzero
         kept = np.count_nonzero(nonzero)
         if not kept:
             break
+        found += nonzero
         if 2 * kept <= live.size:
             out[live] = found
             live, found, flat = live[nonzero], found[nonzero], flat[nonzero]
             first, pivot, at = first[nonzero], pivot[nonzero], at[:kept]
-        i, j = np.divmod(first, cols)
         m = flat.reshape(-1, rows, cols)
-        outer = m[at, :, j][:, :, None] * m[at, i][:, None, :]
+        outer = m[at, :, col_of[first], None] * m[at, None, row_of[first]]
         m *= pivot[:, None, None]
         m -= outer
         _reduce(m, p)
@@ -169,10 +189,19 @@ def rank(mat, p: int = DEFAULT_PRIME) -> int:
     return int(_eliminate(a[None], p)[0])
 
 
+def _int64_product_exact(n: int, p: int) -> bool:
+    """Whether `_mulmod` multiplies reduced factors with inner dimension n
+    as one int64 product: n <= `_PRODUCT_MAX_INNER` and n (p-1)^2 < 2^63,
+    in Python integers (a numpy-integer p would wrap around)."""
+    return n <= _PRODUCT_MAX_INNER and n * int(p - 1) ** 2 < 2**63
+
+
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p of reduced factors; `a` may be a stack.
 
-    For p < 2^31 the left factor is cut into w-bit limbs, w = 22 -
+    A small inner dimension n takes one int64 product, exact while every
+    sum of n products stays below 2^63 (`_int64_product_exact`).  Above
+    that, for p < 2^31 the left factor is cut into w-bit limbs, w = 22 -
     ceil(log2 n) for inner dimension n.  Every float64 limb product and
     partial sum is then an integer below n * 2^w * p <= 2^53, exact in any
     summation order, so each limb takes one BLAS product, from the top
@@ -182,6 +211,8 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """
     if a.dtype == object:
         return (a @ b) % p  # a vector product is a Python integer
+    if _int64_product_exact(a.shape[-1], p):
+        return _reduce(a @ b, p)
     w = 22 - (a.shape[-1] - 1).bit_length()
     if w < 1:
         return _mulmod(a.astype(object), b.astype(object), p).astype(np.int64)

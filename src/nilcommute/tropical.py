@@ -14,6 +14,8 @@ is the no-cancellation form of the exact formula that
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .burge import check_cell
 from .partitions import Partition, jordan_from_coranks
 
@@ -89,8 +91,10 @@ def predicted_coranks(u: int, r: int, k: int, l: int, s_max: int) -> list[int]:
     return [_predicted_corank(u, r, k, l, s) for s in range(1, s_max + 1)]
 
 
+@lru_cache(maxsize=4096)
 def predicted_jordan_type(u: int, r: int, k: int, l: int) -> Partition:
-    """Generic Jordan type on the (k, l) locus via the predicted corank profile."""
+    """Generic Jordan type on the (k, l) locus via the predicted corank profile,
+    computed once per cell (a bad cell raises on every call)."""
     check_cell(u, r, k, l)
     profile = [0]
     s = 1

@@ -499,24 +499,37 @@ class TestGeneratorGather:
 
 
 class TestProfileTypes:
-    def test_each_distinct_profile_converted_once(self, monkeypatch):
+    """`_profile_type` memoizes the conversion of a corank profile across
+    calls; each test starts and ends with an empty memo."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = []
 
         def counting(coranks):
             calls.append(tuple(coranks))
             return jordan_from_coranks(coranks)
 
+        commutator._profile_type.cache_clear()
         monkeypatch.setattr(commutator, "jordan_from_coranks", counting)
-        stack = np.stack([jordan_matrix((3, 1))] * 5 + [jordan_matrix((2, 2))] * 3)
-        assert jordan_types(stack) == [(3, 1)] * 5 + [(2, 2)] * 3
-        assert len(calls) == 2
-        calls.clear()
-        assert _two_part_types(stack[:5], 3, 2) == [(3, 1)] * 5
-        assert len(calls) == 1
+        yield calls
+        commutator._profile_type.cache_clear()
 
-    def test_invalid_profile_still_raises(self):
-        with pytest.raises(ValueError, match="weakly decreasing"):
-            commutator._profile_types([[1, 3]], 3)
+    def test_each_distinct_profile_converted_once(self, calls):
+        stack = np.stack([jordan_matrix((3, 1))] * 5 + [jordan_matrix((2, 2))] * 3)
+        for _ in range(2):
+            assert jordan_types(stack) == [(3, 1)] * 5 + [(2, 2)] * 3
+        assert _two_part_types(stack[:5], 3, 2) == [(3, 1)] * 5
+        assert calls == [(0, 2, 3, 4, 4, 4), (0, 2, 4, 4, 4, 4)]
+        # other matrices with the same profiles convert nothing
+        assert jordan_types(2 * stack[::-1]) == [(2, 2)] * 3 + [(3, 1)] * 5
+        assert len(calls) == 2
+
+    def test_invalid_profile_still_raises(self, calls):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="weakly decreasing"):
+                commutator._profile_types([[1, 3]], 3)
+        assert calls == [(0, 1, 3, 3)] * 2
 
 
 class TestSampling:

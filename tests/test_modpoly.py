@@ -217,6 +217,49 @@ class TestMatmul:
         assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
 
 
+class TestInt64Product:
+    """`_mulmod` takes one int64 product exactly when the inner dimension n
+    is at most `_PRODUCT_MAX_INNER` and n (p-1)^2 < 2^63 in Python integers,
+    and the float64 limbs otherwise; both agree with Python integers at the
+    bound, where every entry is p - 1."""
+
+    CAP = modpoly._PRODUCT_MAX_INNER
+
+    @pytest.mark.parametrize("p, n, product", [
+        (P, 9, True),  # 9 (p-1)^2 < 2^63
+        (P, 10, False),  # 10 (p-1)^2 > 2^63
+        (2**31 - 1, 2, True),  # 2 (p-1)^2 = 2^63 - 2^34 + 8
+        (2**31 - 1, 3, False),
+        (np.int64(P), 10, False),  # in int64, 10 (p-1)^2 would wrap below 2^63
+        (np.int64(2**31 - 1), 3, False),  # the same, within the cap
+        (65_537, CAP, True),
+        (65_537, CAP + 1, False),
+        (3, CAP, True),
+        (3, CAP + 1, False),  # exact in int64 far beyond, but past the cap
+    ], ids=lambda v: f"int64_{v}" if isinstance(v, np.integer) else None)
+    def test_path_follows_the_bound(self, monkeypatch, p, n, product):
+        chosen = []
+        exact = modpoly._int64_product_exact
+
+        def spy(n, p):
+            chosen.append(exact(n, p))
+            return chosen[-1]
+
+        monkeypatch.setattr(modpoly, "_int64_product_exact", spy)
+        top = int(p) - 1
+        cases = [
+            (np.full((n, n), top), np.full((n, n), top)),
+            (np.full((2, 3, 4, n), top), np.full((2, 1, n, 5), top)),
+            (np.full(n, top), np.full(n, top)),
+        ]
+        for a, b in cases:
+            expect = (a.astype(object) @ b.astype(object)) % int(p)
+            out = matmul(a, b, p)
+            assert np.array_equal(out, expect)
+            assert np.asarray(out).dtype == np.int64
+        assert chosen == [product] * len(cases)
+
+
 class TestReduce:
     @pytest.mark.parametrize("size_offset", [-1, 0, 4000])
     def test_both_sides_of_the_crossover(self, size_offset):
@@ -293,18 +336,20 @@ class TestRanks:
         self.check(p - 1 - rng.integers(3, size=(count, 5, 5)), p)
         self.check(p - 1 - rng.integers(3, size=(count, 4, 7)), p)
 
-    @pytest.mark.parametrize("p", [3, 2**31 - 1])
+    @pytest.mark.parametrize("p", [3, 2**31 - 1, BIG])
     def test_deficient_stacks_with_early_finishers(self, p):
         # 30 of 40 matrices (zeros among them) finish within 3 steps, so the
         # 10 products through inner dimension 8 continue after the finished
-        # ones are dropped
+        # ones are dropped; square and both rectangular shapes, so a row and
+        # column mix-up in the pivot's grid index or the compaction shows
         rng = np.random.default_rng(7)
         inner = [0, 1, 2, 3] * 7 + [2, 0] + [8] * 10
-        mats = [matmul(rng.integers(p, size=(8, k)), rng.integers(p, size=(k, 8)), p) for k in inner]
-        stack = np.stack(mats)[rng.permutation(len(mats))]
-        self.check(stack, p)
-        expect = [reference_rank(m, p) for m in stack]
-        assert sum(r <= 3 for r in expect) >= 30 and max(expect) >= 6
+        for rows, cols in [(8, 8), (6, 9), (9, 6)]:
+            mats = [matmul(rng.integers(p, size=(rows, k)), rng.integers(p, size=(k, cols)), p) for k in inner]
+            stack = np.stack(mats)[rng.permutation(len(mats))]
+            self.check(stack, p)
+            expect = [reference_rank(m, p) for m in stack]
+            assert sum(r <= 3 for r in expect) >= 30 and max(expect) >= 6
 
 
 class TestDet2:

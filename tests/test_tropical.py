@@ -135,6 +135,15 @@ class TestPredictions:
         with pytest.raises(ValueError):
             predicted_jordan_type(5, 3, 3, 1)
 
+    def test_computed_once_per_cell_and_bad_cells_raise_each_time(self):
+        predicted_jordan_type.cache_clear()
+        assert predicted_jordan_type(5, 3, 1, 2) is predicted_jordan_type(5, 3, 1, 2)
+        assert predicted_jordan_type.cache_info()[:2] == (1, 1)  # hits, misses
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                predicted_jordan_type(5, 3, 3, 1)
+        assert predicted_jordan_type.cache_info().currsize == 1
+
     def test_matches_decoded_codes_exhaustive(self):
         for u in range(3, 13):
             for r in range(2, u):
