@@ -111,7 +111,8 @@ def _config(args) -> RunConfig:
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
-    """Print the JSON payload, with the run config appended, or the text lines."""
+    """Print the JSON payload, with the run config appended, or the text lines;
+    `text_lines` may be a generator, which JSON output never runs."""
     if cfg.output == "json":
         print(json.dumps({**payload, "config": asdict(cfg)}))
     else:
@@ -163,8 +164,8 @@ def _box_payload(q: Partition) -> tuple[dict, list[str]]:
     ok = True
     for idx in sorted(codes):
         p = cells[idx]
-        checks = len(p) == sum(idx) and dmap(p) == q
-        ok = ok and checks
+        dmap_ok = dmap(p) == q
+        ok = ok and len(p) == sum(idx) and dmap_ok
         entries.append(
             {
                 "index": list(idx),
@@ -174,7 +175,7 @@ def _box_payload(q: Partition) -> tuple[dict, list[str]]:
         )
         lines.append(
             f"  I={_fmt_partition(idx)}  code='{codes[idx].tokens()}'  "
-            f"P={_fmt_partition(p)}  {ar_notation(p)}  parts={len(p)} dmap_ok={dmap(p) == q}"
+            f"P={_fmt_partition(p)}  {ar_notation(p)}  parts={len(p)} dmap_ok={dmap_ok}"
         )
     distinct = len(set(cells.values())) == len(cells)
     lines.append(f"  distinct={distinct} all_checks={ok and distinct}")
@@ -209,6 +210,21 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _verify_lines(reports, passed: int):
+    for rep in reports:
+        status = "PASS" if rep.passed else "FAIL"
+        if rep.max_type:
+            found = f"max={ar_notation(rep.max_type)}={_fmt_partition(rep.max_type)}"
+        else:
+            found = _NO_GENERIC_TYPE
+        yield (
+            f"cell ({rep.cell[0]},{rep.cell[1]}): {found} expected={_fmt_partition(rep.expected)} "
+            f"match={rep.match_rate:.2f} jac={rep.jacobian_rank_ok} trop={rep.tropical_agree} "
+            f"{status}"
+        )
+    yield f"{passed}/{len(reports)} cells pass"
+
+
 def cmd_verify(args) -> int:
     cfg = _config(args)
     q = _parse_partition(args.q)
@@ -226,20 +242,7 @@ def cmd_verify(args) -> int:
         "total": len(reports),
         "reports": [rep.to_dict() for rep in reports],
     }
-    lines = []
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        if rep.max_type:
-            found = f"max={ar_notation(rep.max_type)}={_fmt_partition(rep.max_type)}"
-        else:
-            found = _NO_GENERIC_TYPE
-        lines.append(
-            f"cell ({rep.cell[0]},{rep.cell[1]}): {found} expected={_fmt_partition(rep.expected)} "
-            f"match={rep.match_rate:.2f} jac={rep.jacobian_rank_ok} trop={rep.tropical_agree} "
-            f"{status}"
-        )
-    lines.append(f"{passed}/{len(reports)} cells pass")
-    _emit(cfg, payload, lines)
+    _emit(cfg, payload, _verify_lines(reports, passed))
     return 0 if passed == len(reports) else 1
 
 

@@ -78,6 +78,14 @@ class TestBoxCommands:
         code, _, err = run(capsys, "box", "--q", "5,4")
         assert code == 2 and "stable" in err
 
+    def test_dmap_once_per_cell(self, capsys, monkeypatch):
+        calls, real = [], cli.dmap
+        monkeypatch.setattr(cli, "dmap", lambda p: calls.append(p) or real(p))
+        for fmt in ("json", "text"):
+            calls.clear()
+            code, _, _ = run(capsys, "--format", fmt, "box", "--q", "8,5,2")
+            assert code == 0 and len(calls) == len(set(calls)) == 8
+
     def test_table(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "table", "--q", "5,2")
         data = json.loads(out)
@@ -113,6 +121,14 @@ class TestVerifyCommand:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    def test_json_formats_no_text_lines(self, capsys, monkeypatch):
+        def no_text(p):
+            raise AssertionError("text line built for JSON output")
+
+        monkeypatch.setattr(cli, "ar_notation", no_text)
+        code, out, _ = run(capsys, "--format", "json", "verify", "--q", "5,2", "--samples", "4")
+        assert code == 0 and json.loads(out)["passed"] == 4
 
 
 class TestOtherCommands:

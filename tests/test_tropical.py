@@ -6,14 +6,14 @@ import pytest
 from nilcommute.burge import decode, two_part_code
 from nilcommute.commutator import sample_commutator
 from nilcommute.loci import sample_on_locus
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, rank
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, matmul, rank
 from nilcommute.tropical import (
     closed_form_power,
     minplus_power,
     predicted_coranks,
     predicted_jordan_type,
 )
-from test_commutator import coords, det2, order, two_part
+from test_commutator import coords, mul_trunc, order, two_part
 
 P = DEFAULT_PRIME
 INF = math.inf
@@ -26,14 +26,25 @@ def order_matrix(e):
     return ((order(a), order(g)), (e.q[0] - e.q[1] + order(h), order(b)))
 
 
-def corank_from_orders(e):
-    """Corank of a two-part element from order data alone:
-    min(ord(ab - g h t^r), ord(a) + u - r), valid when a is nonzero and
-    ord(a) <= r + min(ord g, ord h)."""
+def two_part_corank(e, s=1):
+    """Corank of the s-th power of a two-part element from its coefficient
+    rows, as `_two_part_types` reads it:
+
+        min(s ord det Phi, (u-r) + ord row_1 Phi^s, u + ord row_2 Phi^s, 2u - r),
+
+    with Phi = [[a, t^r g], [h, b]] and det Phi = ab - t^r g h taken on the
+    zero-padded lifts: of degree at most 2u - r - 2, so read mod t^(2u-r)
+    it is whole (mod t^u it is not, see `test_determinant_past_u`)."""
     u, m = e.q
-    a, _, g, h = coords(e)
-    assert any(a) and order(a) <= u - m + min(order(g), order(h)), "outside the formula's regime"
-    return min(order(det2(e)), order(a) + m)
+    r = u - m
+    a, b, g, h = coords(e)
+    det = [(x - y) % e.p for x, y in zip(mul_trunc(a, b, u + m), (0,) * r + mul_trunc(g, h, u + m))]
+    power = e
+    for _ in range(s - 1):
+        power = power @ e
+    a, b, g, h = coords(power)
+    row1, row2 = min(order(a), r + order(g)), min(order(h), order(b))
+    return min(s * order(det), m + row1, u + row2, u + m)
 
 
 class TestOrderMatrix:
@@ -78,11 +89,11 @@ class TestClosedForm:
         assert closed_form_power(1, 1, 2, 2) == ((2, 1), (3, 2))
 
     def test_matches_oracle_exhaustive(self):
-        for k in range(1, 7):
-            for l in range(1, 7):
-                for r in range(2, 9):
+        for k in range(0, 7):
+            for l in range(0, 7):
+                for r in range(0, 9):
                     base = ((k, 0), (r, l))
-                    for s in range(2, 13):
+                    for s in range(1, 13):
                         assert closed_form_power(k, l, r, s) == minplus_power(base, s), (k, l, r, s)
 
     def test_entry_bound(self):
@@ -97,27 +108,45 @@ class TestClosedForm:
 
 
 class TestCorankFromOrders:
-    """The order corank formula against the exact rank of the assembled matrix."""
+    """The coefficient-row corank formula against the exact rank of the
+    assembled matrix's powers."""
 
     @staticmethod
-    def exact_corank(e):
-        return e.assemble().shape[0] - rank(e.assemble())
+    def exact_corank(e, s=1):
+        mat = power = e.assemble()
+        for _ in range(s - 1):
+            power = matmul(power, mat, P)
+        return mat.shape[0] - rank(power, P)
+
+    def check_profile(self, e):
+        for s in range(1, e.assemble().shape[0] + 1):
+            assert two_part_corank(e, s) == self.exact_corank(e, s), s
 
     def test_jordan_point(self):
         e = two_part(5, 3, TruncPoly.t_power(1, 5), TruncPoly.t_power(1, 2),
                      TruncPoly.zero(2), TruncPoly.zero(2))
-        assert corank_from_orders(e) == self.exact_corank(e) == 2
+        assert two_part_corank(e) == self.exact_corank(e) == 2
+        self.check_profile(e)
 
     def test_cancellation_case(self):
         e = two_part(5, 3, TruncPoly.t_power(2, 5), TruncPoly.t_power(1, 2),
                      TruncPoly.t_power(0, 2), TruncPoly.t_power(0, 2))
-        assert corank_from_orders(e) == self.exact_corank(e) == 4
+        assert two_part_corank(e) == self.exact_corank(e) == 4
+        self.check_profile(e)
 
     def test_diagonal_case(self):
         e = two_part(7, 4, TruncPoly.t_power(2, 7), TruncPoly.t_power(1, 3),
                      TruncPoly.zero(3), TruncPoly.zero(3))
         # min(k + l, k + u - r)
-        assert corank_from_orders(e) == self.exact_corank(e) == min(2 + 1, 2 + 3)
+        assert two_part_corank(e) == self.exact_corank(e) == min(2 + 1, 2 + 3)
+        self.check_profile(e)
+
+    def test_determinant_past_u(self):
+        # ab = t^5 vanishes mod t^u but is the least term: det Phi is read untruncated
+        e = two_part(5, 2, TruncPoly.t_power(3, 5), TruncPoly.t_power(2, 3),
+                     TruncPoly.zero(3), TruncPoly.zero(3))
+        assert two_part_corank(e) == self.exact_corank(e) == 3 + 2
+        self.check_profile(e)
 
 
 class TestPredictions:
@@ -203,8 +232,6 @@ class TestSoundness:
             pred = predicted_coranks(u, r, k, l, n)
             power = mat
             ok = True
-            from nilcommute.modpoly import matmul
-
             for s in range(1, n + 1):
                 ok = ok and (n - rank(power, P) == pred[s - 1])
                 power = matmul(power, mat, P)
