@@ -6,15 +6,14 @@ projection, well defined exactly when its order is at least q_i - q_j.
 For a stable shape the nilpotent commutant is the linear slice where every
 diagonal entry has positive order.  An element is stored as its block
 coefficients, numbered by `_layout`, and products compose blocks on them
-(`_blocks`); a grid of `TruncPoly` entries is only an input format.  For a
-two-part shape (u, u-r) the coordinates a, g, h, b of the locus equations
-are slices of them (`_two_part_offsets`).
+(`_blocks`).  For a two-part shape (u, u-r) the coordinates a, g, h, b of
+the locus equations are slices of them (`_two_part_offsets`).
 Assembling the blocks in bases ordered by decreasing t-power reproduces
 the familiar banded matrices, and ranks of powers of the assembled matrix
 recover the Jordan type.  A chunk of samples is drawn as coefficient rows
 in one generator call (`_draw_free`, the same draws as one per sample),
-assembled through `_layout`'s `take` and read as one (S, n, n) stack,
-reduced mod p once.  `jordan_types` ranks every power of a chunk (doubled by
+assembled by `assemble_blocks` and read as one (S, n, n) stack, reduced
+mod p once.  `jordan_types` ranks every power of a chunk (doubled by
 `modpoly._mulmod`) in one stacked `modpoly._eliminate`, for `survey`,
 `dmap_oracle`, `jordan_type_of_matrix` and `CommutatorElement.jordan_type`.
 `verify_cell` and `intersect_experiment` use `_two_part_types`, which reads
@@ -32,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod, _reduce
+from .modpoly import DEFAULT_PRIME, _as_field_matrix, _eliminate, _mulmod, _reduce
 from .modpoly import rank  # noqa: F401  (perfbench's tracer test asserts commutator.rank exists)
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
 
@@ -80,10 +79,16 @@ def _layout(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return take, free_idx
 
 
-def _assemble_flat(parts: tuple[int, ...], coeffs) -> np.ndarray:
-    """Assemble the block coefficients of `parts`, numbered as in `_layout`,
-    or (S, coefficients) rows of them into an (S, n, n) stack."""
-    flat = np.zeros(np.shape(coeffs)[:-1] + (sum(parts) * len(parts) + 1,), dtype=np.int64)
+def assemble_blocks(parts, coeffs) -> np.ndarray:
+    """Assemble a row of block coefficients of `parts`, numbered as in
+    `_layout`, into an n x n matrix, or (S, coefficients) rows of them into
+    an (S, n, n) stack.  A row must hold all sum(parts) * len(parts)
+    coefficients: numpy would broadcast a length-1 row into every one."""
+    parts, shape = tuple(parts), np.shape(coeffs)
+    width = sum(parts) * len(parts)
+    if shape[-1:] != (width,):
+        raise ValueError(f"shape {parts} takes rows of {width} block coefficients, got shape {shape}")
+    flat = np.zeros(shape[:-1] + (width + 1,), dtype=np.int64)
     flat[..., :-1] = coeffs
     return flat[..., _layout(parts)[0]]
 
@@ -98,30 +103,11 @@ def _draw_free(parts: tuple[int, ...], rng, p: int, count: int | None = None) ->
     return coeffs
 
 
-def _flatten(entries) -> list[int]:
-    """Block coefficients of a grid of entries, numbered as in `_layout`."""
-    return [c for row in entries for f in row for c in f.coeffs]
-
-
 def _blocks(parts, coeffs) -> list[list[tuple[int, ...]]]:
     """The l x l grid of block coefficient lists of `coeffs`, numbered as in
-    `_layout`: row i holds q_i coefficients per block (inverse of `_flatten`)."""
+    `_layout`: row i holds q_i coefficients per block."""
     it = iter(coeffs)
     return [[tuple(islice(it, qi)) for _ in parts] for qi in parts]
-
-
-def _check_grid(parts, entries, p: int) -> None:
-    """Raise unless `entries` is an l x l grid with row i in k[t]/(t^{q_i}) over GF(p)."""
-    if [[(f.n, f.p) for f in row] for row in entries] != [[(qi, p)] * len(parts) for qi in parts]:
-        raise ValueError(
-            f"entries must form a {len(parts)}x{len(parts)} grid, row i in k[t]/(t^q_i) over GF({p})"
-        )
-
-
-def assemble_blocks(parts, entries, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """Assemble an l x l grid of block entries over GF(p) into one n x n matrix."""
-    _check_grid(parts, entries, p)
-    return _assemble_flat(tuple(parts), _flatten(entries))
 
 
 def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
@@ -248,7 +234,7 @@ def jordan_type_of_matrix(mat, p: int = DEFAULT_PRIME) -> Partition:
 class CommutatorElement:
     """Nilpotent commutant element of the Jordan matrix of a stable shape q,
     stored as its block coefficients in the `_layout` numbering, its one
-    representation; `from_entries` and `jordan` flatten a grid of entries."""
+    representation."""
 
     q: Partition
     coeffs: tuple[int, ...]
@@ -269,26 +255,19 @@ class CommutatorElement:
             raise ValueError(_order_error(q, min(fixed), free))
 
     @classmethod
-    def from_entries(cls, q, entries, p: int = DEFAULT_PRIME) -> "CommutatorElement":
-        """The element whose grid of block entries is `entries`."""
-        q = Partition(q)
-        _check_grid(q, entries, p)
-        return cls(q, _flatten(entries), p)
-
-    @classmethod
     def jordan(cls, q, p: int = DEFAULT_PRIME) -> "CommutatorElement":
-        """The element assembling to the Jordan matrix itself (t on the diagonal)."""
-        rows = tuple(
-            tuple(
-                TruncPoly.t_power(1, qi, p) if i == j else TruncPoly.zero(qi, p)
-                for j in range(len(q))
-            )
-            for i, qi in enumerate(q)
-        )
-        return cls.from_entries(q, rows, p)
+        """The element assembling to the Jordan matrix itself: t in each
+        diagonal block (i, i), whose t^1 coefficient is number
+        len(q) * sum(q[:i]) + i * q_i + 1 (a block with q_i = 1 has none)."""
+        q = Partition(q)
+        coeffs = [0] * (q.size * len(q))
+        for i, qi in enumerate(q):
+            if qi > 1:
+                coeffs[len(q) * sum(q[:i]) + i * qi + 1] = 1
+        return cls(q, coeffs, p)
 
     def assemble(self) -> np.ndarray:
-        return _assemble_flat(self.q, self.coeffs)
+        return assemble_blocks(self.q, self.coeffs)
 
     def jordan_type(self) -> Partition:
         return jordan_type_of_matrix(self.assemble(), self.p)
@@ -384,5 +363,5 @@ def dmap_oracle(
         return EMPTY
     types = set()
     for _ in range(samples):
-        types.add(jordan_type_of_matrix(_assemble_flat(pt, _draw_free(pt, rng, prime)), prime))
+        types.add(jordan_type_of_matrix(assemble_blocks(pt, _draw_free(pt, rng, prime)), prime))
     return _generic_type(types)

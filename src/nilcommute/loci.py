@@ -32,12 +32,12 @@ from .burge import box_partitions, check_cell, table
 from .commutator import (
     _CHUNK,
     CommutatorElement,
-    _assemble_flat,
     _draw_free,
     _generic_type,
     _layout,
     _two_part_offsets,
     _two_part_types,
+    assemble_blocks,
     jordan_types,
 )
 from .modpoly import DEFAULT_PRIME, rank
@@ -338,7 +338,7 @@ def verify_cell(
         on = max(0, min(hi, samples) - lo)  # on-locus rows in this chunk
         rows = np.concatenate([
             _plan_rows(plan, rng, prime, on), _draw_free((u, u - r), rng, prime, hi - lo - on)])
-        types = _two_part_types(_assemble_flat((u, u - r), rows), u, r, prime)
+        types = _two_part_types(assemble_blocks((u, u - r), rows), u, r, prime)
         counts.update(types[:on])
         jac_hits += sum(eqs._jacobian_rank(c, prime) == eqs.codim for c in rows[:on])
         for c, t in zip(rows[on:].tolist(), types[on:]):
@@ -487,7 +487,7 @@ def intersect_experiment(
         counts: Counter = Counter()
         for lo in range(0, samples, _CHUNK):
             rows = _plan_rows(plan, rng, prime, min(_CHUNK, samples - lo), zero_gh)
-            counts.update(_two_part_types(_assemble_flat((u, u - r), rows), u, r, prime))
+            counts.update(_two_part_types(assemble_blocks((u, u - r), rows), u, r, prime))
         branches.append(
             BranchReport(label=label, max_type=_generic_type(counts), type_counts=_type_counts(counts))
         )
@@ -524,7 +524,7 @@ def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> Sur
     counts: Counter = Counter()
     for lo in range(0, samples, _CHUNK):
         rows = _draw_free(q, rng, prime, min(_CHUNK, samples - lo))
-        counts.update(jordan_types(_assemble_flat(q, rows), prime))
+        counts.update(jordan_types(assemble_blocks(q, rows), prime))
     outside = tuple(tuple(t) for t in sorted(set(counts) - box_vals, reverse=True))
     return SurveyReport(
         q=q,

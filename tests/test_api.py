@@ -3,7 +3,11 @@ demos and the benchmark use: a name that only unit tests reach belongs in
 the tests, as a reference, not in `src/`."""
 
 import ast
+import builtins
 import inspect
+import io
+import re
+import tokenize
 import types
 from functools import cached_property
 from pathlib import Path
@@ -127,3 +131,51 @@ def test_every_private_helper_has_a_caller_in_src():
     used = set().union(*map(_used_names, _src()))
     private = [name for path in _src() for name in _private_definitions(path)]
     assert sorted(n for n in private if n.split(".")[1] not in used) == []
+
+
+_TICKED = re.compile(r"`([^`]+)`")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _live_identifiers() -> set[str]:
+    """Every identifier that `src/` defines, assigns, imports or reads, the
+    module and package names, and the builtins."""
+    names = set(dir(builtins))
+    for path in (ROOT / "src" / "nilcommute").glob("*.py"):
+        names.update((path.stem, path.parent.name))
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.update(node.module.split("."))
+    return names
+
+
+def _ticked_identifiers(path: Path) -> list[str]:
+    """The backticked dotted identifiers in a module's docstrings and
+    comments, each cut before any "(": `_layout(parts)[0]` reads as
+    `_layout`.  Backticked expressions and paths are skipped."""
+    source = path.read_text()
+    texts = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(ast.parse(source, str(path)))
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    texts += [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+              if tok.type == tokenize.COMMENT]
+    heads = (span.split("(")[0].strip() for text in texts for span in _TICKED.findall(text))
+    return [head for head in heads if _DOTTED.fullmatch(head)]
+
+
+def test_docstrings_name_only_live_identifiers():
+    # a docstring or comment that names a removed helper misleads its reader
+    live = _live_identifiers()
+    paths = sorted((ROOT / "src" / "nilcommute").glob("*.py"))
+    refs = [(path.name, head) for path in paths for head in _ticked_identifiers(path)]
+    assert len(refs) > 50
+    assert [(name, head) for name, head in refs if not live.issuperset(head.split("."))] == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilcommute import cli
+from nilcommute import cli, commutator
 from nilcommute.cli import UsageError, main
 
 
@@ -149,6 +149,19 @@ class TestOtherCommands:
     def test_oracle_oversize_exits_2(self, capsys):
         code, _, err = run(capsys, "oracle", "--p", "13", "--samples", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_oracle_size_bound_checked_before_any_draw(self, capsys, monkeypatch, fmt):
+        # |P| = 13 is one past the default bound of 12
+        calls = []
+        draw = commutator._draw_free
+        monkeypatch.setattr(commutator, "_draw_free", lambda *a, **kw: calls.append(a) or draw(*a, **kw))
+        code, out, err = run(capsys, "--format", fmt, "oracle", "--p", "7,6", "--samples", "2")
+        assert code == 2 and out == "" and calls == []
+        assert err.strip().splitlines() == ["error: |P|=13 exceeds --size-bound 12"]
+        code, out, err = run(capsys, "--format", fmt, "--size-bound", "13",
+                             "oracle", "--p", "7,6", "--samples", "1")
+        assert code == 0 and err == "" and len(calls) == 1
 
     def test_survey(self, capsys):
         code, out, _ = run(

@@ -7,7 +7,6 @@ import pytest
 from nilcommute import commutator
 from nilcommute.commutator import (
     CommutatorElement,
-    _assemble_flat,
     _draw_free,
     _layout,
     _two_part_indices,
@@ -23,7 +22,7 @@ from nilcommute.burge import dmap
 from nilcommute.loci import sample_on_locus
 from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod, matmul
 from nilcommute.partitions import EMPTY, Partition, is_stable, jordan_from_coranks, partitions_of
-from test_modpoly import reference_rank
+from test_modpoly import reference_rank, t_power, zero
 
 P = DEFAULT_PRIME
 
@@ -63,7 +62,7 @@ def two_part(u, r, a, b, g, h, p=P):
 
 def commutant_matrix(parts, rng, p=P):
     """An assembled uniform draw from the nilpotent commutant slice of any shape."""
-    return _assemble_flat(tuple(parts), _draw_free(tuple(parts), rng, p))
+    return assemble_blocks(tuple(parts), _draw_free(tuple(parts), rng, p))
 
 
 def coords(e):
@@ -96,9 +95,13 @@ def det2(e):
     shape (u, u-r).
 
     b, g and h are lifted from k[t]/(t^(u-r)) by zero padding.  The lift of
-    b is ambiguous above t^(u-r); the ambiguity only reaches the result at
-    order >= ord(a) + u - r, which is exactly where the corank formula caps
-    it, so every coefficient that is ever used is intrinsic.
+    b is ambiguous above t^(u-r), which reaches the result only at order
+    >= ord(a) + u - r.  Its order is ord(ab - t^r g h) only below u: read it
+    for orders below u, or capped at u.  Once ord a > r the determinant
+    term of the corank formula can lie at t^u or above, where this misses
+    it: for the shape (5, 3) with a = t^3 and b = t^2 it returns 0 while
+    the corank is 5.  `tests/test_tropical.py::two_part_corank` reads the
+    full formula.
     """
     u, m = e.q
     r = u - m
@@ -120,6 +123,20 @@ def grid(parts, coeffs, p=P):
     numbered as in `_layout`: row i holds q_i coefficients per block."""
     it = iter(coeffs)
     return tuple(tuple(TruncPoly(tuple(islice(it, qi)), p) for _ in parts) for qi in parts)
+
+
+def flatten(entries):
+    """The block coefficients of a grid of entries, numbered as in `_layout`
+    (the inverse of `grid`)."""
+    return [c for row in entries for f in row for c in f.coeffs]
+
+
+def jordan_grid(parts, p=P):
+    """The grid with t on the diagonal and zero elsewhere: the Jordan matrix."""
+    return tuple(
+        tuple(t_power(1, qi, p) if i == j else zero(qi, p) for j in range(len(parts)))
+        for i, qi in enumerate(parts)
+    )
 
 
 def reference_order_violation(q, entries):
@@ -192,6 +209,17 @@ class TestAssemble:
         expect[5:, 5:] = np.eye(2, k=1)
         assert np.array_equal(e.assemble(), expect)
 
+    def test_jordan_writes_the_t_diagonal_grid(self):
+        # every stable shape with n <= 24, parts of size 1 included
+        shapes = [q for n in range(1, 25) for q in partitions_of(n) if is_stable(q)]
+        assert len(shapes) == 372
+        for q in shapes:
+            assert CommutatorElement.jordan(q) == CommutatorElement(q, flatten(jordan_grid(q)))
+        for q in [(1,), (5, 2), (6, 4, 1)]:
+            e = CommutatorElement.jordan(q, 2)
+            assert e == CommutatorElement(q, flatten(jordan_grid(q, 2)), 2)
+            assert np.array_equal(e.assemble(), jordan_matrix(q))
+
     def test_matches_banded_layout(self):
         rng = np.random.default_rng(0)
         for u in range(3, 13):
@@ -211,18 +239,26 @@ class TestAssemble:
                     [TruncPoly(tuple(int(x) for x in rng.integers(P, size=qi))) for _ in parts]
                     for qi in parts
                 ]
-                assert np.array_equal(assemble_blocks(parts, entries), reference_assemble(parts, entries))
+                expect = reference_assemble(parts, entries)
+                assert np.array_equal(assemble_blocks(parts, flatten(entries)), expect)
 
-    def test_rejects_malformed_grid(self):
-        z5, z2 = TruncPoly.zero(5), TruncPoly.zero(2)
-        # wrong moduli with the right total length, a short row, a foreign prime
-        for rows, p in [(((TruncPoly.zero(4), TruncPoly((0, 0, 0, 0, 0, 1))), (z2, z2)), P),
-                        (((z5, z5), (z2,)), P),
-                        (((z5, z5), (z2, z2)), 7)]:
-            with pytest.raises(ValueError, match="grid"):
-                assemble_blocks((5, 2), rows, p)
-        rows7 = ((TruncPoly.zero(5, 7), TruncPoly.t_power(3, 5, 7)), (TruncPoly.t_power(0, 2, 7), TruncPoly.zero(2, 7)))
-        assert np.array_equal(assemble_blocks((5, 2), rows7, 7), reference_assemble((5, 2), rows7))
+    @pytest.mark.parametrize("p", [2, 3, P, 2**63 - 25])
+    @pytest.mark.parametrize("q", [(1,), (5, 2), (8, 5, 2), (10, 7, 4, 1)])
+    def test_rows_match_one_row_calls_and_reference(self, q, p):
+        # every coefficient drawn, structural zeros included, up to p - 1 < 2^63
+        rng = np.random.default_rng([p % 1000, *q])
+        rows = rng.integers(p, size=(5, sum(q) * len(q)), dtype=np.int64)
+        stack = assemble_blocks(q, rows)
+        assert stack.shape == (5, sum(q), sum(q))
+        for row, mat in zip(rows, stack):
+            assert np.array_equal(assemble_blocks(q, row), mat)
+            assert np.array_equal(mat, reference_assemble(q, grid(q, row.tolist(), p)))
+
+    def test_rejects_wrong_width_rows(self):
+        # a short, a long and a length-1 row, which numpy would broadcast
+        for coeffs in [[0] * 13, [0] * 15, [1], np.zeros((3, 13), dtype=np.int64), 1]:
+            with pytest.raises(ValueError, match="14 block coefficients"):
+                assemble_blocks((5, 2), coeffs)
 
     def test_structural_zeros_stay_zero(self):
         rng = np.random.default_rng(1)
@@ -241,32 +277,22 @@ class TestAssemble:
         assert not e.assemble().any()
 
     def test_rejects_bad_orders(self):
-        a = TruncPoly.t_power(0, 5)  # constant term on the diagonal
-        z2 = TruncPoly.zero(2)
-        with pytest.raises(ValueError):
-            CommutatorElement.from_entries((5, 2), ((a, TruncPoly.zero(5)), (z2, z2)))
+        a = t_power(0, 5)  # constant term on the diagonal
+        z2 = zero(2)
+        with pytest.raises(ValueError, match=r"^entry \(0,0\) needs order >= 1$"):
+            CommutatorElement((5, 2), flatten(((a, zero(5)), (z2, z2))))
 
     def test_rejects_shallow_shift(self):
         # upper-right entry must vanish to order r
-        z5 = TruncPoly.zero(5)
-        t5 = TruncPoly.t_power(1, 5)
-        z2 = TruncPoly.zero(2)
-        with pytest.raises(ValueError):
-            CommutatorElement.from_entries((5, 2), ((t5, TruncPoly.t_power(0, 5)), (z2, z2)))
+        t5 = t_power(1, 5)
+        z2 = zero(2)
+        with pytest.raises(ValueError, match=r"^entry \(0,1\) needs order >= 3$"):
+            CommutatorElement((5, 2), flatten(((t5, t_power(0, 5)), (z2, z2))))
 
     def test_rejects_unstable_shape(self):
         q = (5, 4)
         with pytest.raises(ValueError, match="stable"):
             CommutatorElement(q, (0,) * (sum(q) * len(q)))
-
-    def test_from_entries_rejects_malformed_grid(self):
-        z5, z2 = TruncPoly.zero(5), TruncPoly.zero(2)
-        # misaligned moduli with the right total, a missing column, a foreign prime
-        for rows in [((TruncPoly.zero(4), TruncPoly.zero(6)), (z2, z2)), ((z5,), (z2,)),
-                     ((z5, z5), (z2, TruncPoly.zero(2, 7)))]:
-            with pytest.raises(ValueError, match="grid"):
-                CommutatorElement.from_entries((5, 2), rows)
-        assert CommutatorElement.from_entries((5, 2), ((z5, z5), (z2, z2))) == CommutatorElement((5, 2), (0,) * (7 * 2))
 
     def test_validity_matches_per_entry_rule(self):
         # one nonzero coefficient at a time, on every stable shape with at
@@ -295,16 +321,16 @@ class TestJordanType:
     def test_special_point(self):
         e = two_part(
             5, 3,
-            TruncPoly.t_power(2, 5),
-            TruncPoly.t_power(1, 2),
-            TruncPoly.t_power(0, 2),
-            TruncPoly.t_power(0, 2),
+            t_power(2, 5),
+            t_power(1, 2),
+            t_power(0, 2),
+            t_power(0, 2),
         )
         assert e.jordan_type() == (4, 1, 1, 1)
 
     def test_block_diagonal_action(self):
         e = two_part(
-            5, 3, TruncPoly.t_power(1, 5), TruncPoly.zero(2), TruncPoly.zero(2), TruncPoly.zero(2)
+            5, 3, t_power(1, 5), zero(2), zero(2), zero(2)
         )
         assert e.jordan_type() == (5, 1, 1)
 
@@ -341,7 +367,7 @@ class TestJordanType:
                 for density in (0.2, 0.5):
                     coeffs = _draw_free(parts, rng, p)
                     coeffs[rng.random(coeffs.size) > density] = 0
-                    m = _assemble_flat(parts, coeffs)
+                    m = assemble_blocks(parts, coeffs)
                     assert jordan_type_of_matrix(m, p) == reference_jordan_type(m, p)
 
 
@@ -355,7 +381,7 @@ def mixed_stack(n, count, rng, p):
         coeffs = _draw_free(parts, rng, p)
         if len(out) % 3 == 0:
             coeffs[rng.random(coeffs.size) > 0.3] = 0
-        out.append(_assemble_flat(parts, coeffs))
+        out.append(assemble_blocks(parts, coeffs))
     return np.stack(out[:count])
 
 
@@ -435,7 +461,7 @@ def two_part_stack(q, rng, p):
         coeffs = _draw_free(q, rng, p)
         if i % 2:
             coeffs[rng.random(coeffs.size) < 0.6] = 0
-        out.append(_assemble_flat(q, coeffs))
+        out.append(assemble_blocks(q, coeffs))
     cells = [(k, l) for k in range(1, r) for l in range(1, m + 1)]
     out += [sample_on_locus(u, r, k, l, rng, prime=p).assemble() for k, l in cells for _ in range(2)]
     return np.stack(out)

@@ -34,7 +34,7 @@ from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, rank
 from nilcommute.partitions import EMPTY, Partition
 from nilcommute.tropical import predicted_jordan_type
 from test_commutator import coords, det2, order, two_part
-from test_modpoly import reference_rank
+from test_modpoly import reference_rank, t_power, zero
 
 P = DEFAULT_PRIME
 
@@ -238,19 +238,13 @@ class TestEquations:
 
 class TestEvaluate:
     def test_jordan_point_off_locus(self):
-        e = two_part(
-            5, 3, TruncPoly.t_power(1, 5), TruncPoly.t_power(1, 2),
-            TruncPoly.zero(2), TruncPoly.zero(2),
-        )
+        e = two_part(5, 3, t_power(1, 5), t_power(1, 2), zero(2), zero(2))
         eqs = equations(5, 3, 2, 2)
         assert reference_values(eqs, e)[0] == 1  # a_1 = 1
         assert not eqs._holds(e.coeffs, e.p)
 
     def test_special_point_on_locus(self):
-        e = two_part(
-            5, 3, TruncPoly.t_power(2, 5), TruncPoly.t_power(1, 2),
-            TruncPoly.t_power(0, 2), TruncPoly.t_power(0, 2),
-        )
+        e = two_part(5, 3, t_power(2, 5), t_power(1, 2), t_power(0, 2), t_power(0, 2))
         eqs = equations(5, 3, 2, 2)
         assert reference_values(eqs, e) == (0, 0) and eqs._holds(e.coeffs, e.p)
 
@@ -377,8 +371,8 @@ class TestJacobian:
         assert eqs.jacobian_rank_at(e) == 2
 
     def test_degenerate_point(self):
-        z = TruncPoly.zero(2)
-        e = two_part(5, 3, TruncPoly.t_power(3, 5), z, z, z)
+        z = zero(2)
+        e = two_part(5, 3, t_power(3, 5), z, z, z)
         eqs = equations(5, 3, 2, 2)
         assert eqs.jacobian_rank_at(e) < eqs.codim
 
@@ -583,7 +577,7 @@ class TestIntersect:
             e = two_part(
                 5, 3,
                 TruncPoly((0, 0, *(int(x) for x in rng.integers(P, size=3)))),
-                TruncPoly.zero(2),
+                zero(2),
                 TruncPoly((0, int(rng.integers(P)))),
                 TruncPoly(tuple(int(x) for x in rng.integers(P, size=2))),
             )

@@ -16,6 +16,16 @@ def poly(coeffs, n, p=P):
     return TruncPoly(tuple(coeffs) + (0,) * (n - len(coeffs)), p)
 
 
+def zero(n, p=P):
+    """The zero of k[t]/(t^n)."""
+    return poly((), n, p)
+
+
+def t_power(j, n, p=P):
+    """t^j in k[t]/(t^n), which is zero for j >= n."""
+    return poly((0,) * j + (1,), n, p) if j < n else zero(n, p)
+
+
 def reference_rank(mat, p=P):
     """Exact rank over GF(p) by scalar Gaussian elimination: pivot search,
     row swaps, modular inverses and below-pivot updates.  The oracle for
@@ -72,7 +82,7 @@ class TestTruncPoly:
         from test_commutator import order
 
         assert order(poly([0, 0, 1, 3], 5).coeffs) == 2
-        assert order(TruncPoly.zero(4).coeffs) == math.inf
+        assert order(zero(4).coeffs) == math.inf
 
     def test_order_additive(self):
         # (t * unit) * (t * unit) has order 2 below the truncation
@@ -87,7 +97,7 @@ class TestTruncPoly:
 
         one_plus = poly([1, 1], 2)
         one_minus = poly([1, -1], 2)
-        assert mul_trunc(one_plus.coeffs, one_minus.coeffs, 2) == TruncPoly.t_power(0, 2).coeffs
+        assert mul_trunc(one_plus.coeffs, one_minus.coeffs, 2) == t_power(0, 2).coeffs
 
     def test_square(self):
         from test_commutator import mul_trunc
@@ -359,15 +369,15 @@ class TestDet2:
     def test_jordan_point(self):
         from test_commutator import det2, two_part
 
-        z = TruncPoly.zero(2)
-        e = two_part(5, 3, TruncPoly.t_power(1, 5), TruncPoly.t_power(1, 2), z, z)
-        assert det2(e) == TruncPoly.t_power(2, 5).coeffs
+        z = zero(2)
+        e = two_part(5, 3, t_power(1, 5), t_power(1, 2), z, z)
+        assert det2(e) == t_power(2, 5).coeffs
 
     def test_with_offdiagonal(self):
         from test_commutator import det2, two_part
 
-        one = TruncPoly.t_power(0, 2)
-        e = two_part(5, 3, TruncPoly.t_power(1, 5), TruncPoly.t_power(1, 2), one, one)
+        one = t_power(0, 2)
+        e = two_part(5, 3, t_power(1, 5), t_power(1, 2), one, one)
         assert det2(e) == (0, 0, 1, P - 1, 0)  # t^2 - t^3
 
     def test_diagonal_case(self):
@@ -375,7 +385,7 @@ class TestDet2:
 
         a = poly([0, 0, 4], 5)
         b = poly([0, 9], 2)
-        z = TruncPoly.zero(2)
+        z = zero(2)
         assert det2(two_part(5, 3, a, b, z, z)) == mul_trunc(a.coeffs, b.coeffs, 5)
 
     def test_order_submultiplicative_on_products(self):

@@ -6,7 +6,7 @@ import pytest
 from nilcommute.burge import decode, two_part_code
 from nilcommute.commutator import sample_commutator
 from nilcommute.loci import sample_on_locus
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, matmul, rank
+from nilcommute.modpoly import DEFAULT_PRIME, matmul, rank
 from nilcommute.tropical import (
     closed_form_power,
     minplus_power,
@@ -14,6 +14,7 @@ from nilcommute.tropical import (
     predicted_jordan_type,
 )
 from test_commutator import coords, mul_trunc, order, two_part
+from test_modpoly import t_power, zero
 
 P = DEFAULT_PRIME
 INF = math.inf
@@ -49,22 +50,15 @@ def two_part_corank(e, s=1):
 
 class TestOrderMatrix:
     def test_jordan_point(self):
-        e = two_part(
-            5, 3, TruncPoly.t_power(1, 5), TruncPoly.t_power(1, 2),
-            TruncPoly.zero(2), TruncPoly.zero(2),
-        )
+        e = two_part(5, 3, t_power(1, 5), t_power(1, 2), zero(2), zero(2))
         assert order_matrix(e) == ((1, INF), (INF, 1))
 
     def test_generic_orders(self):
-        e = two_part(
-            5, 3, TruncPoly.t_power(2, 5), TruncPoly.t_power(1, 2),
-            TruncPoly.t_power(0, 2), TruncPoly.t_power(0, 2),
-        )
+        e = two_part(5, 3, t_power(2, 5), t_power(1, 2), t_power(0, 2), t_power(0, 2))
         assert order_matrix(e) == ((2, 0), (3, 1))
 
     def test_zero_element(self):
-        e = two_part(5, 3, TruncPoly.zero(5), TruncPoly.zero(2),
-                     TruncPoly.zero(2), TruncPoly.zero(2))
+        e = two_part(5, 3, zero(5), zero(2), zero(2), zero(2))
         assert order_matrix(e) == ((INF, INF), (INF, INF))
 
 
@@ -123,28 +117,24 @@ class TestCorankFromOrders:
             assert two_part_corank(e, s) == self.exact_corank(e, s), s
 
     def test_jordan_point(self):
-        e = two_part(5, 3, TruncPoly.t_power(1, 5), TruncPoly.t_power(1, 2),
-                     TruncPoly.zero(2), TruncPoly.zero(2))
+        e = two_part(5, 3, t_power(1, 5), t_power(1, 2), zero(2), zero(2))
         assert two_part_corank(e) == self.exact_corank(e) == 2
         self.check_profile(e)
 
     def test_cancellation_case(self):
-        e = two_part(5, 3, TruncPoly.t_power(2, 5), TruncPoly.t_power(1, 2),
-                     TruncPoly.t_power(0, 2), TruncPoly.t_power(0, 2))
+        e = two_part(5, 3, t_power(2, 5), t_power(1, 2), t_power(0, 2), t_power(0, 2))
         assert two_part_corank(e) == self.exact_corank(e) == 4
         self.check_profile(e)
 
     def test_diagonal_case(self):
-        e = two_part(7, 4, TruncPoly.t_power(2, 7), TruncPoly.t_power(1, 3),
-                     TruncPoly.zero(3), TruncPoly.zero(3))
+        e = two_part(7, 4, t_power(2, 7), t_power(1, 3), zero(3), zero(3))
         # min(k + l, k + u - r)
         assert two_part_corank(e) == self.exact_corank(e) == min(2 + 1, 2 + 3)
         self.check_profile(e)
 
     def test_determinant_past_u(self):
         # ab = t^5 vanishes mod t^u but is the least term: det Phi is read untruncated
-        e = two_part(5, 2, TruncPoly.t_power(3, 5), TruncPoly.t_power(2, 3),
-                     TruncPoly.zero(3), TruncPoly.zero(3))
+        e = two_part(5, 2, t_power(3, 5), t_power(2, 3), zero(3), zero(3))
         assert two_part_corank(e) == self.exact_corank(e) == 3 + 2
         self.check_profile(e)
 
