@@ -1,5 +1,10 @@
 """Command-line front end with reproducible JSON reports.
 
+Every command `cmd_*(args, cfg)` returns `(payload, lines, ok)`: the JSON
+payload dict, the text lines (maybe a generator, which JSON output never
+runs) and the verdict.  `main` reads the run config once, writes the payload
+with the config appended or the lines, and exits 1 only when `ok` is false.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 internal error (any other exception, reported in one stderr line).
 Partitions on the command line are comma-separated decreasing integers;
@@ -110,16 +115,6 @@ def _config(args) -> RunConfig:
     )
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
-    """Print the JSON payload, with the run config appended, or the text lines;
-    `text_lines` may be a generator, which JSON output never runs."""
-    if cfg.output == "json":
-        print(json.dumps({**payload, "config": asdict(cfg)}))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _fmt_partition(p) -> str:
     return "[" + ",".join(str(x) for x in p) + "]"
 
@@ -127,36 +122,24 @@ def _fmt_partition(p) -> str:
 _NO_GENERIC_TYPE = "no generic type (no sampled type dominates the rest)"
 
 
-def cmd_burge(args) -> int:
-    cfg = _config(args)
-    if args.action == "encode":
-        if args.partition is None:
-            raise UsageError("encode needs --partition")
-        p = _parse_partition(args.partition)
-        word = encode(p)
-        payload = {"command": "encode", "partition": list(p), "code": word.tokens()}
-        _emit(cfg, payload, [word.tokens()])
-        return 0
+def cmd_burge(args, cfg: RunConfig):
+    needs = "code" if args.action == "decode" else "partition"
+    if getattr(args, needs) is None:
+        raise UsageError(f"{args.action} needs --{needs}")
     if args.action == "decode":
-        if args.code is None:
-            raise UsageError("decode needs --code")
         word = BurgeWord.from_tokens(args.code)
         p = decode(word)
-        payload = {"command": "decode", "code": word.tokens(), "parts": list(p)}
-        _emit(cfg, payload, [_fmt_partition(p)])
-        return 0
-    if args.action == "dmap":
-        if args.partition is None:
-            raise UsageError("dmap needs --partition")
-        p = _parse_partition(args.partition)
-        d = dmap(p)
-        payload = {"command": "dmap", "partition": list(p), "parts": list(d)}
-        _emit(cfg, payload, [_fmt_partition(d)])
-        return 0
-    raise UsageError(f"unknown burge action {args.action!r}")
+        return {"command": "decode", "code": word.tokens(), "parts": p}, [_fmt_partition(p)], True
+    p = _parse_partition(args.partition)
+    if args.action == "encode":
+        code = encode(p).tokens()
+        return {"command": "encode", "partition": p, "code": code}, [code], True
+    d = dmap(p)
+    return {"command": "dmap", "partition": p, "parts": d}, [_fmt_partition(d)], True
 
 
-def _box_payload(q: Partition) -> tuple[dict, list[str]]:
+def cmd_box(args, cfg: RunConfig):
+    q = _stable_shape(args.q)
     codes = box_codes(q)
     cells = box_partitions(q)
     entries = []
@@ -166,48 +149,26 @@ def _box_payload(q: Partition) -> tuple[dict, list[str]]:
         p = cells[idx]
         dmap_ok = dmap(p) == q
         ok = ok and len(p) == sum(idx) and dmap_ok
-        entries.append(
-            {
-                "index": list(idx),
-                "code": codes[idx].tokens(),
-                "partition": list(p),
-            }
-        )
+        entries.append({"index": idx, "code": codes[idx].tokens(), "partition": p})
         lines.append(
             f"  I={_fmt_partition(idx)}  code='{codes[idx].tokens()}'  "
             f"P={_fmt_partition(p)}  {ar_notation(p)}  parts={len(p)} dmap_ok={dmap_ok}"
         )
     distinct = len(set(cells.values())) == len(cells)
     lines.append(f"  distinct={distinct} all_checks={ok and distinct}")
-    payload = {"q": list(q), "key": list(key(q)), "cells": entries}
-    return payload, lines
+    return {"q": q, "key": key(q), "cells": entries}, lines, True
 
 
-def cmd_box(args) -> int:
-    cfg = _config(args)
-    q = _stable_shape(args.q)
-    payload, lines = _box_payload(q)
-    _emit(cfg, payload, lines)
-    return 0
-
-
-def cmd_table(args) -> int:
-    cfg = _config(args)
+def cmd_table(args, cfg: RunConfig):
     q = _parse_partition(args.q)
     u, r = _two_part(q)
     grid = table(q)
-    payload = {
-        "q": list(q),
-        "key": list(key(q)),
-        "rows": [[list(p) for p in row] for row in grid],
-    }
     lines = [f"table of {_fmt_partition(q)}: {r - 1} rows x {u - r} columns"]
     for ki, row in enumerate(grid, start=1):
         lines.append(
             f"  k={ki}: " + "  ".join(f"{ar_notation(p)}={_fmt_partition(p)}" for p in row)
         )
-    _emit(cfg, payload, lines)
-    return 0
+    return {"q": q, "key": key(q), "rows": grid}, lines, True
 
 
 def _verify_lines(reports, passed: int):
@@ -225,8 +186,7 @@ def _verify_lines(reports, passed: int):
     yield f"{passed}/{len(reports)} cells pass"
 
 
-def cmd_verify(args) -> int:
-    cfg = _config(args)
+def cmd_verify(args, cfg: RunConfig):
     q = _parse_partition(args.q)
     u, r = _two_part(q)
     if args.cell is not None:
@@ -236,36 +196,25 @@ def cmd_verify(args) -> int:
         cells = [(k, l) for k in range(1, r) for l in range(1, u - r + 1)]
     reports = [verify_cell(u, r, k, l, cfg.samples, seed=cfg.seed, prime=cfg.prime) for k, l in cells]
     passed = sum(rep.passed for rep in reports)
-    payload = {
-        "q": list(q),
-        "passed": passed,
-        "total": len(reports),
-        "reports": [rep.to_dict() for rep in reports],
-    }
-    _emit(cfg, payload, _verify_lines(reports, passed))
-    return 0 if passed == len(reports) else 1
+    payload = {"q": q, "passed": passed, "total": len(reports), "reports": reports}
+    return payload, _verify_lines(reports, passed), passed == len(reports)
 
 
-def cmd_survey(args) -> int:
-    cfg = _config(args)
+def cmd_survey(args, cfg: RunConfig):
     q = _stable_shape(args.q)
     rep = survey(q, cfg.samples, seed=cfg.seed, prime=cfg.prime)
-    payload = rep.to_dict()
     lines = [f"survey of {_fmt_partition(q)}: {cfg.samples} samples, box size {rep.box_size}"]
     for t, c in rep.type_counts:
         lines.append(f"  {_fmt_partition(t)}: {c}")
     lines.append(f"all observed types in box: {rep.all_in_box}")
-    _emit(cfg, payload, lines)
-    return 0 if rep.all_in_box else 1
+    return rep.to_dict(), lines, rep.all_in_box
 
 
-def cmd_intersect(args) -> int:
-    cfg = _config(args)
+def cmd_intersect(args, cfg: RunConfig):
     q = _parse_partition(args.q)
     u, r = _two_part(q)
     cells = _parse_cells(args.cells)
     rep = intersect_experiment(u, r, cells, cfg.samples, seed=cfg.seed, prime=cfg.prime)
-    payload = rep.to_dict()
     lines = [f"intersection on {_fmt_partition(q)} cells {args.cells}"]
     if not rep.sampled:
         lines.append(f"not sampled: {rep.reason}")
@@ -275,12 +224,10 @@ def cmd_intersect(args) -> int:
             lines.append(f"  {name}: generic type {_fmt_partition(br.max_type)} {ar_notation(br.max_type)}")
         else:
             lines.append(f"  {name}: {_NO_GENERIC_TYPE}")
-    _emit(cfg, payload, lines)
-    return 0
+    return rep.to_dict(), lines, True
 
 
-def cmd_oracle(args) -> int:
-    cfg = _config(args)
+def cmd_oracle(args, cfg: RunConfig):
     p = _parse_partition(args.p)
     if p.size > cfg.size_bound:
         raise UsageError(f"|P|={p.size} exceeds --size-bound {cfg.size_bound}")
@@ -288,16 +235,9 @@ def cmd_oracle(args) -> int:
     est = dmap_oracle(p, cfg.samples, rng, prime=cfg.prime, size_limit=cfg.size_bound)
     truth = dmap(p)
     agree = est == truth
-    payload = {
-        "p": list(p),
-        "oracle": list(est),
-        "dmap": list(truth),
-        "agree": agree,
-    }
     # an empty estimate for a nonempty P: no sampled type dominates the rest
     lines = [_fmt_partition(est) if est or not p else _NO_GENERIC_TYPE, f"agrees with dmap: {agree}"]
-    _emit(cfg, payload, lines)
-    return 0 if agree else 1
+    return {"p": p, "oracle": est, "dmap": truth, "agree": agree}, lines, agree
 
 
 @functools.cache
@@ -359,7 +299,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        cfg = _config(args)
+        payload, lines, ok = args.func(args, cfg)
+        if cfg.output == "json":
+            # reports nested in the payload are written through their to_dict
+            print(json.dumps({**payload, "config": asdict(cfg)}, default=lambda rep: rep.to_dict()))
+        else:
+            print("\n".join(lines))
+        return 0 if ok else 1
     except ValueError as exc:
         # UsageError, and the library's own checks on its input (cells, codes, sizes)
         print(f"error: {exc}", file=sys.stderr)

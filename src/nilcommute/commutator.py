@@ -245,6 +245,8 @@ class CommutatorElement:
         object.__setattr__(self, "q", q)
         if not q or not is_stable(q):
             raise ValueError(f"shape must be a nonempty stable partition: {tuple(q)}")
+        if not 2 <= self.p < 2**63:  # assembled matrices are int64
+            raise ValueError(f"prime {self.p} is out of range: supported primes are 2 <= p < 2^63")
         c = tuple(int(x) % self.p for x in self.coeffs)
         object.__setattr__(self, "coeffs", c)
         if len(c) != q.size * len(q):
@@ -272,7 +274,7 @@ class CommutatorElement:
     def jordan_type(self) -> Partition:
         return jordan_type_of_matrix(self.assemble(), self.p)
 
-    def multiply(self, other: "CommutatorElement") -> "CommutatorElement":
+    def __matmul__(self, other: "CommutatorElement") -> "CommutatorElement":
         """Composition of block maps; assembles to the matrix product.
 
         Block (i, j) is the sum over m of f_im f_mj truncated at t^{q_i}, in
@@ -292,14 +294,6 @@ class CommutatorElement:
                                 acc[d + e] += x * y
                 out.extend(acc)
         return CommutatorElement(q, out, self.p)
-
-    def __matmul__(self, other: "CommutatorElement") -> "CommutatorElement":
-        return self.multiply(other)
-
-    def __add__(self, other: "CommutatorElement") -> "CommutatorElement":
-        if self.q != other.q or self.p != other.p:
-            raise ValueError("elements live on different shapes")
-        return CommutatorElement(self.q, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), self.p)
 
 
 def _order_error(parts, coeff: int, free) -> str:

@@ -248,23 +248,17 @@ def _type_counts(counter: Counter) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
-def _plain(value):
-    """JSON-ready form of a report field: tuples and partitions become lists."""
-    if isinstance(value, _Report):
-        return value.to_dict()
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
-
-
 class _Report:
     """Serializes a report dataclass: its fields, then the `derived` keys,
-    each paired with the property that computes it."""
+    each paired with the property that computes it.  The dict is shallow:
+    `json.dumps` writes tuples and partitions as arrays, and the CLI's
+    `default` hook writes nested reports (`IntersectReport.branches`, each
+    `CellReport` of a verify payload) through their own `to_dict`."""
 
     derived: ClassVar[tuple[tuple[str, str], ...]] = ()
 
     def to_dict(self) -> dict:
-        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         for key, prop in self.derived:
             out[key] = getattr(self, prop)
         return out

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -7,6 +11,8 @@ from hypothesis import strategies as st
 
 from nilcommute import cli, commutator
 from nilcommute.cli import UsageError, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -320,14 +326,41 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.strip().splitlines() == ["internal error: RuntimeError: sampler bug"]
 
+    def test_text_formatting_error_exits_3(self, capsys, monkeypatch):
+        def broken(p):
+            raise RuntimeError("formatting bug")
+
+        monkeypatch.setattr(cli, "ar_notation", broken)
+        code, out, err = run(capsys, "verify", "--q", "5,2", "--samples", "4")
+        assert code == 3 and out == ""
+        assert err.strip().splitlines() == ["internal error: RuntimeError: formatting bug"]
+
+
+class TestEntryPoint:
+    """`python -m nilcommute.cli`, which the `nilcommute` script runs, exits with main's code."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("burge", "dmap", "--partition", "4,2,1"), 0),
+        (("--prime", "2", "verify", "--q", "5,2"), 1),
+        (("box", "--q", "5,4"), 2),
+    ])
+    def test_module_exit_code(self, argv, expected):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-m", "nilcommute.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == expected, out.stderr
+        assert "Traceback" not in out.stderr
+
 
 class TestGoldenPayloads:
-    """SHA-256 digests and exit codes of fixed-seed JSON payloads.
+    """SHA-256 digests and exit codes of fixed-seed JSON payloads and text
+    reports of every command form.
 
-    They pin every sampled type, verdict and report key: a refactor must
-    leave them byte-identical.  A change that moves an RNG draw on purpose
-    updates the digests and says so in CHANGES.md.  At p = 3 cancellations
-    fail some `verify` cells and put types outside the `survey` box (exit 1).
+    They pin every sampled type, verdict, report key and text line: a
+    refactor must leave them byte-identical.  A change that moves an RNG
+    draw on purpose updates the digests and says so in CHANGES.md.  At
+    p = 3 cancellations fail some `verify` cells and put types outside the
+    `survey` box (exit 1).
     """
 
     COMMANDS = {
@@ -336,6 +369,11 @@ class TestGoldenPayloads:
         "intersect": ("intersect", "--q", "7,3", "--cells", "1,2+2,2", "--samples", "40"),
         "survey": ("survey", "--q", "8,5,2", "--samples", "30"),
         "oracle": ("oracle", "--p", "4,2,1", "--samples", "30"),
+        "encode": ("burge", "encode", "--partition", "5,4,3,3,3,2,2,1"),
+        "decode": ("burge", "decode", "--code", "b a2 b2 a7 b5 a"),
+        "dmap": ("burge", "dmap", "--partition", "5,4,3,3,3,2,2,1"),
+        "box": ("box", "--q", "8,5,2"),
+        "table": ("table", "--q", "7,3"),
     }
     GOLDEN = {
         (3, "verify"): (1, "8826c0e0305e7759914b5dc79749d27b003643d2136d71113e6e3b2bf90831a1"),
@@ -353,11 +391,40 @@ class TestGoldenPayloads:
         (2_147_483_659, "intersect"): (0, "ab2db732faadc045e64ecf591f5ed0b88c2f7770e167dde270d0c3d2ebda3d61"),
         (2_147_483_659, "survey"): (0, "9bdb915e1eb3a1623d51ed78f76c98dba3d86d252f58835338a1a4e20c8500b0"),
         (2_147_483_659, "oracle"): (0, "f1487fa1aa121e3abef30c71e15f6b6d50bb39068fd2ee6dd3fa3fb2a9d67c8f"),
+        (1_000_000_007, "encode"): (0, "101bf8dfb00dc1f49cb6aedd11da3e80c896b55c4eeb84ffa6a0907abb9b809d"),
+        (1_000_000_007, "decode"): (0, "c2ce1f009bfd244e59fb7879a539c3818c6eddd14b94f4873b70cdbbb86eb76d"),
+        (1_000_000_007, "dmap"): (0, "6bbebefc5d571e32fc6509c36e9438c67c40d053fb47a1de107423fe1d729204"),
+        (1_000_000_007, "box"): (0, "6a0a48feaf1971ca9834c91bede2baca6a2f8ac51e3d37aca3c461b5ab16901f"),
+        (1_000_000_007, "table"): (0, "6d048ba079f38195e48292f18c2a246e6a038d178ecc9f0ff4d5493cbcc5c427"),
     }
+    TEXT_GOLDEN = {
+        (3, "verify"): (1, "49a6dace98bb231f7f87259400ac4ebac831a537acb4e4cb999d2a3fc9206e20"),
+        (3, "verify-cell"): (1, "21639be1ecaa515d63b649721128e971437c6daf18f8addfd348afcd25fb2b49"),
+        (3, "intersect"): (0, "d9d4850eee87c5a7ee7242a365ba58d2c90b791ed303a8f22b6d2e8e4687defd"),
+        (3, "survey"): (1, "ca5e6cc763d01d6eedfb9887c705d7cbffd656b18d5bd254344e02b01a7d69bf"),
+        (3, "oracle"): (0, "0d8d88b2d6102727a4178fc969009ba4e3b9f6bc97fc1dea72282a35bbfe0a75"),
+        (1_000_000_007, "verify"): (0, "d72ddbeb31e26ded86668b86efec8dcb6a12a5acb98fa1ba3a6ed00aa4eab380"),
+        (1_000_000_007, "verify-cell"): (0, "790e1ca613e5d084446ecdcad37ec834f4b68e6ab1e41dbff6c78571b027e565"),
+        (1_000_000_007, "intersect"): (0, "d9d4850eee87c5a7ee7242a365ba58d2c90b791ed303a8f22b6d2e8e4687defd"),
+        (1_000_000_007, "survey"): (0, "3b907159258f2af344e22e71c7da1fa363a1e6582ecb8f5b4728b8b21b750876"),
+        (1_000_000_007, "oracle"): (0, "0d8d88b2d6102727a4178fc969009ba4e3b9f6bc97fc1dea72282a35bbfe0a75"),
+        (1_000_000_007, "encode"): (0, "7abf2d7fa98c11fab889be9fb84840236096d471c88ea9fceeb9464954453e36"),
+        (1_000_000_007, "decode"): (0, "cd4926af4b38703945777ade83ba32fbcbc7f15cce09f5629307240ffe5eebac"),
+        (1_000_000_007, "dmap"): (0, "fcf877984542cdcbea8414cbea775125d79e18bfc1dfc69e1f941e16792c9c54"),
+        (1_000_000_007, "box"): (0, "bf19948ce351fb4372d3914c20a63cffc9f57a12257876bfe181e5b7f1b88491"),
+        (1_000_000_007, "table"): (0, "b487194a4d9e8b38d1a5e6d2c515626e449a50b62de0ce813d84adfe2f10695b"),
+    }
+
+    def digest(self, capsys, fmt, prime, name):
+        argv = ("--prime", str(prime), "--format", fmt, "--seed", "3", *self.COMMANDS[name])
+        code, out, err = run(capsys, *argv)
+        assert err == ""
+        return code, hashlib.sha256(out.encode()).hexdigest()
 
     @pytest.mark.parametrize("prime, name", sorted(GOLDEN))
     def test_payload_is_unchanged(self, capsys, prime, name):
-        argv = ("--prime", str(prime), "--format", "json", "--seed", "3", *self.COMMANDS[name])
-        code, out, err = run(capsys, *argv)
-        assert err == ""
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.GOLDEN[prime, name]
+        assert self.digest(capsys, "json", prime, name) == self.GOLDEN[prime, name]
+
+    @pytest.mark.parametrize("prime, name", sorted(TEXT_GOLDEN))
+    def test_text_is_unchanged(self, capsys, prime, name):
+        assert self.digest(capsys, "text", prime, name) == self.TEXT_GOLDEN[prime, name]

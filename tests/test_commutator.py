@@ -636,12 +636,15 @@ class TestMultiply:
     def test_algebra_laws(self):
         from nilcommute.modpoly import matmul
 
+        def plus(e, f):
+            return CommutatorElement(e.q, [x + y for x, y in zip(e.coeffs, f.coeffs)], e.p)
+
         rng = np.random.default_rng(12)
         q = (7, 3)
         for _ in range(5):
             e1, e2, e3 = (sample_commutator(q, rng) for _ in range(3))
             assert ((e1 @ e2) @ e3) == (e1 @ (e2 @ e3))
-            assert (e1 @ (e2 + e3)) == (e1 @ e2) + (e1 @ e3)
+            assert (e1 @ plus(e2, e3)) == plus(e1 @ e2, e1 @ e3)
 
     def test_two_part_product_stays_two_part(self):
         rng = np.random.default_rng(23)
@@ -666,6 +669,12 @@ class TestTwoPartElement:
                 e = sample_commutator((u, u - r), rng, p=p)
                 assert len(e.coeffs) == 4 * u - 2 * r
                 assert CommutatorElement((u, u - r), e.coeffs, p) == e
+
+    @pytest.mark.parametrize("p", [2**63 + 29, 2**64 - 59])
+    def test_rejects_primes_past_int64(self, p):
+        # the assembled matrices are int64, so the CLI's bound holds here too
+        with pytest.raises(ValueError, match=r"2 <= p < 2\^63"):
+            CommutatorElement((5, 2), [0, p - 1] + [0] * 12, p)
 
     def test_from_blocks_rejects_shallow_shift(self):
         coeffs = [0] * (4 * 5 - 2 * 3)

@@ -706,4 +706,4 @@ def test_report_key_sets():
     ]
     for rep in reports:
         assert set(rep.to_dict()) == REPORT_KEYS[type(rep).__name__]
-    assert all(set(b) == REPORT_KEYS["BranchReport"] for b in intersect.to_dict()["branches"])
+    assert all(set(b.to_dict()) == REPORT_KEYS["BranchReport"] for b in intersect.to_dict()["branches"])
