@@ -44,9 +44,9 @@ class RunConfig:
 
 
 def _parse_partition(text: str) -> Partition:
+    """Comma-separated parts, none of them empty; "" is the zero partition."""
     try:
-        parts = [int(x) for x in text.split(",") if x != ""]
-        return Partition(parts)
+        return Partition([int(x) for x in text.split(",")] if text else ())
     except ValueError as exc:
         raise UsageError(f"bad partition {text!r}: {exc}") from exc
 

@@ -11,13 +11,15 @@ the locus equations are slices of them (`_two_part_offsets`).
 Assembling the blocks in bases ordered by decreasing t-power reproduces
 the familiar banded matrices, and ranks of powers of the assembled matrix
 recover the Jordan type.  A chunk of samples is drawn as coefficient rows
-in one generator call (`_draw_free`, the same draws as one per sample),
-assembled by `assemble_blocks` and read as one (S, n, n) stack, reduced
-mod p once.  `jordan_types` ranks every power of a chunk (doubled by
+in one generator call (`_draw_free`, the same draws as one per sample).
+`jordan_types` reads a chunk assembled by `assemble_blocks` as one (S, n, n)
+stack, reduced mod p once, and ranks every power of it (doubled by
 `modpoly._mulmod`) in one stacked `modpoly._eliminate`, for `survey`,
 `dmap_oracle`, `jordan_type_of_matrix` and `CommutatorElement.jordan_type`.
 `verify_cell` and `intersect_experiment` use `_two_part_types`, which reads
-a two-part shape from the 2x2 minors of [Phi^s | D] and squares no power;
+a two-part shape from the 2x2 minors of [Phi^s | D] and squares no power.
+It takes the coefficient rows themselves: the two generator columns of an
+assembled element are a permutation of its row, so nothing is assembled.
 `jordan_types` is its test oracle.  Both end in the same corank profiles
 over and over, so each distinct profile is converted to a Jordan type once
 per process (`_profile_type`).
@@ -156,27 +158,33 @@ def _profile_types(rows, n: int) -> list[Partition]:
 
 
 @lru_cache(maxsize=512)
-def _two_part_indices(u: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _two_part_indices(u: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For the shape (u, u-r), n = 2u - r: the index that assembles a
     commutant element from its generator columns u - 1 and n - 1 (flattened
     row by row as an (n, 2) pair; -1 is an appended zero, as in `_layout`),
-    and the 0/1 matrix summing a flattened (u, u-r) array along its
-    anti-diagonals.  Column u-1-i is J^i times column u - 1, and column
-    n-1-i is J^i times column n - 1; J^i shifts each block's rows up by i."""
+    the 0/1 matrix summing a flattened (u, u-r) array along its
+    anti-diagonals, and the (n, 2) block coefficient numbers of those
+    generator columns.  Column u-1-i is J^i times column u - 1, and column
+    n-1-i is J^i times column n - 1; J^i shifts each block's rows up by i.
+    The generator columns hold no structural zero: column u - 1 is a
+    reversed, then h reversed, and column n - 1 is t^r g reversed, then b
+    reversed, so together they permute the coefficient row."""
     n = 2 * u - r
+    cols = _layout((u, u - r))[0][:, [u - 1, n - 1]]
     row, col = np.arange(n)[:, None], np.arange(n)[None, :]
     gen = col >= u
     src = row + np.where(gen, n - 1, u - 1) - col
     gather = np.where(src <= np.where(row < u, u - 1, n - 1), 2 * src + gen, -1)
     degree = np.add.outer(np.arange(u), np.arange(u - r)).reshape(-1, 1)
     sums = (degree == np.arange(n - 1)).astype(np.int64)
-    gather.flags.writeable = sums.flags.writeable = False
-    return gather, sums
+    gather.flags.writeable = sums.flags.writeable = cols.flags.writeable = False
+    return gather, sums, cols
 
 
-def _two_part_types(stack, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partition]:
-    """Jordan types of an (S, n, n) stack of nilpotent commutant elements of
-    the shape (u, u-r), n = 2u - r, read without ranking any n x n power.
+def _two_part_types(rows, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partition]:
+    """Jordan types of (S, 2n) block coefficient rows of nilpotent commutant
+    elements of the shape (u, u-r), n = 2u - r, numbered as in `_layout`,
+    read without assembling an element or ranking any n x n power.
 
     An element is an endomorphism phi of k[t]^2 / D k[t]^2, D = diag(t^u,
     t^(u-r)), given by any polynomial lift Phi = [[a, t^r g], [h, b]].
@@ -192,36 +200,42 @@ def _two_part_types(stack, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Parti
     it; a zero row counts as order u or u - r, which implies the last term.
     Columns u - 1 and n - 1 of M^s are phi^s of the generators, so the
     doubled W = [ME, ..., M^k E] holds every row order (M^k E = 0 exactly
-    when M^k = 0, as M commutes with J).  A map commuting with J is fixed
-    by its images of the generators, so each doubling round gathers M^k
-    from the last column pair of W and makes one product, M^k W.
+    when M^k = 0, as M commutes with J).  ME is a permutation of the
+    coefficient row (`_two_part_indices`), so W starts as a gather from the
+    rows.  A map commuting with J is fixed by its images of the generators,
+    so each doubling round gathers M^k from the last column pair of W and
+    makes one product, M^k W (`_mulmod`: one word product while it is small).
 
-    delta = ord(ab - t^r g h) comes from V = ME: the reduced outer product
-    of (a, t^r g) and (h, b), summed along anti-diagonals by a 0/1 matrix,
-    in float64 for p < 2^31 (exact: every sum is below (u-r) p < 2^53) and
-    on Python integers above.
+    delta = ord(ab - t^r g h) comes from the rows' a, t^r g, h and b
+    slices: the reduced outer products ab - (t^r g) h, summed along
+    anti-diagonals by a 0/1 matrix, in float64 for p < 2^31 (exact: every
+    sum is below (u-r) p < 2^53) and on Python integers above.
     """
-    stack, n = np.asarray(stack), 2 * u - r
-    if stack.shape[1:] != (n, n):
-        raise ValueError(f"_two_part_types expects an (S, {n}, {n}) stack")
-    gather, sums = _two_part_indices(u, r)
-    w = _as_field_matrix(stack[:, :, [u - 1, n - 1]], p)
+    rows, n = np.asarray(rows), 2 * u - r
+    if rows.ndim != 2 or rows.shape[1] != 2 * n:
+        raise ValueError(f"_two_part_types expects (S, {2 * n}) coefficient rows, got shape {rows.shape}")
+    gather, sums, cols = _two_part_indices(u, r)
+    rows = _as_field_matrix(rows, p)
+    w = rows[:, cols]
+    pair = np.zeros((len(w), 2 * n + 1), w.dtype)  # the last column pair of W, then a zero
     while w[:, :, -2:].any():
         if w.shape[2] >= 2 * n:
             raise ValueError("matrix is not nilpotent")
-        pair = np.concatenate([w[:, :, -2:].reshape(len(w), -1), np.zeros((len(w), 1), w.dtype)], axis=1)
+        pair[:, :-1] = w[:, :, -2:].reshape(len(w), -1)
         w = np.concatenate([w, _mulmod(pair[:, gather], w, p)], axis=2)  # M^k from M^k E, times W
-    # rows in increasing t-power: row 2 of Phi^s, then row 1
-    nz = (w[:, ::-1] != 0).reshape(len(w), n, -1, 2).any(axis=3)
-    row2 = np.where(nz[:, : u - r].any(axis=1), nz[:, : u - r].argmax(axis=1), u - r)
-    row1 = np.where(nz[:, u - r :].any(axis=1), nz[:, u - r :].argmax(axis=1), u)
-    top, bottom = w[:, u - 1 :: -1, :2], w[:, : u - 1 : -1, :2]  # (a, t^r g), (h, b)
-    outer = top[:, :, None, 0] * bottom[:, None, :, 1] - top[:, :, None, 1] * bottom[:, None, :, 0]
-    outer = _reduce(outer, p).reshape(len(w), -1)
+    # W's row i < u holds t^(u-1-i) of row 1 and its row u + j holds
+    # t^(u-r-1-j) of row 2: at depth i + 1 or j + 1 in its block, both
+    # (u-r) + ord row_1 and u + ord row_2 are n minus the deepest nonzero
+    # entry's depth, or n for a zero row
+    deepest = ((w != 0) * (np.arange(n) % u + 1)[:, None]).max(axis=1)
+    deepest = deepest.reshape(len(w), -1, 2).max(axis=2)  # per power s
+    a, tg = rows[:, :u, None], rows[:, u : 2 * u, None]
+    h, b = rows[:, None, 2 * u : n + u], rows[:, None, n + u :]
+    outer = _reduce(a * b - tg * h, p).reshape(len(w), -1)
     det = outer.astype(np.float64 if outer.dtype != object else object) @ sums % p != 0
     delta = np.where(det.any(axis=1), det.argmax(axis=1), n)[:, None]
     s = np.arange(1, w.shape[2] // 2 + 1)
-    coranks = np.minimum(np.minimum(s * delta, (u - r) + row1), u + row2)
+    coranks = np.minimum(s * delta, n - deepest)
     return _profile_types(coranks.tolist(), n)
 
 

@@ -15,8 +15,9 @@ per cell, and the samplers solve the plan's steps.
 
 Every harness draws `_CHUNK` samples at a time as coefficient rows
 (`_plan_rows` on a locus, `commutator._draw_free` on the commutant), the
-same draws in the same order as one at a time, reads each chunk as one stack
-(`_two_part_types`; `jordan_types` in `survey`) and checks equations on rows.
+same draws in the same order as one at a time, and reads and checks each chunk
+on its rows: `_two_part_types` reads the types from the rows themselves, and
+only `survey` assembles a stack, for `jordan_types`.
 """
 
 from __future__ import annotations
@@ -313,8 +314,8 @@ def verify_cell(
     on-locus draws and then the `samples` converse draws form one stream,
     drawn in that order from one generator as stacked coefficient rows,
     `_CHUNK` at a time, so a chunk may hold the last on-locus and the first
-    converse draws (the draws of the one-sample samplers), read as one
-    stack, with Jacobian ranks and equations checked on its rows.  Cells
+    converse draws (the draws of the one-sample samplers), read together,
+    with Jacobian ranks and equations checked on its rows.  Cells
     whose type is never hit by the independent samples count as a vacuous
     pass for the converse direction.
     """
@@ -332,7 +333,7 @@ def verify_cell(
         on = max(0, min(hi, samples) - lo)  # on-locus rows in this chunk
         rows = np.concatenate([
             _plan_rows(plan, rng, prime, on), _draw_free((u, u - r), rng, prime, hi - lo - on)])
-        types = _two_part_types(assemble_blocks((u, u - r), rows), u, r, prime)
+        types = _two_part_types(rows, u, r, prime)
         counts.update(types[:on])
         jac_hits += sum(eqs._jacobian_rank(c, prime) == eqs.codim for c in rows[:on])
         for c, t in zip(rows[on:].tolist(), types[on:]):
@@ -481,7 +482,7 @@ def intersect_experiment(
         counts: Counter = Counter()
         for lo in range(0, samples, _CHUNK):
             rows = _plan_rows(plan, rng, prime, min(_CHUNK, samples - lo), zero_gh)
-            counts.update(_two_part_types(assemble_blocks((u, u - r), rows), u, r, prime))
+            counts.update(_two_part_types(rows, u, r, prime))
         branches.append(
             BranchReport(label=label, max_type=_generic_type(counts), type_counts=_type_counts(counts))
         )

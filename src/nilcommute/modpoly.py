@@ -7,12 +7,15 @@ ranks come from one kernel, `_eliminate`, an inverse-free elimination
 over a whole (S, rows, cols) stack.  It serves the Jordan-type readout,
 which ranks all powers of a chunk of sampled matrices at once, and, as
 its one-matrix case `rank`, the sparse rectangular Jacobians of the
-locus equations.  The readout's powers come from `_mulmod`: one int64
-product when n (p-1)^2 < 2^63 for inner dimension n <= `_PRODUCT_MAX_INNER`,
-float64 BLAS products of exact limbs above that, and Python integers past
-n = 2^21 or for p >= 2^31.  Both stack kernels take already-reduced
-arrays, so the readout reduces its input once; `rank` and `matmul` are
-their public forms, which reduce a copy first.
+locus equations.  Both readouts' powers come from `_mulmod`: one
+machine-word product while its sums stay exact (int64 while n (p-1)^2 <
+2^63 for inner dimension n, uint64 while below 2^64) and it makes at most
+`_PRODUCT_MAX_WORK` multiply-adds, float64 BLAS products of exact limbs
+otherwise, and Python integers past n = 2^21 or for p >= 2^31.  That is
+delayed reduction: accumulate in machine words up to the exactness bound,
+then reduce once.  Both stack kernels take already-reduced arrays, so a
+readout reduces its input once; `rank` and `matmul` are their public
+forms, which reduce a copy first.
 The int64 path rests on the bounds stated at `_INT64_SAFE`.  The default
 prime is large enough that random cancellations never disturb desk-scale
 Monte-Carlo runs.
@@ -28,21 +31,32 @@ import numpy as np
 DEFAULT_PRIME = 1_000_000_007
 
 # p < 2^31 keeps int64 exact through these bounds: elimination entries
-# and products (`_eliminate`) stay below p^2 < 2^62; `_mulmod`'s one int64
-# product is taken only when its sums, at most n (p-1)^2, stay below
-# 2^63; otherwise its float64 limb products and partial sums stay below
-# 2^53, where float64 integers are exact, and its int64 recombination
-# stays below 2^54
+# and products (`_eliminate`) stay below p^2 < 2^62; `_mulmod`'s one word
+# product is taken only when its sums, at most n (p-1)^2, stay below 2^63
+# (int64) or 2^64 (uint64); otherwise its float64 limb products and
+# partial sums stay below 2^53, where float64 integers are exact, and its
+# int64 recombination stays below 2^54
 _INT64_SAFE = 2**31
 
-# `_mulmod` takes one int64 product only up to this inner dimension n, as
-# numpy's int64 matmul runs no BLAS; 9 is also where the bound ends at the
-# default prime.  Best-of-9 times, numpy 2.4 on a 2-vCPU x86-64 host, of
-# (S,K,n,n) @ (S,1,n,n), float64 limbs vs int64: at the default prime (two
-# limbs) 23.8 vs 6.1 us at (1,3,8,8) and 71.8 vs 42.9 us at (8,7,9,9); at
-# p = 3 (one limb) 7.7 vs 4.5 us at (1,3,9,9) but 33.4 vs 46.9 us at
-# (8,7,9,9), 49.5 vs 96.0 at (8,7,12,12) and 248 vs 603 at (8,7,22,22)
-_PRODUCT_MAX_INNER = 9
+# `_mulmod` takes one word product only up to this many multiply-adds, as
+# numpy's integer matmul runs no BLAS.  Best-of-15 times (least of three
+# runs), numpy 2.4 on a shared 2-vCPU x86-64 host, of (S,n,n) @ (S,n,c),
+# float64 limbs vs one word product, by multiply-adds S n^2 c:
+#
+#   p               S, n, c      multiply-adds   limbs   word
+#   default prime   4, 17, 2          2,312      17.2     6.0 us (uint64)
+#                   4, 17, 8          9,248      22.2    13.8
+#                   4, 17, 16        18,496      26.3    20.7
+#                   6, 17, 16        27,744      29.3    25.0
+#                   4, 17, 32        36,992      30.8    34.4
+#   65,537          4, 17, 8          9,248      13.7    10.6 us (int64)
+#                   4, 17, 16        18,496      13.6    19.3
+#
+# The default prime takes two limbs and 65,537 one, so the crossover moves
+# from about 30,000 to about 12,000; one cap sits between.  Past it, a
+# survey-sized (5,4,15,15) @ (5,1,15,15) (67,500) took 52.2 vs 58.0 us
+# (uint64) and (8,7,9,9) @ (8,1,9,9) (40,824) 61.5 vs 53.6 us (int64)
+_PRODUCT_MAX_WORK = 20_000
 
 # int64 arrays of at least this many entries are reduced by `a - a // p * p`
 # rather than `%` (`_reduce`).  Medians of paired runs on elimination-sized
@@ -178,19 +192,31 @@ def rank(mat, p: int = DEFAULT_PRIME) -> int:
     return int(_eliminate(a[None], p)[0])
 
 
-def _int64_product_exact(n: int, p: int) -> bool:
-    """Whether `_mulmod` multiplies reduced factors with inner dimension n
-    as one int64 product: n <= `_PRODUCT_MAX_INNER` and n (p-1)^2 < 2^63,
-    in Python integers (a numpy-integer p would wrap around)."""
-    return n <= _PRODUCT_MAX_INNER and n * int(p - 1) ** 2 < 2**63
+def _word_dtype(a: np.ndarray, b: np.ndarray, p: int):
+    """The dtype of `_mulmod`'s one word product of the reduced factors
+    a @ b, or None for its float64 limbs.
+
+    Every sum is at most n (p-1)^2 for inner dimension n, reckoned in Python
+    integers (a numpy-integer p would wrap around): int64 while that is
+    below 2^63, else uint64 while below 2^64, which is exact because reduced
+    factors are non-negative.  Either is taken only up to
+    `_PRODUCT_MAX_WORK` multiply-adds, counted as a's entries times b's
+    columns: the true count whenever b's stack dimensions broadcast into
+    a's, as in every product the readouts take.  A larger stack of b is
+    undercounted, which costs time, never exactness.
+    """
+    bound = a.shape[-1] * int(p - 1) ** 2
+    if bound >= 2**64 or a.size * (b.shape[-1] if b.ndim > 1 else 1) > _PRODUCT_MAX_WORK:
+        return None
+    return np.int64 if bound < 2**63 else np.uint64
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p of reduced factors; `a` may be a stack.
 
-    A small inner dimension n takes one int64 product, exact while every
-    sum of n products stays below 2^63 (`_int64_product_exact`).  Above
-    that, for p < 2^31 the left factor is cut into w-bit limbs, w = 22 -
+    A product whose sums fit a machine word and that is small enough takes
+    one int64 or uint64 product (`_word_dtype`), reduced once.  Otherwise,
+    for p < 2^31 the left factor is cut into w-bit limbs, w = 22 -
     ceil(log2 n) for inner dimension n.  Every float64 limb product and
     partial sum is then an integer below n * 2^w * p <= 2^53, exact in any
     summation order, so each limb takes one BLAS product, from the top
@@ -200,8 +226,11 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """
     if a.dtype == object:
         return (a @ b) % p  # a vector product is a Python integer
-    if _int64_product_exact(a.shape[-1], p):
+    word = _word_dtype(a, b, p)
+    if word is np.int64:
         return _reduce(a @ b, p)
+    if word is not None:  # uint64 views of the same non-negative bits
+        return _reduce(a.view(word) @ b.view(word), int(p)).view(np.int64)
     w = 22 - (a.shape[-1] - 1).bit_length()
     if w < 1:
         return _mulmod(a.astype(object), b.astype(object), p).astype(np.int64)
@@ -212,6 +241,8 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             part += acc << w
         acc = _reduce(part, p)
     return acc
+
+
 
 
 def matmul(a, b, p: int = DEFAULT_PRIME) -> np.ndarray:

@@ -46,6 +46,17 @@ class TestBurgeCommands:
         code, _, err = run(capsys, "burge", "encode", "--partition", "3,5")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("text", ["3,,2", "5,2,", ",5,2", ",", " "])
+    def test_empty_field_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "burge", "encode", "--partition", text)
+        assert code == 2 and out == ""
+        assert "bad partition" in err and "Traceback" not in err
+
+    def test_empty_text_is_the_zero_partition(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "burge", "dmap", "--partition", "")
+        assert code == 0 and json.loads(out)["partition"] == []
+        assert cli._parse_partition("") == ()
+
     def test_bad_code_exits_2(self, capsys):
         code, _, err = run(capsys, "burge", "decode", "--code", "a a")
         assert code == 2 and "error" in err

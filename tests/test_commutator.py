@@ -21,7 +21,7 @@ from nilcommute.commutator import (
 from nilcommute.burge import dmap
 from nilcommute.loci import sample_on_locus
 from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod, matmul
-from nilcommute.partitions import EMPTY, Partition, is_stable, jordan_from_coranks, partitions_of
+from nilcommute.partitions import EMPTY, Partition, dominates, is_stable, jordan_from_coranks, partitions_of
 from test_modpoly import reference_rank, t_power, zero
 
 P = DEFAULT_PRIME
@@ -450,21 +450,25 @@ class TestJordanTypes:
 TWO_PART_SHAPES = [(2, 1), (3, 1), (5, 2), (7, 1), (8, 3), (9, 7), (12, 5), (13, 4), (20, 9)]
 
 
-def two_part_stack(q, rng, p):
-    """Commutant elements of J_q for a two-part q: zero, J_q itself,
-    commutant draws (every other one 60% sparsified, which makes
-    cancellations common) and two on-locus draws of every table cell."""
+def two_part_rows(q, rng, p):
+    """Block coefficient rows of commutant elements of J_q for a two-part q:
+    zero, J_q itself, commutant draws (every other one 60% sparsified, which
+    makes cancellations common) and two on-locus draws of every table cell."""
     u, m = q
     r = u - m
-    out = [np.zeros((u + m, u + m), dtype=np.int64), jordan_matrix(q)]
+    jordan = np.zeros(2 * (u + m), dtype=np.int64)
+    jordan[1] = 1  # t in each diagonal block; q may be unstable
+    if m > 1:
+        jordan[_two_part_offsets(u, r)[2] + 1] = 1
+    out = [0 * jordan, jordan]
     for i in range(12):
         coeffs = _draw_free(q, rng, p)
         if i % 2:
             coeffs[rng.random(coeffs.size) < 0.6] = 0
-        out.append(assemble_blocks(q, coeffs))
+        out.append(coeffs)
     cells = [(k, l) for k in range(1, r) for l in range(1, m + 1)]
-    out += [sample_on_locus(u, r, k, l, rng, prime=p).assemble() for k, l in cells for _ in range(2)]
-    return np.stack(out)
+    out += [sample_on_locus(u, r, k, l, rng, prime=p).coeffs for k, l in cells for _ in range(2)]
+    return np.array(out, dtype=np.int64)
 
 
 class TestTwoPartTypes:
@@ -472,49 +476,112 @@ class TestTwoPartTypes:
     @pytest.mark.parametrize("q", TWO_PART_SHAPES)
     def test_equals_jordan_types_row_for_row(self, q, p):
         u, m = q
-        stack = two_part_stack(q, np.random.default_rng([p % 1000, u, m]), p)
-        for lo in range(0, len(stack), commutator._CHUNK):
-            chunk = stack[lo : lo + commutator._CHUNK]
-            assert _two_part_types(chunk, u, u - m, p) == jordan_types(chunk, p)
+        rows = two_part_rows(q, np.random.default_rng([p % 1000, u, m]), p)
+        for lo in range(0, len(rows), commutator._CHUNK):
+            chunk = rows[lo : lo + commutator._CHUNK]
+            assert _two_part_types(chunk, u, u - m, p) == jordan_types(assemble_blocks(q, chunk), p)
 
-    @pytest.mark.parametrize("p", [P, 2_147_483_659])
+    @pytest.mark.parametrize("p", [3, P, 2_147_483_659])
     def test_whole_stack_without_elimination(self, monkeypatch, p):
-        # one call on a stack of many nilpotency indices, and no `_eliminate`
-        stack = two_part_stack((13, 4), np.random.default_rng(5), p)
-        expected = jordan_types(stack, p)
+        # one call on rows of many nilpotency indices, as int64, Python
+        # integers or lists, and no `assemble_blocks` or `_eliminate`
+        rows = two_part_rows((13, 4), np.random.default_rng(5), p)
+        expected = jordan_types(assemble_blocks((13, 4), rows), p)
 
-        def no_eliminate(stack, p):
-            raise AssertionError("the two-part readout ranked a matrix")
+        def refuse(*args):
+            raise AssertionError("the two-part readout assembled or ranked a matrix")
 
-        monkeypatch.setattr(commutator, "_eliminate", no_eliminate)
-        for s in [stack, stack.astype(object)]:
-            before = s.copy()
-            assert _two_part_types(s, 13, 9, p) == expected
-            assert np.array_equal(s, before)
+        monkeypatch.setattr(commutator, "assemble_blocks", refuse)
+        monkeypatch.setattr(commutator, "_eliminate", refuse)
+        for c in [rows, rows.astype(object), rows.tolist()]:
+            before = np.array(c, dtype=object)
+            assert _two_part_types(c, 13, 9, p) == expected
+            assert np.array_equal(np.array(c, dtype=object), before)
 
-    @pytest.mark.parametrize("p", [P, 2_147_483_659])
+    @pytest.mark.parametrize("p", [3, P, 2_147_483_659])
     def test_non_nilpotent_member_rejected(self, p):
-        # the identity commutes with J and is never nilpotent
-        stack = two_part_stack((8, 3), np.random.default_rng(6), p)[:8]
-        stack[5] = np.eye(11, dtype=np.int64)
+        # a_0 = b_0 = 1 assembles to the identity, which commutes with J and
+        # is never nilpotent
+        rows = two_part_rows((8, 3), np.random.default_rng(6), p)[:8]
+        b0 = _two_part_offsets(8, 5)[2]
+        rows[5] = 0
+        rows[5, [0, b0]] = 1
+        assert np.array_equal(assemble_blocks((8, 3), rows[5]), np.eye(11, dtype=np.int64))
         with pytest.raises(ValueError, match="not nilpotent"):
-            _two_part_types(stack, 8, 5, p)
+            _two_part_types(rows, 8, 5, p)
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="stack"):
-            _two_part_types(np.zeros((2, 10, 10), dtype=np.int64), 8, 5)
-        with pytest.raises(ValueError, match="stack"):
-            _two_part_types(np.zeros((11, 11), dtype=np.int64), 8, 5)
+        for shape in [(2, 20), (2, 23), (22,), (2, 11, 11)]:
+            with pytest.raises(ValueError, match="coefficient rows"):
+                _two_part_types(np.zeros(shape, dtype=np.int64), 8, 5)
+
+
+class TestDominatedByShape:
+    """Every type read from rows of the stable shape Q = (u, u-r) is
+    dominated by Q, the generic type of its nilpotent commutant.  So its
+    largest part, the nilpotency index, is at most u, and at most
+    ceil(log2 u) doubling rounds run, one `_mulmod` each."""
+
+    @staticmethod
+    def rows(q, rng, p):
+        # commutant and on-locus draws, each also with a_k (a_1 for a
+        # commutant draw), g_0 or h_0 zeroed: points the samplers never draw
+        u, m = q
+        r = u - m
+        g0, h0, _ = _two_part_offsets(u, r)
+        cells = [(k, l) for k in range(1, r) for l in range(1, m + 1)]
+        out = []
+        for k, l in [(1, None)] * 4 + cells:
+            if l is None:
+                row = _draw_free(q, rng, p)
+            else:
+                row = np.array(sample_on_locus(u, r, k, l, rng, prime=p).coeffs, dtype=np.int64)
+            out.append(row)
+            for zeroed in (k, g0, h0):
+                out.append(row.copy())
+                out[-1][zeroed] = 0
+        return np.array(out)
+
+    @pytest.mark.parametrize("p", [2, 3, P])
+    @pytest.mark.parametrize("q", [q for q in TWO_PART_SHAPES if is_stable(q)])
+    def test_types_dominated_and_rounds_bounded(self, monkeypatch, q, p):
+        u, m = q
+        rounds = []
+
+        def counting(a, b, p):
+            rounds[-1] += 1
+            return _mulmod(a, b, p)
+
+        monkeypatch.setattr(commutator, "_mulmod", counting)
+        rows = self.rows(q, np.random.default_rng([p, u, m]), p)
+        for lo in range(0, len(rows), commutator._CHUNK):
+            rounds.append(0)
+            types = _two_part_types(rows[lo : lo + commutator._CHUNK], u, u - m, p)
+            assert all(dominates(q, t) for t in types)
+            # round j doubles the powers read to 2^j: the last round is the
+            # first to reach the chunk's largest nilpotency index
+            index = max(t[0] for t in types)
+            assert rounds[-1] == math.ceil(math.log2(index)) <= math.ceil(math.log2(u))
 
 
 class TestGeneratorGather:
+    @pytest.mark.parametrize("q", TWO_PART_SHAPES)
+    def test_generator_columns_permute_the_row(self, q):
+        u, m = q
+        n = u + m
+        cols = _two_part_indices(u, u - m)[2]
+        assert sorted(cols.ravel().tolist()) == list(range(2 * n))
+        rows = two_part_rows(q, np.random.default_rng([u, m, 2]), P)
+        assert np.array_equal(rows[:, cols], assemble_blocks(q, rows)[:, :, [u - 1, n - 1]])
+
     @pytest.mark.parametrize("p", [3, P, 2_147_483_659])
     @pytest.mark.parametrize("q", TWO_PART_SHAPES)
     def test_powers_assemble_from_their_generator_columns(self, q, p):
         # every power M^k of a commutant element is fixed by M^k E
         u, m = q
         n = u + m
-        stack = _as_field_matrix(two_part_stack(q, np.random.default_rng([p % 1000, u, m, 1]), p), p)
+        rows = two_part_rows(q, np.random.default_rng([p % 1000, u, m, 1]), p)
+        stack = _as_field_matrix(assemble_blocks(q, rows), p)
         power = stack
         for _ in range(n):
             pair = np.zeros((len(power), 2 * n + 1), dtype=power.dtype)
@@ -545,7 +612,7 @@ class TestProfileTypes:
         stack = np.stack([jordan_matrix((3, 1))] * 5 + [jordan_matrix((2, 2))] * 3)
         for _ in range(2):
             assert jordan_types(stack) == [(3, 1)] * 5 + [(2, 2)] * 3
-        assert _two_part_types(stack[:5], 3, 2) == [(3, 1)] * 5
+        assert _two_part_types([CommutatorElement.jordan((3, 1)).coeffs] * 5, 3, 2) == [(3, 1)] * 5
         assert calls == [(0, 2, 3, 4, 4, 4), (0, 2, 4, 4, 4, 4)]
         # other matrices with the same profiles convert nothing
         assert jordan_types(2 * stack[::-1]) == [(2, 2)] * 3 + [(3, 1)] * 5

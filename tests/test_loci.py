@@ -483,13 +483,28 @@ class TestVerifyCell:
         # on-locus then converse draws are one stream, read _CHUNK at a time
         seen = []
 
-        def counting_two_part_types(stack, u, r, p):
-            seen.append(len(stack))
-            return _two_part_types(stack, u, r, p)
+        def counting_two_part_types(rows, u, r, p):
+            seen.append(len(rows))
+            return _two_part_types(rows, u, r, p)
 
         monkeypatch.setattr(loci, "_two_part_types", counting_two_part_types)
         assert verify_cell(8, 5, 2, 2, samples, seed=2) == reference_verify_cell(8, 5, 2, 2, samples, seed=2)
         assert seen == chunks
+
+    @pytest.mark.parametrize("p", [3, P])
+    def test_reads_rows_without_assembly(self, monkeypatch, p):
+        # on-locus and converse rows go straight to the two-part readout;
+        # the one-sample references assemble through `CommutatorElement`
+        def refuse(*args):
+            raise AssertionError("a two-part harness assembled a matrix")
+
+        monkeypatch.setattr(loci, "assemble_blocks", refuse)
+        for k in (1, 2, 4):
+            assert verify_cell(8, 5, k, 2, 5, seed=1, prime=p) == reference_verify_cell(8, 5, k, 2, 5, seed=1, prime=p)
+        cells = [(1, 2), (2, 2)]
+        assert intersect_experiment(5, 3, cells, 20, seed=8, prime=p) == reference_intersect(5, 3, cells, 20, seed=8, prime=p)
+        with pytest.raises(AssertionError, match="assembled"):
+            survey((5, 2), 2)
 
     def test_memory_bounded_by_one_chunk(self):
         # the (13, 4) cell (3, 2); caches filled first, so only the loops count

@@ -227,13 +227,44 @@ class TestMatmul:
         assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
 
 
-class TestInt64Product:
-    """`_mulmod` takes one int64 product exactly when the inner dimension n
-    is at most `_PRODUCT_MAX_INNER` and n (p-1)^2 < 2^63 in Python integers,
-    and the float64 limbs otherwise; both agree with Python integers at the
-    bound, where every entry is p - 1."""
+def spy_word_dtype(monkeypatch):
+    """Record each dtype `_mulmod`'s path choice returns (None: float64 limbs)."""
+    chosen = []
+    word_dtype = modpoly._word_dtype
 
-    CAP = modpoly._PRODUCT_MAX_INNER
+    def spy(a, b, p):
+        chosen.append(word_dtype(a, b, p))
+        return chosen[-1]
+
+    monkeypatch.setattr(modpoly, "_word_dtype", spy)
+    return chosen
+
+
+def check_product(a, b, p):
+    """`matmul` equals Python-integer arithmetic and returns int64."""
+    expect = (a.astype(object) @ b.astype(object)) % int(p)
+    out = matmul(a, b, p)
+    assert np.array_equal(out, expect)
+    assert np.asarray(out).dtype == np.int64
+
+
+def top_factors(n, p):
+    """Square, stacked and vector factors of inner dimension n with every
+    entry p - 1, each within the work cap for n <= 20."""
+    top = int(p) - 1
+    return [
+        (np.full((n, n), top), np.full((n, n), top)),
+        (np.full((2, 3, 4, n), top), np.full((2, 1, n, 5), top)),
+        (np.full((3, 4, n), top), np.full((n, 2), top)),
+        (np.full(n, top), np.full(n, top)),
+        (np.full((4, n), top), np.full(n, top)),
+    ]
+
+
+class TestInt64Product:
+    """`_mulmod` takes one int64 product exactly when n (p-1)^2 < 2^63 in
+    Python integers for inner dimension n, within the work cap; it agrees
+    with Python integers at the bound, where every entry is p - 1."""
 
     @pytest.mark.parametrize("p, n, product", [
         (P, 9, True),  # 9 (p-1)^2 < 2^63
@@ -241,33 +272,54 @@ class TestInt64Product:
         (2**31 - 1, 2, True),  # 2 (p-1)^2 = 2^63 - 2^34 + 8
         (2**31 - 1, 3, False),
         (np.int64(P), 10, False),  # in int64, 10 (p-1)^2 would wrap below 2^63
-        (np.int64(2**31 - 1), 3, False),  # the same, within the cap
-        (65_537, CAP, True),
-        (65_537, CAP + 1, False),
-        (3, CAP, True),
-        (3, CAP + 1, False),  # exact in int64 far beyond, but past the cap
+        (np.int64(2**31 - 1), 3, False),  # the same at n = 3
+        (65_537, 9, True),
+        (65_537, 10, True),  # exact in int64 far beyond: no inner-dimension cap
+        (3, 9, True),
+        (3, 10, True),
     ], ids=lambda v: f"int64_{v}" if isinstance(v, np.integer) else None)
     def test_path_follows_the_bound(self, monkeypatch, p, n, product):
-        chosen = []
-        exact = modpoly._int64_product_exact
-
-        def spy(n, p):
-            chosen.append(exact(n, p))
-            return chosen[-1]
-
-        monkeypatch.setattr(modpoly, "_int64_product_exact", spy)
-        top = int(p) - 1
-        cases = [
-            (np.full((n, n), top), np.full((n, n), top)),
-            (np.full((2, 3, 4, n), top), np.full((2, 1, n, 5), top)),
-            (np.full(n, top), np.full(n, top)),
-        ]
+        chosen = spy_word_dtype(monkeypatch)
+        cases = top_factors(n, p)
         for a, b in cases:
-            expect = (a.astype(object) @ b.astype(object)) % int(p)
-            out = matmul(a, b, p)
-            assert np.array_equal(out, expect)
-            assert np.asarray(out).dtype == np.int64
-        assert chosen == [product] * len(cases)
+            check_product(a, b, p)
+        assert [word is np.int64 for word in chosen] == [product] * len(cases)
+
+
+class TestWordProduct:
+    """Past the int64 bound `_mulmod` takes one uint64 product while
+    n (p-1)^2 < 2^64, and any word product only up to `_PRODUCT_MAX_WORK`
+    multiply-adds; the float64 limbs take the rest."""
+
+    @pytest.mark.parametrize("p, n, word", [
+        (P, 10, np.uint64),  # 10 (p-1)^2 > 2^63
+        (P, 18, np.uint64),  # 18 (p-1)^2 < 2^64
+        (P, 19, None),  # 19 (p-1)^2 > 2^64
+        (2**31 - 1, 3, np.uint64),
+        (2**31 - 1, 4, np.uint64),  # 4 (p-1)^2 < 2^64
+        (2**31 - 1, 5, None),
+        (np.int64(P), 19, None),  # in int64, 19 (p-1)^2 would wrap below 2^64
+        (np.int64(2**31 - 1), 5, None),
+        (3, 20, np.int64),
+    ], ids=lambda v: f"int64_{v}" if isinstance(v, np.integer) else getattr(v, "__name__", None))
+    def test_dtype_follows_the_exactness_bound(self, monkeypatch, p, n, word):
+        chosen = spy_word_dtype(monkeypatch)
+        cases = top_factors(n, p)
+        for a, b in cases:
+            check_product(a, b, p)
+        assert chosen == [word] * len(cases)
+
+    @pytest.mark.parametrize("p, n, word", [(P, 9, np.int64), (P, 17, np.uint64), (3, 20, np.int64)],
+                             ids=lambda v: getattr(v, "__name__", None))
+    def test_work_cap(self, monkeypatch, p, n, word):
+        # (S, n, n) @ (S, n, 1) makes S n^2 multiply-adds; the cap is inclusive
+        chosen = spy_word_dtype(monkeypatch)
+        cap = modpoly._PRODUCT_MAX_WORK
+        for count, expect in [(cap // (n * n), word), (cap // (n * n) + 1, None)]:
+            a = np.random.default_rng(count).integers(p, size=(count, n, n))
+            a[0] = p - 1
+            check_product(a, np.full((count, n, 1), p - 1), p)
+            assert (a.size <= cap, chosen[-1]) == (expect is not None, expect)
 
 
 class TestReduce:
