@@ -156,7 +156,7 @@ def cmd_box(args, cfg: RunConfig):
         )
     distinct = len(set(cells.values())) == len(cells)
     lines.append(f"  distinct={distinct} all_checks={ok and distinct}")
-    return {"q": q, "key": key(q), "cells": entries}, lines, True
+    return {"q": q, "key": key(q), "cells": entries}, lines, ok and distinct
 
 
 def cmd_table(args, cfg: RunConfig):

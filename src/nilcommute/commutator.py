@@ -5,9 +5,11 @@ multiplication by a truncated polynomial followed by the natural
 projection, well defined exactly when its order is at least q_i - q_j.
 For a stable shape the nilpotent commutant is the linear slice where every
 diagonal entry has positive order.  An element is stored as its block
-coefficients, numbered by `_layout`, and products compose blocks on them
-(`_blocks`).  For a two-part shape (u, u-r) the coordinates a, g, h, b of
-the locus equations are slices of them (`_two_part_offsets`).
+coefficients, numbered by `_layout`.  It is fixed by its images of the
+generators, whose columns permute the row (`_generators`), so a product is
+one element applied to the other's generator columns.  For a two-part
+shape (u, u-r) the coordinates a, g, h, b of the locus equations are
+slices of the row (`_two_part_offsets`).
 Assembling the blocks in bases ordered by decreasing t-power reproduces
 the familiar banded matrices, and ranks of powers of the assembled matrix
 recover the Jordan type.  A chunk of samples is drawn as coefficient rows
@@ -18,8 +20,7 @@ stack, reduced mod p once, and ranks every power of it (doubled by
 `dmap_oracle`, `jordan_type_of_matrix` and `CommutatorElement.jordan_type`.
 `verify_cell` and `intersect_experiment` use `_two_part_types`, which reads
 a two-part shape from the 2x2 minors of [Phi^s | D] and squares no power.
-It takes the coefficient rows themselves: the two generator columns of an
-assembled element are a permutation of its row, so nothing is assembled.
+It reads powers from the rows' generator columns and assembles nothing.
 `jordan_types` is its test oracle.  Both end in the same corank profiles
 over and over, so each distinct profile is converted to a Jordan type once
 per process (`_profile_type`).
@@ -29,11 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
-from .modpoly import DEFAULT_PRIME, _as_field_matrix, _eliminate, _mulmod, _reduce
+from .modpoly import DEFAULT_PRIME, _as_field_matrix, _eliminate, _mulmod, _reduce, is_prime, matmul
 from .modpoly import rank  # noqa: F401  (perfbench's tracer test asserts commutator.rank exists)
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
 
@@ -105,13 +105,6 @@ def _draw_free(parts: tuple[int, ...], rng, p: int, count: int | None = None) ->
     return coeffs
 
 
-def _blocks(parts, coeffs) -> list[list[tuple[int, ...]]]:
-    """The l x l grid of block coefficient lists of `coeffs`, numbered as in
-    `_layout`: row i holds q_i coefficients per block."""
-    it = iter(coeffs)
-    return [[tuple(islice(it, qi)) for _ in parts] for qi in parts]
-
-
 def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     """Jordan types of an (S, n, n) stack of nilpotent matrices, via coranks
     of their powers.
@@ -158,27 +151,28 @@ def _profile_types(rows, n: int) -> list[Partition]:
 
 
 @lru_cache(maxsize=512)
-def _two_part_indices(u: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the shape (u, u-r), n = 2u - r: the index that assembles a
-    commutant element from its generator columns u - 1 and n - 1 (flattened
-    row by row as an (n, 2) pair; -1 is an appended zero, as in `_layout`),
-    the 0/1 matrix summing a flattened (u, u-r) array along its
-    anti-diagonals, and the (n, 2) block coefficient numbers of those
-    generator columns.  Column u-1-i is J^i times column u - 1, and column
-    n-1-i is J^i times column n - 1; J^i shifts each block's rows up by i.
-    The generator columns hold no structural zero: column u - 1 is a
-    reversed, then h reversed, and column n - 1 is t^r g reversed, then b
-    reversed, so together they permute the coefficient row."""
-    n = 2 * u - r
-    cols = _layout((u, u - r))[0][:, [u - 1, n - 1]]
-    row, col = np.arange(n)[:, None], np.arange(n)[None, :]
-    gen = col >= u
-    src = row + np.where(gen, n - 1, u - 1) - col
-    gather = np.where(src <= np.where(row < u, u - 1, n - 1), 2 * src + gen, -1)
-    degree = np.add.outer(np.arange(u), np.arange(u - r)).reshape(-1, 1)
-    sums = (degree == np.arange(n - 1)).astype(np.int64)
-    gather.flags.writeable = sums.flags.writeable = cols.flags.writeable = False
-    return gather, sums, cols
+def _generators(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The generator columns of the block grid of `parts`, of any shape.
+
+    Block (i, j) holds all q_i coefficients of its entry in its last column,
+    so `cols`, the (n, l) coefficient numbers of the last column of each
+    block column, permutes the row.  `gather` assembles an element, or any
+    power of it, from its generator columns flattened row by row and
+    followed by a zero (-1, as in `_layout`)."""
+    take = _layout(parts)[0]
+    cols = take[:, np.cumsum(parts) - 1]
+    gather = np.append(np.argsort(cols, axis=None), -1)[take]
+    cols.flags.writeable = gather.flags.writeable = False
+    return cols, gather
+
+
+@lru_cache(maxsize=512)
+def _antidiagonal_sums(u: int, m: int) -> np.ndarray:
+    """The 0/1 matrix summing a flattened (u, m) array along its anti-diagonals."""
+    degree = np.add.outer(np.arange(u), np.arange(m)).reshape(-1, 1)
+    sums = (degree == np.arange(u + m - 1)).astype(np.int64)
+    sums.flags.writeable = False
+    return sums
 
 
 def _two_part_types(rows, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partition]:
@@ -200,21 +194,20 @@ def _two_part_types(rows, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partit
     it; a zero row counts as order u or u - r, which implies the last term.
     Columns u - 1 and n - 1 of M^s are phi^s of the generators, so the
     doubled W = [ME, ..., M^k E] holds every row order (M^k E = 0 exactly
-    when M^k = 0, as M commutes with J).  ME is a permutation of the
-    coefficient row (`_two_part_indices`), so W starts as a gather from the
-    rows.  A map commuting with J is fixed by its images of the generators,
-    so each doubling round gathers M^k from the last column pair of W and
-    makes one product, M^k W (`_mulmod`: one word product while it is small).
+    when M^k = 0, as M commutes with J).  W starts as the rows' generator
+    columns, and each doubling round assembles M^k from the last column pair
+    of W (`_generators`) and makes one product, M^k W (`_mulmod`: one word
+    product while it is small).
 
     delta = ord(ab - t^r g h) comes from the rows' a, t^r g, h and b
     slices: the reduced outer products ab - (t^r g) h, summed along
-    anti-diagonals by a 0/1 matrix, in float64 for p < 2^31 (exact: every
-    sum is below (u-r) p < 2^53) and on Python integers above.
+    anti-diagonals (`_antidiagonal_sums`), in float64 for p < 2^31 (exact:
+    every sum is below (u-r) p < 2^53) and on Python integers above.
     """
     rows, n = np.asarray(rows), 2 * u - r
     if rows.ndim != 2 or rows.shape[1] != 2 * n:
         raise ValueError(f"_two_part_types expects (S, {2 * n}) coefficient rows, got shape {rows.shape}")
-    gather, sums, cols = _two_part_indices(u, r)
+    cols, gather = _generators((u, u - r))
     rows = _as_field_matrix(rows, p)
     w = rows[:, cols]
     pair = np.zeros((len(w), 2 * n + 1), w.dtype)  # the last column pair of W, then a zero
@@ -232,7 +225,7 @@ def _two_part_types(rows, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partit
     a, tg = rows[:, :u, None], rows[:, u : 2 * u, None]
     h, b = rows[:, None, 2 * u : n + u], rows[:, None, n + u :]
     outer = _reduce(a * b - tg * h, p).reshape(len(w), -1)
-    det = outer.astype(np.float64 if outer.dtype != object else object) @ sums % p != 0
+    det = outer.astype(np.float64 if outer.dtype != object else object) @ _antidiagonal_sums(u, u - r) % p != 0
     delta = np.where(det.any(axis=1), det.argmax(axis=1), n)[:, None]
     s = np.arange(1, w.shape[2] // 2 + 1)
     coranks = np.minimum(s * delta, n - deepest)
@@ -261,6 +254,8 @@ class CommutatorElement:
             raise ValueError(f"shape must be a nonempty stable partition: {tuple(q)}")
         if not 2 <= self.p < 2**63:  # assembled matrices are int64
             raise ValueError(f"prime {self.p} is out of range: supported primes are 2 <= p < 2^63")
+        if not is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not a prime")
         c = tuple(int(x) % self.p for x in self.coeffs)
         object.__setattr__(self, "coeffs", c)
         if len(c) != q.size * len(q):
@@ -289,25 +284,14 @@ class CommutatorElement:
         return jordan_type_of_matrix(self.assemble(), self.p)
 
     def __matmul__(self, other: "CommutatorElement") -> "CommutatorElement":
-        """Composition of block maps; assembles to the matrix product.
-
-        Block (i, j) is the sum over m of f_im f_mj truncated at t^{q_i}, in
-        Python integers; any lift of f_mj serves, as ord f_im >= q_i - q_m."""
+        """Composition of block maps, assembling to the matrix product: this
+        element applied to the other's generator columns (`_generators`)."""
         if self.q != other.q or self.p != other.p:
             raise ValueError("elements live on different shapes")
-        q = self.q
-        left, right = _blocks(q, self.coeffs), _blocks(q, other.coeffs)
-        out = []
-        for i, qi in enumerate(q):
-            for j in range(len(q)):
-                acc = [0] * qi
-                for f, g in zip(left[i], (row[j] for row in right)):
-                    for d, x in enumerate(f):
-                        if x:
-                            for e, y in enumerate(g[: qi - d]):
-                                acc[d + e] += x * y
-                out.extend(acc)
-        return CommutatorElement(q, out, self.p)
+        cols = _generators(self.q)[0]
+        out = np.zeros(cols.size, dtype=object)
+        out[cols.ravel()] = matmul(self.assemble(), np.asarray(other.coeffs)[cols], self.p).ravel()
+        return CommutatorElement(self.q, out, self.p)
 
 
 def _order_error(parts, coeff: int, free) -> str:

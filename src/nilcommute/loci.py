@@ -295,7 +295,6 @@ class CellReport(_Report):
         )
 
 
-
 def verify_cell(
     u: int,
     r: int,
@@ -376,7 +375,6 @@ class ContainmentReport(_Report):
         return self.predicate == self.montecarlo
 
 
-
 def closure_contains(
     u: int,
     r: int,
@@ -425,7 +423,6 @@ class BranchReport(_Report):
     type_counts: tuple[tuple[tuple[int, ...], int], ...]
 
 
-
 @dataclass(frozen=True)
 class IntersectReport(_Report):
     q: Partition
@@ -436,7 +433,6 @@ class IntersectReport(_Report):
     sampled: bool
     reason: str
     branches: tuple[BranchReport, ...]
-
 
 
 def intersect_experiment(
@@ -506,7 +502,6 @@ class SurveyReport(_Report):
     @property
     def all_in_box(self) -> bool:
         return not self.outside
-
 
 
 def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> SurveyReport:

@@ -243,8 +243,6 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-
-
 def matmul(a, b, p: int = DEFAULT_PRIME) -> np.ndarray:
     """Exact (a @ b) mod p; `a` may be an (S, n, k) stack of left factors.
 

@@ -179,3 +179,25 @@ def test_docstrings_name_only_live_identifiers():
     refs = [(path.name, head) for path in paths for head in _ticked_identifiers(path)]
     assert len(refs) > 50
     assert [(name, head) for name, head in refs if not live.issuperset(head.split("."))] == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports at module level and never reads, as
+    "module.name"; `__future__` imports and lines marked `# noqa: F401` are
+    exempt."""
+    source = path.read_text()
+    tree, lines = ast.parse(source, str(path)), source.splitlines()
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        and not any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.stem}.{name}" for name in imported if name not in read]
+
+
+def test_every_import_is_read():
+    # no linter runs here, so an import stranded by a removal is caught here
+    assert [name for path in _src() for name in _unused_imports(path)] == []

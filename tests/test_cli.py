@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nilcommute import cli, commutator
 from nilcommute.cli import UsageError, main
+from nilcommute.partitions import EMPTY
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -94,6 +95,17 @@ class TestBoxCommands:
     def test_box_unstable_exits_2(self, capsys):
         code, _, err = run(capsys, "box", "--q", "5,4")
         assert code == 2 and "stable" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_failed_check_exits_1(self, capsys, monkeypatch, fmt):
+        # a box whose cells no longer map back to q is a failed verification
+        monkeypatch.setattr(cli, "dmap", lambda p: EMPTY)
+        code, out, _ = run(capsys, "--format", fmt, "box", "--q", "5,2")
+        assert code == 1
+        if fmt == "text":
+            assert "all_checks=False" in out
+        else:
+            assert len(json.loads(out)["cells"]) == 4
 
     def test_dmap_once_per_cell(self, capsys, monkeypatch):
         calls, real = [], cli.dmap

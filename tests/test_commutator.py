@@ -8,8 +8,8 @@ from nilcommute import commutator
 from nilcommute.commutator import (
     CommutatorElement,
     _draw_free,
+    _generators,
     _layout,
-    _two_part_indices,
     _two_part_offsets,
     _two_part_types,
     assemble_blocks,
@@ -446,7 +446,6 @@ class TestJordanTypes:
             jordan_types(np.zeros((3, 3), dtype=np.int64))
 
 
-
 TWO_PART_SHAPES = [(2, 1), (3, 1), (5, 2), (7, 1), (8, 3), (9, 7), (12, 5), (13, 4), (20, 9)]
 
 
@@ -569,7 +568,7 @@ class TestGeneratorGather:
     def test_generator_columns_permute_the_row(self, q):
         u, m = q
         n = u + m
-        cols = _two_part_indices(u, u - m)[2]
+        cols = _generators(q)[0]
         assert sorted(cols.ravel().tolist()) == list(range(2 * n))
         rows = two_part_rows(q, np.random.default_rng([u, m, 2]), P)
         assert np.array_equal(rows[:, cols], assemble_blocks(q, rows)[:, :, [u - 1, n - 1]])
@@ -578,15 +577,40 @@ class TestGeneratorGather:
     @pytest.mark.parametrize("q", TWO_PART_SHAPES)
     def test_powers_assemble_from_their_generator_columns(self, q, p):
         # every power M^k of a commutant element is fixed by M^k E
-        u, m = q
-        n = u + m
-        rows = two_part_rows(q, np.random.default_rng([p % 1000, u, m, 1]), p)
+        rows = two_part_rows(q, np.random.default_rng([p % 1000, *q, 1]), p)
+        self.check_powers(q, rows, p)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_shape_permutes_the_row(self, n):
+        # generator columns are the last column of each block column
+        for q in partitions_of(n):
+            cols = _generators(q)[0]
+            assert cols.shape == (n, len(q))
+            assert sorted(cols.ravel().tolist()) == list(range(n * len(q)))
+            rows = _draw_free(q, np.random.default_rng([n, *q]), P, count=4)
+            gens = np.cumsum(q) - 1
+            assert np.array_equal(rows[:, cols], assemble_blocks(q, rows)[:, :, gens])
+
+    @pytest.mark.parametrize("p", [3, P, 2_147_483_659])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_shape_assembles_its_powers(self, n, p):
+        # repeated parts included: the gather reads `_layout` alone
+        for q in partitions_of(n):
+            rows = _draw_free(q, np.random.default_rng([p % 1000, n, *q]), p, count=6)
+            rows[1::2][np.random.default_rng([n, *q]).random(rows[1::2].shape) < 0.6] = 0
+            self.check_powers(q, rows, p)
+
+    @staticmethod
+    def check_powers(q, rows, p):
+        """Every power of each row's element equals `pair[:, gather]` of its
+        own generator columns, up to the first zero power."""
+        n, (cols, gather) = sum(q), _generators(tuple(q))
         stack = _as_field_matrix(assemble_blocks(q, rows), p)
         power = stack
         for _ in range(n):
-            pair = np.zeros((len(power), 2 * n + 1), dtype=power.dtype)
-            pair[:, :-1] = power[:, :, [u - 1, n - 1]].reshape(len(power), -1)
-            assert np.array_equal(pair[:, _two_part_indices(u, u - m)[0]], power)
+            pair = np.zeros((len(power), cols.size + 1), dtype=power.dtype)
+            pair[:, :-1] = power[:, :, np.cumsum(q) - 1].reshape(len(power), -1)
+            assert np.array_equal(pair[:, gather], power)
             power = _mulmod(power, stack, p)
         assert not power.any()
 
@@ -694,7 +718,7 @@ class TestMultiply:
     @pytest.mark.parametrize("p", [2, 3, 2_147_483_659, 2**63 - 25])
     @pytest.mark.parametrize("q", [(5, 2), (8, 5, 2), (10, 7, 4, 1)])
     def test_assembles_to_matrix_product_at_every_prime(self, q, p):
-        # the block products accumulate in Python integers, past int64 above 2^31
+        # the product goes through `matmul` on Python integers above 2^31
         rng = np.random.default_rng([p % 1000, *q])
         for _ in range(10):
             e1, e2 = sample_commutator(q, rng, p=p), sample_commutator(q, rng, p=p)
@@ -742,6 +766,12 @@ class TestTwoPartElement:
         # the assembled matrices are int64, so the CLI's bound holds here too
         with pytest.raises(ValueError, match=r"2 <= p < 2\^63"):
             CommutatorElement((5, 2), [0, p - 1] + [0] * 12, p)
+
+    @pytest.mark.parametrize("p", [4, 9, 2**31 - 3, 2**61 + 1])
+    def test_rejects_composite_modulus(self, p):
+        # ranks read over Z/4 would give a wrong type, [2,1,1,1,1,1]
+        with pytest.raises(ValueError, match=f"modulus {p} is not a prime"):
+            CommutatorElement((5, 2), [0, 2] + [0] * 12, p)
 
     def test_from_blocks_rejects_shallow_shift(self):
         coeffs = [0] * (4 * 5 - 2 * 3)
