@@ -3,13 +3,16 @@
 A partition is encoded by iterating the block-removal step and recording,
 for each iterate, whether its lowest almost-rectangular block reaches part
 size 1 ('b') or not ('a'); the terminal zero partition contributes the
-final 'a'.  The codes are exactly 'a' and the words ending in 'ba', and
-decoding inverts one removal step per letter, right to left, by direct
-construction.  Reading the word left to right, the ends of the 'b' runs
-are exactly the parts of the stable partition attached to the input, and
-for a stable shape the full preimage of that map is a box of partitions
-indexed by its key.  Each box is decoded once per shape and memoized;
-`box_partitions` and `table` build fresh containers from it.
+final 'a'.  Each step is one scan of the frequency vector, started at the
+current largest part, that parses the blocks and removes their boxes at
+once (`partitions._remove_blocks`).  The codes are exactly 'a' and the
+words ending in 'ba', and decoding inverts one removal step per letter,
+right to left, by direct construction.  Reading the word left to right,
+the ends of the 'b' runs are exactly the parts of the stable partition
+attached to the input, and for a stable shape the full preimage of that
+map is a box of partitions indexed by its key.  Each box is decoded once
+per shape and memoized; `box_partitions` and `table` build fresh
+containers from it.
 """
 
 from __future__ import annotations
@@ -17,13 +20,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .partitions import (
-    Partition,
-    _freq1,
-    _parts_from_freq1,
-    _tops_from_freq1,
-    key,
-)
+from .partitions import Partition, _freq1, _parts_from_freq1, _remove_blocks, key
 
 
 class BurgeDecodeError(ValueError):
@@ -45,11 +42,15 @@ class BurgeWord(str):
 
     @classmethod
     def from_tokens(cls, text: str) -> "BurgeWord":
-        """Parse run-length tokens like 'b a2 b2 a7 b5 a' (plain runs allowed)."""
+        """Parse run-length tokens like 'b a2 b2 a7 b5 a' (plain runs allowed).
+
+        A run count is ASCII decimal and at least 1.
+        """
         letters = []
         for tok in text.split():
-            if len(tok) >= 2 and tok[0] in "ab" and tok[1:].isdigit():
-                letters.append(tok[0] * int(tok[1:]))
+            count = tok[1:]
+            if count.isascii() and count.isdigit() and tok[0] in "ab" and int(count) >= 1:
+                letters.append(tok[0] * int(count))
             elif tok and not set(tok) - {"a", "b"}:
                 letters.append(tok)
             else:
@@ -69,18 +70,18 @@ class BurgeWord(str):
 
 
 def encode(p) -> BurgeWord:
-    """Code of p: one letter per block-removal iterate, ending at zero."""
+    """Code of p: one letter per block-removal iterate, ending at zero.
+
+    Each iterate is one `_remove_blocks` scan started at the current
+    largest part `top`.  When the count at `top` runs out, `top - 1` has
+    just gained a part, so the largest part falls by at most one a step.
+    """
     f = _freq1(p)
-    remaining = sum(p)
+    top = len(f) - 1
     letters = []
-    while remaining > 0:
-        tops = _tops_from_freq1(f)
-        letters.append("b" if tops[-1] == 1 else "a")
-        for j in tops:
-            f[j] -= 1
-            if j >= 2:
-                f[j - 1] += 1
-        remaining -= len(tops)
+    while top:
+        letters.append("b" if _remove_blocks(f, top)[-1] == 1 else "a")
+        top -= not f[top]
     letters.append("a")
     return BurgeWord("".join(letters))
 

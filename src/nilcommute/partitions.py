@@ -1,10 +1,11 @@
 """Integer partition arithmetic.
 
 Partitions are weakly decreasing tuples of positive integers; the empty
-tuple is the zero partition.  The workhorse operations (block parsing and
-the box-removal step) act on frequency sequences, i.e. multiplicity
-vectors indexed by part size, which keeps them cheap enough to iterate
-tens of thousands of times.
+tuple is the zero partition.  The workhorse operation acts on frequency
+sequences, i.e. multiplicity vectors indexed by part size: one
+right-to-left scan both parses the almost-rectangular blocks and removes
+one box from each (`_remove_blocks`), which keeps the removal step cheap
+enough to iterate tens of thousands of times.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def frequency(p: Sequence[int]) -> tuple[int, ...]:
 
 
 def _freq1(p: Sequence[int]) -> list[int]:
-    # 1-indexed scratch copy of the frequency vector (index 0 unused)
+    # 1-indexed scratch copy of the frequency vector (index 0 is not a part)
     f = [0] * ((max(p) + 1) if p else 1)
     for x in p:
         f[x] += 1
@@ -62,14 +63,19 @@ def _parts_from_freq1(f: Sequence[int]) -> Partition:
     return Partition(out)
 
 
-def _tops_from_freq1(f: Sequence[int]) -> list[int]:
-    # Right-to-left backward-pair parse: take the largest occupied index,
-    # consume that index and the one below it as a block, repeat.
+def _remove_blocks(f: list[int], top: int) -> list[int]:
+    # Right-to-left backward-pair parse from index `top`, above which f
+    # holds no part: take the largest occupied index j as a block top,
+    # move one of its parts down to j - 1, and go on at j - 2.  The parse
+    # never reads j - 1 again, the only index the move raises, so one scan
+    # both parses and removes.  Index 0 collects the parts that reach zero.
     tops = []
-    j = len(f) - 1
+    j = top
     while j >= 1:
-        if f[j] > 0:
+        if f[j]:
             tops.append(j)
+            f[j] -= 1
+            f[j - 1] += 1
             j -= 2
         else:
             j -= 1
@@ -78,27 +84,27 @@ def _tops_from_freq1(f: Sequence[int]) -> list[int]:
 
 def r_set(p: Sequence[int]) -> frozenset[int]:
     """Tops of the maximal almost-rectangular subpartitions, read from the top."""
-    return frozenset(_tops_from_freq1(_freq1(p)))
+    f = _freq1(p)
+    return frozenset(_remove_blocks(f, len(f) - 1))
 
 
 def ar_blocks(p: Sequence[int]) -> list[tuple[int, ...]]:
     """Maximal almost-rectangular blocks of p, largest parts first."""
-    return [tuple(x for x in p if j - 1 <= x <= j) for j in _tops_from_freq1(_freq1(p))]
+    f = _freq1(p)
+    return [tuple(x for x in p if j - 1 <= x <= j) for j in _remove_blocks(f, len(f) - 1)]
 
 
 def classify(p: Sequence[int]) -> str:
     """'B' if the lowest almost-rectangular block has top 1, else 'A'."""
-    tops = _tops_from_freq1(_freq1(p))
+    f = _freq1(p)
+    tops = _remove_blocks(f, len(f) - 1)
     return "B" if tops and tops[-1] == 1 else "A"
 
 
 def delta(p: Sequence[int]) -> Partition:
     """Remove one box from the lowest row of the largest part of each block."""
     f = _freq1(p)
-    for j in _tops_from_freq1(f):
-        f[j] -= 1
-        if j >= 2:
-            f[j - 1] += 1
+    _remove_blocks(f, len(f) - 1)
     return _parts_from_freq1(f)
 
 

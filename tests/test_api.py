@@ -9,6 +9,7 @@ import io
 import re
 import tokenize
 import types
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -45,27 +46,32 @@ def _callers() -> list[Path]:
 
 
 def _used_names(path: Path) -> set[str]:
-    """Identifiers a file uses: loaded names, attributes and the identifiers
-    inside string literals other than docstrings (the benchmark's tracer
-    names its targets in strings).  Definitions, assignment targets,
-    imports, comments and docstrings do not count.  An attribute read off a
-    name also counts qualified, as "Name.attr", and read off `cls` inside a
-    class as "Class.attr"; so does each dotted pair in a string literal."""
-    tree = ast.parse(path.read_text(), str(path))
+    """Identifiers a file uses (see `_reads`)."""
+    return set(_reads(ast.parse(path.read_text(), str(path))))
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often a syntax tree uses each identifier: loaded names,
+    attributes and the identifiers inside string literals other than
+    docstrings (the benchmark's tracer names its targets in strings).
+    Definitions, assignment targets, imports, comments and docstrings do
+    not count.  An attribute read off a name also counts qualified, as
+    "Name.attr", and read off `cls` inside a class as "Class.attr"; so does
+    each dotted pair in a string literal."""
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
         and ast.get_docstring(node, clean=False) is not None
     }
-    used = set()
+    used = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
+            used[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            used[node.attr] += 1
             if isinstance(node.value, ast.Name):
-                used.add(f"{node.value.id}.{node.attr}")
+                used[f"{node.value.id}.{node.attr}"] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
             for token in node.value.split():
                 parts = token.split(".")
@@ -112,25 +118,27 @@ def test_every_public_member_has_a_caller_outside_the_unit_tests():
     assert sorted(members) == []
 
 
-def _private_definitions(path: Path) -> list[str]:
+def _private_definitions(tree: ast.Module) -> list[ast.AST]:
     """The private module-level functions and classes of a module and the
-    private methods of its classes, as "module.name"; dunders are not private."""
-    tree = ast.parse(path.read_text(), str(path))
+    private methods of its classes; dunders are not private."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    names = []
+    nodes = []
     for node in tree.body:
         if isinstance(node, defs):
-            names.append(node.name)
+            nodes.append(node)
             if isinstance(node, ast.ClassDef):
-                names.extend(f.name for f in node.body if isinstance(f, defs))
-    return [f"{path.stem}.{n}" for n in names if n.startswith("_") and not n.endswith("__")]
+                nodes.extend(f for f in node.body if isinstance(f, defs))
+    return [n for n in nodes if n.name.startswith("_") and not n.name.endswith("__")]
 
 
 def test_every_private_helper_has_a_caller_in_src():
-    # a helper kept only for the tests belongs in the tests
-    used = set().union(*map(_used_names, _src()))
-    private = [name for path in _src() for name in _private_definitions(path)]
-    assert sorted(n for n in private if n.split(".")[1] not in used) == []
+    # a helper kept only for the tests belongs in the tests, and one read
+    # only inside its own definition (a recursion) is dead
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in _src()}
+    used = sum(map(_reads, trees.values()), Counter())
+    dead = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in _private_definitions(tree)
+            if used[node.name] == _reads(node)[node.name]]
+    assert dead == []
 
 
 _TICKED = re.compile(r"`([^`]+)`")

@@ -29,6 +29,7 @@ from nilcommute.partitions import (
     min_ar_cover,
     partitions_of,
 )
+from test_partitions import reference_ar_blocks
 
 partitions = st.lists(st.integers(1, 9), max_size=8).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -106,6 +107,23 @@ def reference_decode(word):
     return _parts_from_freq1(f)
 
 
+def reference_step(p):
+    """One removal step on the parts: one box off each block's first part."""
+    parts = [x for blk in reference_ar_blocks(p) for x in (blk[0] - 1, *blk[1:]) if x]
+    return Partition(sorted(parts, reverse=True))
+
+
+def reference_encode(p):
+    """Code of p by iterating the removal step on its parts, not on its
+    frequency vector: the letter is 'b' when the last block's top is 1, and
+    the zero partition adds the final 'a'; the encoder's test oracle."""
+    p, letters = Partition(p), []
+    while p:
+        letters.append("b" if reference_ar_blocks(p)[-1][0] == 1 else "a")
+        p = reference_step(p)
+    return "".join(letters) + "a"
+
+
 def _decode_or_error(decoder, word):
     try:
         return decoder(word)
@@ -119,6 +137,7 @@ class TestBurgeWord:
         assert w.tokens() == "b a2 b2 a7 b5 a"
         assert BurgeWord.from_tokens(w.tokens()) == w
         assert BurgeWord.from_tokens("baab ba") == "baabba"
+        assert BurgeWord.from_tokens("b02 a01") == "bba"
 
     def test_rejects_bad_letters(self):
         with pytest.raises(ValueError):
@@ -129,6 +148,11 @@ class TestBurgeWord:
     def test_rejects_non_terminal(self):
         with pytest.raises(ValueError):
             BurgeWord("ab")
+
+    @pytest.mark.parametrize("text", ["b2 a0 b a", "b0 a", "a0", "b² a", "b١ a", "a-1", "b+2 a"])
+    def test_run_count_is_ascii_decimal_and_positive(self, text):
+        with pytest.raises(ValueError, match="bad code token"):
+            BurgeWord.from_tokens(text)
 
 
 class TestEncode:
@@ -142,6 +166,26 @@ class TestEncode:
         # code of the m-into-k shape is a^(m-k) b^k a
         assert encode((2, 2)) == "aabba"
         assert encode((3, 2, 2)) == "aaaabbba"
+
+    def test_matches_reference_encoder_exhaustive(self):
+        for n in range(23):
+            for p in partitions_of(n):
+                code = reference_encode(p)
+                assert encode(p) == code, p
+                assert delta(p) == reference_step(p), p
+                # the parts of D(p) are the positions ending the 'b' runs
+                runs = [(letter, len(list(g))) for letter, g in itertools.groupby(code)]
+                ends = itertools.accumulate(length for _, length in runs)
+                b_ends = [end for (letter, _), end in zip(runs, ends) if letter == "b"]
+                assert dmap(p) == tuple(sorted(b_ends, reverse=True))
+
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_closed_forms(self, n):
+        # one part loses a box a step, in class 'a' until it is 1; n ones
+        # are one block with top 1 until they are gone
+        for p, code in [((n,), "a" * (n - 1) + "ba"), ((1,) * n, "b" * n + "a")]:
+            assert encode(p) == code
+            assert decode(code) == p
 
     def test_step_chain(self):
         # the full 18-step iterate chain with classes

@@ -62,6 +62,12 @@ class TestBurgeCommands:
         code, _, err = run(capsys, "burge", "decode", "--code", "a a")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("text", ["b2 a0 b a", "b0 a", "a0", "b² a"])
+    def test_bad_run_count_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "burge", "decode", "--code", text)
+        assert code == 2 and out == ""
+        assert "bad code token" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_non_code_names_the_ending_rule(self, capsys, fmt):
         code, out, err = run(capsys, "--format", fmt, "burge", "decode", "--code", "b a2")
