@@ -7,9 +7,11 @@ with the config appended or the lines, and exits 1 only when `ok` is false.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 internal error (any other exception, reported in one stderr line).
-Partitions on the command line are comma-separated decreasing integers;
-codes are whitespace-separated run-length tokens (a3 = aaa).  Defaults for
-the prime and seed come from NILCOMMUTE_PRIME and NILCOMMUTE_SEED.
+Numbers, in flags, partitions, cells or environment variables, are ASCII
+decimal: an optional '-' and digits 0-9 (`_decimal`).  Partitions are
+comma-separated decreasing integers; codes are whitespace-separated
+run-length tokens (a3 = aaa).  Defaults for the prime and seed come from
+NILCOMMUTE_PRIME and NILCOMMUTE_SEED.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ from dataclasses import asdict, dataclass
 from .burge import BurgeWord, box_codes, box_partitions, decode, dmap, encode, table
 from .commutator import dmap_oracle
 from .loci import intersect_experiment, survey, verify_cell
-from .modpoly import DEFAULT_PRIME, is_prime
+from .modpoly import DEFAULT_PRIME, _check_modulus
 from .partitions import Partition, ar_notation, is_stable, key
 
 import numpy as np
 
 
-class UsageError(ValueError):
-    """Bad flags or malformed input; maps to exit code 2."""
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Bad flags or malformed input (exit 2); argparse shows it for a flag."""
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,19 @@ class RunConfig:
     output: str
 
 
+def _decimal(text: str) -> int:
+    """An optional '-' and ASCII digits, the one reading of a number: `int`
+    alone also takes underscores, other scripts' digits and spaces."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(f"{text!r} is not an ASCII decimal integer")
+    return int(text)
+
+
 def _parse_partition(text: str) -> Partition:
     """Comma-separated parts, none of them empty; "" is the zero partition."""
     try:
-        return Partition([int(x) for x in text.split(",")] if text else ())
+        return Partition([_decimal(x) for x in text.split(",")] if text else ())
     except ValueError as exc:
         raise UsageError(f"bad partition {text!r}: {exc}") from exc
 
@@ -56,7 +67,7 @@ def _parse_cell(text: str) -> tuple[int, int]:
     if len(bits) != 2:
         raise UsageError(f"bad cell {text!r}, expected k,l")
     try:
-        return int(bits[0]), int(bits[1])
+        return _decimal(bits[0]), _decimal(bits[1])
     except ValueError as exc:
         raise UsageError(f"bad cell {text!r}: {exc}") from exc
 
@@ -83,8 +94,8 @@ def _env_int(name: str, default: int) -> int:
     if text is None:
         return default
     try:
-        return int(text)
-    except ValueError:
+        return _decimal(text)
+    except UsageError:
         raise UsageError(f"{name}={text!r} is not an integer") from None
 
 
@@ -92,11 +103,7 @@ def _config(args) -> RunConfig:
     prime = args.prime
     if prime is None:
         prime = _env_int("NILCOMMUTE_PRIME", DEFAULT_PRIME)
-    # samples and assembled matrices are int64
-    if prime >= 2**63:
-        raise UsageError(f"--prime {prime} is too large: supported primes are 2 <= p < 2^63")
-    if not is_prime(prime):
-        raise UsageError(f"--prime {prime} is not prime")
+    _check_modulus(prime)
     seed, source = args.seed, f"--seed {args.seed}"
     if seed is None:
         seed = _env_int("NILCOMMUTE_SEED", 0)
@@ -148,7 +155,7 @@ def cmd_box(args, cfg: RunConfig):
     for idx in sorted(codes):
         p = cells[idx]
         dmap_ok = dmap(p) == q
-        ok = ok and len(p) == sum(idx) and dmap_ok
+        ok = ok and dmap_ok
         entries.append({"index": idx, "code": codes[idx].tokens(), "partition": p})
         lines.append(
             f"  I={_fmt_partition(idx)}  code='{codes[idx].tokens()}'  "
@@ -247,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nilcommute",
         description="Jordan types of commuting nilpotent matrices at desk scale.",
     )
-    parser.add_argument("--prime", type=int, default=None, help="field modulus (prime)")
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    parser.add_argument("--size-bound", type=int, default=12, dest="size_bound")
+    parser.add_argument("--prime", type=_decimal, default=None, help="field modulus (prime)")
+    parser.add_argument("--seed", type=_decimal, default=None, help="master RNG seed")
+    parser.add_argument("--size-bound", type=_decimal, default=12, dest="size_bound")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -270,23 +277,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify table cells by sampling")
     p_verify.add_argument("--q", required=True)
     p_verify.add_argument("--cell", default=None)
-    p_verify.add_argument("--samples", type=int, default=50)
+    p_verify.add_argument("--samples", type=_decimal, default=50)
     p_verify.set_defaults(func=cmd_verify)
 
     p_survey = sub.add_parser("survey", help="bucket sampled commutant Jordan types")
     p_survey.add_argument("--q", required=True)
-    p_survey.add_argument("--samples", type=int, default=500)
+    p_survey.add_argument("--samples", type=_decimal, default=500)
     p_survey.set_defaults(func=cmd_survey)
 
     p_int = sub.add_parser("intersect", help="sample intersections of cell loci")
     p_int.add_argument("--q", required=True)
     p_int.add_argument("--cells", required=True, help="e.g. 1,2+2,1")
-    p_int.add_argument("--samples", type=int, default=200)
+    p_int.add_argument("--samples", type=_decimal, default=200)
     p_int.set_defaults(func=cmd_intersect)
 
     p_oracle = sub.add_parser("oracle", help="Monte-Carlo dmap estimate vs the code")
     p_oracle.add_argument("--p", required=True)
-    p_oracle.add_argument("--samples", type=int, default=300)
+    p_oracle.add_argument("--samples", type=_decimal, default=300)
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modpoly import DEFAULT_PRIME, _as_field_matrix, _eliminate, _mulmod, _reduce, is_prime, matmul
+from .modpoly import DEFAULT_PRIME, _as_field_matrix, _check_modulus, _eliminate, _mulmod, _reduce, matmul
 from .modpoly import rank  # noqa: F401  (perfbench's tracer test asserts commutator.rank exists)
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
 
@@ -98,6 +98,7 @@ def assemble_blocks(parts, coeffs) -> np.ndarray:
 def _draw_free(parts: tuple[int, ...], rng, p: int, count: int | None = None) -> np.ndarray:
     """Block coefficients of a uniform draw from the slice `_layout` describes,
     or `count` rows of them, drawn exactly as by `count` one-draw calls."""
+    _check_modulus(p)
     lead = () if count is None else (count,)
     coeffs = np.zeros(lead + (sum(parts) * len(parts),), dtype=np.int64)
     free = _layout(parts)[1]
@@ -252,10 +253,7 @@ class CommutatorElement:
         object.__setattr__(self, "q", q)
         if not q or not is_stable(q):
             raise ValueError(f"shape must be a nonempty stable partition: {tuple(q)}")
-        if not 2 <= self.p < 2**63:  # assembled matrices are int64
-            raise ValueError(f"prime {self.p} is out of range: supported primes are 2 <= p < 2^63")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not a prime")
+        _check_modulus(self.p)
         c = tuple(int(x) % self.p for x in self.coeffs)
         object.__setattr__(self, "coeffs", c)
         if len(c) != q.size * len(q):

@@ -8,10 +8,10 @@ k + l <= r, otherwise a_1..a_{k-1}, b_1..b_{r-k-1} and the staircase of
 bilinear forms sum_j a_{k+j} b_{r-k+d-j} - sum_j g_j h_{d-j} for
 d = 0..k+l-r-1, which are the coefficients of t^{r+d} in ab - g h t^r.
 
-`_solve_plan` alone builds that staircase, in block coefficient numbers:
-`EquationSet` reads the one-cell plan in a, b, g, h indices from the cell
-alone and checks rows against the plan's terms, `equations` caches one set
-per cell, and the samplers solve the plan's steps.
+`_solve_plan` alone builds that staircase, in block coefficient numbers,
+each step as signed terms led by its pivot term a_k b.  The `EquationSet`
+of a cell, built once by `equations`, holds its plan as `_plan`, the one
+form that its row checks, Jacobian and a, b, g, h view and the samplers read.
 
 Every harness draws `_CHUNK` samples at a time as coefficient rows
 (`_plan_rows` on a locus, `commutator._draw_free` on the commutant), the
@@ -22,6 +22,7 @@ only `survey` assembles a stack, for `jordan_types`.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
@@ -29,7 +30,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .burge import box_partitions, check_cell, table
+from .burge import check_cell, dmap, table
 from .commutator import (
     _CHUNK,
     CommutatorElement,
@@ -41,8 +42,8 @@ from .commutator import (
     assemble_blocks,
     jordan_types,
 )
-from .modpoly import DEFAULT_PRIME, rank
-from .partitions import Partition
+from .modpoly import DEFAULT_PRIME, _check_modulus, rank
+from .partitions import Partition, key
 from .tropical import predicted_jordan_type
 
 
@@ -60,9 +61,9 @@ class Quadric:
 @dataclass(frozen=True)
 class EquationSet:
     """The k + l - 2 defining equations of the (k, l) table locus of the
-    shape (u, u-r), in a, b, g, h indices, built from the cell alone: the
-    one-cell plan's zero coordinates are the linear equations and its step
-    d, a_k b_solved + ab - gh, is quadric d."""
+    shape (u, u-r), built from the cell alone.  `_plan` is the one-cell
+    plan: its zero coordinates are the linear equations and its step d is
+    quadric d.  The public fields read it in a, b, g, h indices."""
 
     u: int
     r: int
@@ -71,18 +72,20 @@ class EquationSet:
     linear_a: tuple[int, ...] = field(init=False)
     linear_b: tuple[int, ...] = field(init=False)
     quadrics: tuple[Quadric, ...] = field(init=False)
+    _plan: _SolvePlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         plan = _solve_plan(self.u, self.r, ((self.k, self.l),))
         g0, h0, b0 = _two_part_offsets(self.u, self.r)
         quads = tuple(
             Quadric(
-                ab_terms=tuple((i, j - b0) for i, j in ((plan.pivot, solved), *ab)),
-                gh_terms=tuple((i - g0, j - h0) for i, j in gh),
+                ab_terms=tuple((i, j - b0) for sign, i, j in terms if sign > 0),
+                gh_terms=tuple((i - g0, j - h0) for sign, i, j in terms if sign < 0),
             )
-            for solved, ab, gh in plan.steps
+            for terms in plan.steps
         )
         lin_a = tuple(i for i in plan.zero if i < b0)
+        object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "linear_a", lin_a)
         object.__setattr__(self, "linear_b", tuple(i - b0 for i in plan.zero[len(lin_a) :]))
         object.__setattr__(self, "quadrics", quads)
@@ -91,53 +94,40 @@ class EquationSet:
     def codim(self) -> int:
         return len(self.linear_a) + len(self.linear_b) + len(self.quadrics)
 
-    @property
-    def linear_vars(self) -> tuple[str, ...]:
-        return tuple(f"a{i}" for i in self.linear_a) + tuple(f"b{i}" for i in self.linear_b)
-
     def labels(self) -> tuple[str, ...]:
-        return self.linear_vars + tuple(qd.label() for qd in self.quadrics)
-
-    def _check_shape(self, e: CommutatorElement) -> None:
-        shape = (self.u, self.u - self.r)
-        if e.q != shape:
-            raise ValueError(f"element of shape {tuple(e.q)} against equations on {shape}")
+        return (*(f"a{i}" for i in self.linear_a), *(f"b{i}" for i in self.linear_b),
+                *(qd.label() for qd in self.quadrics))
 
     @cached_property
-    def _block_terms(self) -> tuple:
-        """The one-cell plan in block coefficient numbers: its linear
-        coordinates, each step as (sign, i, j) terms, and the quadric block of
-        the Jacobian on the free columns that no linear equation fixes: its
-        shape and, per entry, its row, column, coefficient and sign (the term
-        sign c_i c_j puts sign c_j in column i and sign c_i in column j)."""
-        plan = _solve_plan(self.u, self.r, ((self.k, self.l),))
-        quads = tuple(
-            ((1, plan.pivot, solved), *((1, i, j) for i, j in ab), *((-1, i, j) for i, j in gh))
-            for solved, ab, gh in plan.steps
-        )
-        free = [i for i in _layout((self.u, self.u - self.r))[1].tolist() if i not in plan.zero]
-        entries = [(row, free.index(x), y, sign) for row, terms in enumerate(quads)
+    def _jacobian_block(self) -> tuple:
+        """The quadric block of the Jacobian on the free columns that no
+        linear equation fixes: its shape and, per entry, its row, column,
+        coefficient and sign (the term sign c_i c_j puts sign c_j in column
+        i and sign c_i in column j)."""
+        zero, steps = self._plan.zero, self._plan.steps
+        free = [i for i in _layout((self.u, self.u - self.r))[1].tolist() if i not in zero]
+        entries = [(row, free.index(x), y, sign) for row, terms in enumerate(steps)
                    for sign, i, j in terms for x, y in ((i, j), (j, i))]
-        block = ((len(quads), len(free)), *np.array(entries, dtype=np.intp).reshape(-1, 4).T)
-        return plan.zero, quads, block
+        return ((len(steps), len(free)), *np.array(entries, dtype=np.intp).reshape(-1, 4).T)
 
     def _holds(self, c, p: int) -> bool:
         """Whether the block coefficients `c` (reduced mod p) satisfy every equation."""
-        linear, quads, _ = self._block_terms
-        return not any(c[i] for i in linear) and not any(
-            sum(sign * c[i] * c[j] for sign, i, j in terms) % p for terms in quads)
+        return not any(c[i] for i in self._plan.zero) and not any(
+            sum(sign * c[i] * c[j] for sign, i, j in terms) % p for terms in self._plan.steps)
 
     def _jacobian_rank(self, c, p: int) -> int:
         """Jacobian rank at the block coefficients `c` (reduced mod p): the
         linear rows are unit vectors on free columns, so it is |linear| plus the
         rank of the quadric block on the other free columns, ranked even if empty."""
-        linear, _, (shape, row, col, src, sign) = self._block_terms
+        shape, row, col, src, sign = self._jacobian_block
         block = np.zeros(shape, dtype=np.int64)
         block[row, col] = sign * np.asarray(c)[src] % p
-        return len(linear) + rank(block, p)
+        return len(self._plan.zero) + rank(block, p)
 
     def jacobian_rank_at(self, e: CommutatorElement) -> int:
-        self._check_shape(e)
+        shape = (self.u, self.u - self.r)
+        if e.q != shape:
+            raise ValueError(f"element of shape {tuple(e.q)} against equations on {shape}")
         return self._jacobian_rank(e.coeffs, e.p)
 
 
@@ -150,26 +140,25 @@ def equations(u: int, r: int, k: int, l: int) -> EquationSet:
 @dataclass(frozen=True)
 class _SolvePlan:
     """The staircase of a set of cells in block coefficient numbers
-    (`CommutatorElement.coeffs`), which `EquationSet` and the samplers read.
+    (`CommutatorElement.coeffs`), in the one form that every reader uses.
 
-    The linear equations clear `zero`.  Step (solved, ab, gh) is one
-    degree's coefficient of ab - g h t^r: the `pivot` a_k times the solved
-    b coordinate, plus the ab pairs, minus the gh pairs; a sampler solves it
-    for that b.  `split` holds (g_0, h_0) when g_0 h_0 = 0 splits the locus;
-    a nonempty `reason` marks a system this cannot sample.  A one-cell plan
-    has neither.
+    The linear equations clear `zero`.  Each step is one degree's
+    coefficient of ab - g h t^r as signed terms (sign, i, j), summing
+    sign c_i c_j: the pivot term (1, `pivot`, b) for the b a sampler solves
+    it for, the other ab terms (+1), then the gh terms (-1).  `split` holds
+    (g_0, h_0) when g_0 h_0 = 0 splits the locus; a nonempty `reason` marks
+    a system this cannot sample.  A one-cell plan has neither.
     """
 
     u: int
     r: int
     zero: tuple[int, ...]
     pivot: int
-    steps: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
+    steps: tuple[tuple[tuple[int, int, int], ...], ...]
     split: tuple[int, ...]
     reason: str = ""
 
 
-@lru_cache(maxsize=1024)
 def _solve_plan(u: int, r: int, cells: tuple[tuple[int, int], ...]) -> _SolvePlan:
     """The staircase of the union of the cells' equations; `cells` sorted, nonempty.
 
@@ -193,13 +182,12 @@ def _solve_plan(u: int, r: int, cells: tuple[tuple[int, int], ...]) -> _SolvePla
     for deg in degrees:
         d = deg - r
         ab = tuple(
-            (ai, b0 + deg - ai)
+            (1, ai, b0 + deg - ai)
             for ai in range(big_k, min(deg - big_m, u - 1) + 1)
             if 1 <= deg - ai <= m - 1
         )
-        gh = tuple((g0 + j, h0 + d - j) for j in range(d + 1))
-        if ab and ab[0][0] == big_k:
-            steps.append((ab[0][1], ab[1:], gh))
+        if ab and ab[0][1] == big_k:
+            steps.append(ab + tuple((-1, g0 + j, h0 + d - j) for j in range(d + 1)))
         elif not ab and d == 0 and not split:
             split = (g0, h0)
         else:
@@ -213,7 +201,9 @@ def _plan_rows(plan: _SolvePlan, rng, prime: int, count: int, zero_gh: int | Non
     """`count` points of the plan's locus as (count, coefficients) rows;
     zero_gh = 0 or 1 zeroes g_0 or h_0.  One draw takes each row's free
     coordinates, then its pivot, as `count` one-point draws would; each row
-    solves the steps in Python integers with one inverse of a_k."""
+    solves each step for the b of its pivot term, in Python integers with
+    one inverse of a_k."""
+    _check_modulus(prime)
     u, r = plan.u, plan.r
     free = _layout((u, u - r))[1]
     draw = rng.integers([prime] * free.size + [prime - 1], size=(count, free.size + 1))
@@ -223,12 +213,11 @@ def _plan_rows(plan: _SolvePlan, rng, prime: int, count: int, zero_gh: int | Non
     rows[:, plan.pivot] = 1 + draw[:, -1]
     if zero_gh is not None:
         rows[:, plan.split[zero_gh]] = 0
-    out = rows.tolist()
+    out, steps = rows.tolist(), [(terms[0][2], terms[1:]) for terms in plan.steps]
     for c in out:
         inv_ak = pow(c[plan.pivot], -1, prime)
-        for solved, ab, gh in plan.steps:
-            rhs = sum(c[i] * c[j] for i, j in gh) - sum(c[i] * c[j] for i, j in ab)
-            c[solved] = rhs % prime * inv_ak % prime
+        for solved, rest in steps:
+            c[solved] = -sum(sign * c[i] * c[j] for sign, i, j in rest) % prime * inv_ak % prime
     return np.array(out, dtype=np.int64).reshape(rows.shape)
 
 
@@ -239,7 +228,7 @@ def sample_on_locus(u: int, r: int, k: int, l: int, rng, *, prime: int = DEFAULT
     uniformly, then solves each bilinear equation for the next b
     coordinate (each is linear in it with coefficient a_k).
     """
-    row = _plan_rows(_solve_plan(u, r, ((k, l),)), rng, prime, 1)[0]
+    row = _plan_rows(equations(u, r, k, l)._plan, rng, prime, 1)[0]
     return CommutatorElement((u, u - r), row.tolist(), prime)
 
 
@@ -323,7 +312,6 @@ def verify_cell(
     eqs = equations(u, r, k, l)
     expected = table((u, u - r))[k - 1][l - 1]
     rng = np.random.default_rng([seed, u, r, k, l])
-    plan = _solve_plan(u, r, ((k, l),))
     counts: Counter = Counter()
     jac_hits = converse_hits = 0
     converse_ok = True
@@ -331,7 +319,7 @@ def verify_cell(
         hi = min(lo + _CHUNK, 2 * samples)
         on = max(0, min(hi, samples) - lo)  # on-locus rows in this chunk
         rows = np.concatenate([
-            _plan_rows(plan, rng, prime, on), _draw_free((u, u - r), rng, prime, hi - lo - on)])
+            _plan_rows(eqs._plan, rng, prime, on), _draw_free((u, u - r), rng, prime, hi - lo - on)])
         types = _two_part_types(rows, u, r, prime)
         counts.update(types[:on])
         jac_hits += sum(eqs._jacobian_rank(c, prime) == eqs.codim for c in rows[:on])
@@ -396,24 +384,14 @@ def closure_contains(
         raise ValueError("need at least one sample")
     k, l = outer
     k2, l2 = inner
-    check_cell(u, r, k, l)
-    check_cell(u, r, k2, l2)
-    predicate = (k == k2 and l <= l2) or (k <= k2 and l <= l2 and k2 + l <= r)
     eqs = equations(u, r, k, l)
+    plan = equations(u, r, k2, l2)._plan
+    predicate = (k == k2 and l <= l2) or (k <= k2 and l <= l2 and k2 + l <= r)
     rng = np.random.default_rng([seed, u, r, k, l, k2, l2])
-    plan = _solve_plan(u, r, ((k2, l2),))
     chunks = (_plan_rows(plan, rng, prime, min(_CHUNK, samples - lo)) for lo in range(0, samples, _CHUNK))
     montecarlo = all(eqs._holds(c, prime) for rows in chunks for c in rows.tolist())
-    return ContainmentReport(
-        q=Partition((u, u - r)),
-        outer=(k, l),
-        inner=(k2, l2),
-        prime=prime,
-        seed=seed,
-        samples=samples,
-        predicate=predicate,
-        montecarlo=montecarlo,
-    )
+    return ContainmentReport(q=Partition((u, u - r)), outer=(k, l), inner=(k2, l2), prime=prime,
+                             seed=seed, samples=samples, predicate=predicate, montecarlo=montecarlo)
 
 
 @dataclass(frozen=True)
@@ -505,23 +483,19 @@ class SurveyReport(_Report):
 
 
 def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> SurveyReport:
-    """Sample the nilpotent commutant of a stable shape, a chunk per draw, and bucket the types."""
+    """Sample the nilpotent commutant of a stable shape, a chunk per draw, and
+    bucket the types.  The box of q is the whole preimage of q under `dmap`,
+    so no box is decoded: its size is the product of the key, and a type is
+    outside it when its `dmap` is not q."""
     if samples < 1:
         raise ValueError("need at least one sample")
     q = Partition(q)
-    box_vals = set(box_partitions(q).values())
+    box_size = math.prod(key(q))
     rng = np.random.default_rng([seed] + list(q))
     counts: Counter = Counter()
     for lo in range(0, samples, _CHUNK):
         rows = _draw_free(q, rng, prime, min(_CHUNK, samples - lo))
         counts.update(jordan_types(assemble_blocks(q, rows), prime))
-    outside = tuple(tuple(t) for t in sorted(set(counts) - box_vals, reverse=True))
-    return SurveyReport(
-        q=q,
-        prime=prime,
-        seed=seed,
-        samples=samples,
-        box_size=len(box_vals),
-        type_counts=_type_counts(counts),
-        outside=outside,
-    )
+    outside = tuple(tuple(t) for t in sorted((t for t in counts if dmap(t) != q), reverse=True))
+    return SurveyReport(q=q, prime=prime, seed=seed, samples=samples, box_size=box_size,
+                        type_counts=_type_counts(counts), outside=outside)

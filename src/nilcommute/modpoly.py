@@ -69,7 +69,6 @@ _REDUCE_BY_DIVISION = 512
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     """Miller-Rabin with the prime bases up to 37, deterministic and exact for n < 2^64."""
     if n < 2:
@@ -92,6 +91,16 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _check_modulus(p: int) -> None:
+    """The one modulus rule, checked once per p by every sampler and
+    `CommutatorElement`: 2 <= p < 2^63 (samples are int64) and p prime."""
+    if not 2 <= p < 2**63:
+        raise ValueError(f"modulus {p} is out of range: supported primes are 2 <= p < 2^63")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not a prime")
 
 
 @dataclass(frozen=True)

@@ -329,6 +329,20 @@ class TestBoxes:
             assert dmap(p) == q
         assert cells[tuple(1 for _ in sizes)] == q  # the minimal corner
 
+    def test_box_is_the_whole_preimage_exhaustive(self):
+        # `survey` reads box membership as dmap(t) == q and the box size as
+        # the product of the key, without decoding the box
+        preimages = {}
+        for n in range(1, 21):
+            for p in partitions_of(n):
+                preimages.setdefault(dmap(p), set()).add(p)
+        stable = [q for n in range(1, 21) for q in partitions_of(n) if is_stable(q)]
+        assert set(preimages) == set(stable)
+        for q in stable:
+            cells = box_partitions(q)
+            assert set(cells.values()) == preimages[q], q
+            assert len(preimages[q]) == len(cells) == math.prod(key(q)), q
+
 
 class TestTable:
     def test_golden_52(self):

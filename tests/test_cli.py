@@ -237,6 +237,25 @@ class TestOtherCommands:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv, env", [
+        (("burge", "dmap", "--partition", "1_0,\u0663,2"), {}),
+        (("burge", "dmap", "--partition", " 5,2"), {}),
+        (("--seed", "1_0", "table", "--q", "5,2"), {}),
+        (("--prime", "\uff17", "table", "--q", "5,2"), {}),
+        (("--size-bound", "1_2", "oracle", "--p", "2,1"), {}),
+        (("verify", "--q", "5,2", "--samples", "\u0663"), {}),
+        (("verify", "--q", "5,2", "--cell", "1, 1"), {}),
+        (("table", "--q", "5,2"), {"NILCOMMUTE_SEED": " 1_2 "}),
+        (("table", "--q", "5,2"), {"NILCOMMUTE_PRIME": "1_000_000_007"}),
+    ])
+    def test_numbers_are_ascii_decimal(self, capsys, monkeypatch, argv, env):
+        # int() takes each of these: underscores, other scripts' digits, spaces
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err and "Traceback" not in err
+
 
 class TestSamples:
     @pytest.mark.parametrize("command", [

@@ -12,6 +12,7 @@ from nilcommute.commutator import (
     _layout,
     _two_part_offsets,
     _two_part_types,
+    dmap_oracle,
     sample_commutator,
 )
 from nilcommute.loci import (
@@ -105,7 +106,7 @@ def reference_jacobian(eqs, e):
 
 def reference_plan_point(plan, rng, prime, zero_gh=None):
     """One point of the plan's locus, drawn alone: the free coordinates, then
-    a nonzero pivot, then each step solved in turn."""
+    a nonzero pivot, then each step, led by its pivot term, solved in turn."""
     u, r = plan.u, plan.r
     c = _draw_free((u, u - r), rng, prime)
     c[list(plan.zero)] = 0
@@ -114,8 +115,9 @@ def reference_plan_point(plan, rng, prime, zero_gh=None):
         c[plan.split[zero_gh]] = 0
     c = c.tolist()
     inv_ak = pow(c[plan.pivot], -1, prime)
-    for solved, ab, gh in plan.steps:
-        rhs = sum(c[i] * c[j] for i, j in gh) - sum(c[i] * c[j] for i, j in ab)
+    for (lead, pivot, solved), *terms in plan.steps:
+        assert (lead, pivot) == (1, plan.pivot)
+        rhs = -sum(sign * c[i] * c[j] for sign, i, j in terms)
         c[solved] = rhs % prime * inv_ak % prime
     return c
 
@@ -674,6 +676,47 @@ class TestSurvey:
             rng = np.random.default_rng([3, *q])
             types = Counter(sample_commutator(q, rng, p=p).jordan_type() for _ in range(samples))
             assert survey(q, samples, seed=3, prime=p).type_counts == _type_counts(types)
+
+
+class TestOnePlanPerCell:
+    def test_each_cell_builds_its_plan_once(self, monkeypatch):
+        built = []
+        solve = loci._solve_plan
+        monkeypatch.setattr(loci, "_solve_plan", lambda *args: built.append(args) or solve(*args))
+        equations.cache_clear()
+        verify_cell(8, 3, 2, 3, 4)
+        assert built == [(8, 3, ((2, 3),))]
+        verify_cell(8, 3, 2, 3, 4)
+        assert len(built) == 1
+        equations(8, 3, 1, 1)
+        assert len(built) == 2
+        closure_contains(8, 3, (1, 1), (2, 3), 4)
+        sample_on_locus(8, 3, 2, 3, np.random.default_rng(0))
+        assert len(built) == 2
+
+    def test_every_step_leads_with_its_pivot_term(self):
+        for u in range(3, 17):
+            for r in range(2, u):
+                b0 = _two_part_offsets(u, r)[2]
+                for k in range(1, r):
+                    for l in range(1, u - r + 1):
+                        steps = equations(u, r, k, l)._plan.steps
+                        pivots = [(1, k, b0 + r - k + d) for d in range(k + l - r)]
+                        assert [terms[0] for terms in steps] == pivots, (u, r, k, l)
+
+
+@pytest.mark.parametrize("prime", [4, 2**64 - 59])
+@pytest.mark.parametrize("run", [
+    lambda prime: verify_cell(5, 3, 2, 2, 20, prime=prime),
+    lambda prime: closure_contains(5, 3, (2, 1), (2, 2), 5, prime=prime),
+    lambda prime: intersect_experiment(5, 3, [(2, 2)], 5, prime=prime),
+    lambda prime: survey((5, 2), 50, prime=prime),
+    lambda prime: dmap_oracle((3, 2, 1), 50, np.random.default_rng(0), prime=prime),
+])
+def test_every_harness_refuses_an_unsupported_modulus(run, prime):
+    # one rule (`modpoly._check_modulus`), checked before the first draw
+    with pytest.raises(ValueError, match=f"modulus {prime} is (not a prime|out of range: .* 2 <= p < 2\\^63)"):
+        run(prime)
 
 
 @pytest.mark.parametrize("run", [
