@@ -12,12 +12,13 @@ shape (u, u-r) the coordinates a, g, h, b of the locus equations are
 slices of the row (`_two_part_offsets`).
 Assembling the blocks in bases ordered by decreasing t-power reproduces
 the familiar banded matrices, and ranks of powers of the assembled matrix
-recover the Jordan type.  A chunk of samples is drawn as coefficient rows
-in one generator call (`_draw_free`, the same draws as one per sample).
+recover the Jordan type.  Each chunk of `_chunks` is drawn as coefficient
+rows in one generator call (`_draw_free`, the same draws as one per sample).
 `jordan_types` reads a chunk assembled by `assemble_blocks` as one (S, n, n)
 stack, reduced mod p once, and ranks every power of it (doubled by
 `modpoly._mulmod`) in one stacked `modpoly._eliminate`, for `survey`,
-`dmap_oracle`, `jordan_type_of_matrix` and `CommutatorElement.jordan_type`.
+`jordan_type_of_matrix` (which `dmap_oracle` calls on each matrix of its
+chunk) and `CommutatorElement.jordan_type`.
 `verify_cell` and `intersect_experiment` use `_two_part_types`, which reads
 a two-part shape from the 2x2 minors of [Phi^s | D] and squares no power.
 It reads powers from the rows' generator columns and assembles nothing.
@@ -43,6 +44,14 @@ from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_
 # chunk of (10, 7, 4, 1) samples, n = 22 with 10 powers, peaks at 1.7 MB
 # under tracemalloc, doubling included)
 _CHUNK = 8
+
+
+def _chunks(samples: int):
+    """The (lo, hi) bounds of `samples` draws in `_CHUNK`-row chunks, for every
+    Monte-Carlo harness; fewer than one sample is refused at the call."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    return ((lo, min(lo + _CHUNK, samples)) for lo in range(0, samples, _CHUNK))
 
 
 @lru_cache(maxsize=512)
@@ -95,14 +104,13 @@ def assemble_blocks(parts, coeffs) -> np.ndarray:
     return flat[..., _layout(parts)[0]]
 
 
-def _draw_free(parts: tuple[int, ...], rng, p: int, count: int | None = None) -> np.ndarray:
-    """Block coefficients of a uniform draw from the slice `_layout` describes,
-    or `count` rows of them, drawn exactly as by `count` one-draw calls."""
+def _draw_free(parts: tuple[int, ...], rng, p: int, count: int) -> np.ndarray:
+    """Block coefficient rows of `count` uniform draws from the slice `_layout`
+    describes (a chunk of `_chunks`), drawn exactly as by `count` one-row calls."""
     _check_modulus(p)
-    lead = () if count is None else (count,)
-    coeffs = np.zeros(lead + (sum(parts) * len(parts),), dtype=np.int64)
+    coeffs = np.zeros((count, sum(parts) * len(parts)), dtype=np.int64)
     free = _layout(parts)[1]
-    coeffs[..., free] = rng.integers(p, size=lead + (free.size,))
+    coeffs[:, free] = rng.integers(p, size=(count, free.size))
     return coeffs
 
 
@@ -307,7 +315,7 @@ def _order_error(parts, coeff: int, free) -> str:
 def sample_commutator(q, rng, *, p: int = DEFAULT_PRIME) -> CommutatorElement:
     """Uniform draw from the nilpotent commutant slice of a stable shape."""
     q = Partition(q)
-    return CommutatorElement(q, _draw_free(q, rng, p).tolist(), p)
+    return CommutatorElement(q, _draw_free(q, rng, p, 1)[0].tolist(), p)
 
 
 def _two_part_offsets(u: int, r: int) -> tuple[int, int, int]:
@@ -339,19 +347,17 @@ def dmap_oracle(
     """Monte-Carlo estimate of the generic commuting Jordan type of p_type.
 
     Draws nilpotent commutant elements of a Jordan matrix of the given (not
-    necessarily stable) type and returns the dominance maximum of the
-    observed types, or EMPTY when none dominates the rest (`_generic_type`).
-    This is a cross-check for the word-based map, never a ground truth for
-    single samples.
+    necessarily stable) type, a chunk of `_chunks` per draw, assembled as one
+    stack and read one matrix at a time (`jordan_type_of_matrix`), and returns
+    the dominance maximum of the observed types (EMPTY for the empty type), or
+    EMPTY when none dominates the rest (`_generic_type`).  This is a
+    cross-check for the word-based map, never a ground truth for single samples.
     """
     pt = Partition(p_type)
     if pt.size > size_limit:
         raise ValueError(f"|P|={pt.size} exceeds the oracle limit {size_limit}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if not pt:
-        return EMPTY
     types = set()
-    for _ in range(samples):
-        types.add(jordan_type_of_matrix(assemble_blocks(pt, _draw_free(pt, rng, prime)), prime))
+    for lo, hi in _chunks(samples):
+        stack = assemble_blocks(pt, _draw_free(pt, rng, prime, hi - lo))
+        types.update(jordan_type_of_matrix(m, prime) for m in stack)
     return _generic_type(types)

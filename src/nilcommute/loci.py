@@ -13,7 +13,7 @@ each step as signed terms led by its pivot term a_k b.  The `EquationSet`
 of a cell, built once by `equations`, holds its plan as `_plan`, the one
 form that its row checks, Jacobian and a, b, g, h view and the samplers read.
 
-Every harness draws `_CHUNK` samples at a time as coefficient rows
+Every harness draws the chunks of `commutator._chunks` as coefficient rows
 (`_plan_rows` on a locus, `commutator._draw_free` on the commutant), the
 same draws in the same order as one at a time, and reads and checks each chunk
 on its rows: `_two_part_types` reads the types from the rows themselves, and
@@ -32,8 +32,8 @@ import numpy as np
 
 from .burge import check_cell, dmap, table
 from .commutator import (
-    _CHUNK,
     CommutatorElement,
+    _chunks,
     _draw_free,
     _generic_type,
     _layout,
@@ -300,23 +300,20 @@ def verify_cell(
 
     The expected type is read from the memoized table.  The `samples`
     on-locus draws and then the `samples` converse draws form one stream,
-    drawn in that order from one generator as stacked coefficient rows,
-    `_CHUNK` at a time, so a chunk may hold the last on-locus and the first
+    drawn in that order from one generator as stacked coefficient rows, in
+    the chunks of `_chunks`, so a chunk may hold the last on-locus and the first
     converse draws (the draws of the one-sample samplers), read together,
     with Jacobian ranks and equations checked on its rows.  Cells
     whose type is never hit by the independent samples count as a vacuous
     pass for the converse direction.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     eqs = equations(u, r, k, l)
     expected = table((u, u - r))[k - 1][l - 1]
     rng = np.random.default_rng([seed, u, r, k, l])
     counts: Counter = Counter()
     jac_hits = converse_hits = 0
     converse_ok = True
-    for lo in range(0, 2 * samples, _CHUNK):
-        hi = min(lo + _CHUNK, 2 * samples)
+    for lo, hi in _chunks(2 * samples):
         on = max(0, min(hi, samples) - lo)  # on-locus rows in this chunk
         rows = np.concatenate([
             _plan_rows(eqs._plan, rng, prime, on), _draw_free((u, u - r), rng, prime, hi - lo - on)])
@@ -377,18 +374,16 @@ def closure_contains(
 
     The closed form is (k = k' and l <= l') or (k <= k', l <= l' and
     k' + l <= r); the Monte-Carlo side checks the outer equations on
-    generic inner samples, drawn `_CHUNK` rows at a time (`_plan_rows`) up
-    to the chunk that holds the first one off the outer locus.
+    generic inner samples, drawn a chunk of `_chunks` at a time
+    (`_plan_rows`) up to the chunk that holds the first one off the outer locus.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     k, l = outer
     k2, l2 = inner
     eqs = equations(u, r, k, l)
     plan = equations(u, r, k2, l2)._plan
     predicate = (k == k2 and l <= l2) or (k <= k2 and l <= l2 and k2 + l <= r)
     rng = np.random.default_rng([seed, u, r, k, l, k2, l2])
-    chunks = (_plan_rows(plan, rng, prime, min(_CHUNK, samples - lo)) for lo in range(0, samples, _CHUNK))
+    chunks = (_plan_rows(plan, rng, prime, hi - lo) for lo, hi in _chunks(samples))
     montecarlo = all(eqs._holds(c, prime) for rows in chunks for c in rows.tolist())
     return ContainmentReport(q=Partition((u, u - r)), outer=(k, l), inner=(k2, l2), prime=prime,
                              seed=seed, samples=samples, predicate=predicate, montecarlo=montecarlo)
@@ -434,10 +429,10 @@ def intersect_experiment(
     cells = sorted({(int(k), int(l)) for k, l in cells})
     if not cells:
         raise ValueError("need at least one cell")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    chunks = list(_chunks(samples))  # read once per branch
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
+    _check_modulus(prime)
     plan = _solve_plan(u, r, tuple(cells))
     base = dict(
         q=Partition((u, u - r)),
@@ -454,8 +449,8 @@ def intersect_experiment(
     for bidx, (label, zero_gh) in enumerate(branch_defs):
         rng = np.random.default_rng([seed, u, r, bidx] + [x for c in cells for x in c])
         counts: Counter = Counter()
-        for lo in range(0, samples, _CHUNK):
-            rows = _plan_rows(plan, rng, prime, min(_CHUNK, samples - lo), zero_gh)
+        for lo, hi in chunks:
+            rows = _plan_rows(plan, rng, prime, hi - lo, zero_gh)
             counts.update(_two_part_types(rows, u, r, prime))
         branches.append(
             BranchReport(label=label, max_type=_generic_type(counts), type_counts=_type_counts(counts))
@@ -487,14 +482,12 @@ def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> Sur
     bucket the types.  The box of q is the whole preimage of q under `dmap`,
     so no box is decoded: its size is the product of the key, and a type is
     outside it when its `dmap` is not q."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
     q = Partition(q)
     box_size = math.prod(key(q))
     rng = np.random.default_rng([seed] + list(q))
     counts: Counter = Counter()
-    for lo in range(0, samples, _CHUNK):
-        rows = _draw_free(q, rng, prime, min(_CHUNK, samples - lo))
+    for lo, hi in _chunks(samples):
+        rows = _draw_free(q, rng, prime, hi - lo)
         counts.update(jordan_types(assemble_blocks(q, rows), prime))
     outside = tuple(tuple(t) for t in sorted((t for t in counts if dmap(t) != q), reverse=True))
     return SurveyReport(q=q, prime=prime, seed=seed, samples=samples, box_size=box_size,

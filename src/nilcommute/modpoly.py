@@ -15,7 +15,7 @@ otherwise, and Python integers past n = 2^21 or for p >= 2^31.  That is
 delayed reduction: accumulate in machine words up to the exactness bound,
 then reduce once.  Both stack kernels take already-reduced arrays, so a
 readout reduces its input once; `rank` and `matmul` are their public
-forms, which reduce a copy first.
+forms, which check p and reduce a copy first.
 The int64 path rests on the bounds stated at `_INT64_SAFE`.  The default
 prime is large enough that random cancellations never disturb desk-scale
 Monte-Carlo runs.
@@ -95,8 +95,8 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _check_modulus(p: int) -> None:
-    """The one modulus rule, checked once per p by every sampler and
-    `CommutatorElement`: 2 <= p < 2^63 (samples are int64) and p prime."""
+    """The one modulus rule, checked once per p by every sampler, every array
+    kernel and `CommutatorElement`: 2 <= p < 2^63 (samples are int64) and p prime."""
     if not 2 <= p < 2**63:
         raise ValueError(f"modulus {p} is out of range: supported primes are 2 <= p < 2^63")
     if not is_prime(p):
@@ -139,7 +139,9 @@ def _reduce(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _as_field_matrix(mat, p: int) -> np.ndarray:
-    """A reduced copy of `mat`: int64 for p < 2^31, Python integers above."""
+    """A reduced copy of `mat` (int64 for p < 2^31, Python integers above), the
+    entry of every array kernel: it checks p, as a Python integer for `is_prime`."""
+    _check_modulus(int(p))
     return _reduce(np.array(mat, dtype=np.int64 if p < _INT64_SAFE else object), p)
 
 

@@ -7,8 +7,10 @@ import pytest
 from nilcommute import commutator
 from nilcommute.commutator import (
     CommutatorElement,
+    _chunks,
     _draw_free,
     _generators,
+    _generic_type,
     _layout,
     _two_part_offsets,
     _two_part_types,
@@ -20,7 +22,7 @@ from nilcommute.commutator import (
 )
 from nilcommute.burge import dmap
 from nilcommute.loci import sample_on_locus
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod, matmul
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod, matmul, rank
 from nilcommute.partitions import EMPTY, Partition, dominates, is_stable, jordan_from_coranks, partitions_of
 from test_modpoly import reference_rank, t_power, zero
 
@@ -62,7 +64,7 @@ def two_part(u, r, a, b, g, h, p=P):
 
 def commutant_matrix(parts, rng, p=P):
     """An assembled uniform draw from the nilpotent commutant slice of any shape."""
-    return assemble_blocks(tuple(parts), _draw_free(tuple(parts), rng, p))
+    return assemble_blocks(tuple(parts), _draw_free(tuple(parts), rng, p, 1)[0])
 
 
 def coords(e):
@@ -365,7 +367,7 @@ class TestJordanType:
         for n in range(1, 11):
             for parts in partitions_of(n):
                 for density in (0.2, 0.5):
-                    coeffs = _draw_free(parts, rng, p)
+                    coeffs = _draw_free(parts, rng, p, 1)[0]
                     coeffs[rng.random(coeffs.size) > density] = 0
                     m = assemble_blocks(parts, coeffs)
                     assert jordan_type_of_matrix(m, p) == reference_jordan_type(m, p)
@@ -378,7 +380,7 @@ def mixed_stack(n, count, rng, p):
     out = [np.zeros((n, n), dtype=np.int64)]
     while len(out) < count:
         parts = shapes[len(out) % len(shapes)]
-        coeffs = _draw_free(parts, rng, p)
+        coeffs = _draw_free(parts, rng, p, 1)[0]
         if len(out) % 3 == 0:
             coeffs[rng.random(coeffs.size) > 0.3] = 0
         out.append(assemble_blocks(parts, coeffs))
@@ -461,7 +463,7 @@ def two_part_rows(q, rng, p):
         jordan[_two_part_offsets(u, r)[2] + 1] = 1
     out = [0 * jordan, jordan]
     for i in range(12):
-        coeffs = _draw_free(q, rng, p)
+        coeffs = _draw_free(q, rng, p, 1)[0]
         if i % 2:
             coeffs[rng.random(coeffs.size) < 0.6] = 0
         out.append(coeffs)
@@ -532,7 +534,7 @@ class TestDominatedByShape:
         out = []
         for k, l in [(1, None)] * 4 + cells:
             if l is None:
-                row = _draw_free(q, rng, p)
+                row = _draw_free(q, rng, p, 1)[0]
             else:
                 row = np.array(sample_on_locus(u, r, k, l, rng, prime=p).coeffs, dtype=np.int64)
             out.append(row)
@@ -789,7 +791,56 @@ class TestTwoPartElement:
             assert np.flatnonzero(seen).tolist() == _layout((u, u - r))[1].tolist()
 
 
+def reference_dmap_oracle(pt, samples, rng, prime):
+    """The one-sample loop that `dmap_oracle` replaced: per sample one draw,
+    one assembly and one readout.  Returns the estimate and the set of types."""
+    free = _layout(pt)[1]
+    types = set()
+    for _ in range(samples):
+        coeffs = np.zeros(sum(pt) * len(pt), dtype=np.int64)
+        coeffs[free] = rng.integers(prime, size=free.size)
+        types.add(jordan_type_of_matrix(assemble_blocks(pt, coeffs), prime))
+    return _generic_type(types), types
+
+
+class TestChunks:
+    @pytest.mark.parametrize("samples, bounds", [
+        (1, [(0, 1)]),
+        (7, [(0, 7)]),
+        (8, [(0, 8)]),
+        (9, [(0, 8), (8, 9)]),
+        (17, [(0, 8), (8, 16), (16, 17)]),
+    ])
+    def test_bounds(self, samples, bounds):
+        assert list(_chunks(samples)) == bounds
+
+    @pytest.mark.parametrize("samples", [0, -4])
+    def test_refuses_no_samples_at_the_call(self, samples):
+        # before any chunk is read, so a harness refuses before it draws
+        with pytest.raises(ValueError, match="need at least one sample"):
+            _chunks(samples)
+
+
 class TestDmapOracle:
+    @pytest.mark.parametrize("prime", [2, 3, P])
+    @pytest.mark.parametrize("samples", [1, 8, 9, 17])
+    def test_chunks_match_the_one_sample_loop(self, monkeypatch, samples, prime):
+        # one draw and one assembly per chunk, still one readout per sample
+        draws, seen = [], []
+        draw, read = commutator._draw_free, commutator.jordan_type_of_matrix
+        monkeypatch.setattr(commutator, "_draw_free", lambda *a: draws.append(a) or draw(*a))
+        monkeypatch.setattr(commutator, "jordan_type_of_matrix", lambda m, p: seen.append(read(m, p)) or seen[-1])
+        for n in range(1, 8):
+            for pt in partitions_of(n):
+                draws.clear()
+                seen.clear()
+                seed = [prime % 1000, samples, *pt]
+                est = dmap_oracle(pt, samples, np.random.default_rng(seed), prime=prime)
+                assert (est, set(seen)) == reference_dmap_oracle(pt, samples, np.random.default_rng(seed), prime)
+                assert len(draws) == math.ceil(samples / 8) and len(seen) == samples
+        # the empty type takes the same path: empty rows, each read as EMPTY
+        assert dmap_oracle((), samples, np.random.default_rng(0), prime=prime) == EMPTY
+
     def test_small_examples(self):
         rng = np.random.default_rng(16)
         assert dmap_oracle((2, 1, 1), 100, rng) == (4,)
@@ -818,3 +869,16 @@ class TestDmapOracle:
         # generator is the one `nilcommute --seed 3 oracle` builds
         p = (3, 3, 2, 1, 1)
         assert dmap_oracle(p, 40, np.random.default_rng([3, *p]), prime=2) == EMPTY
+
+
+@pytest.mark.parametrize("p", [4, 9, 2**61 + 1])
+@pytest.mark.parametrize("run", [
+    lambda p: rank([[2, 0], [0, 2]], p),
+    lambda p: matmul([[2, 0], [0, 2]], [[1], [1]], p),
+    lambda p: jordan_types(np.zeros((1, 2, 2), dtype=np.int64), p),
+    lambda p: jordan_type_of_matrix([[0, 1], [0, 0]], p),
+])
+def test_readouts_refuse_a_composite_modulus(run, p):
+    # the one modulus rule, checked where every array kernel reduces its input
+    with pytest.raises(ValueError, match=f"modulus {p} is not a prime"):
+        run(p)

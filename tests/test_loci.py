@@ -108,7 +108,7 @@ def reference_plan_point(plan, rng, prime, zero_gh=None):
     """One point of the plan's locus, drawn alone: the free coordinates, then
     a nonzero pivot, then each step, led by its pivot term, solved in turn."""
     u, r = plan.u, plan.r
-    c = _draw_free((u, u - r), rng, prime)
+    c = _draw_free((u, u - r), rng, prime, 1)[0]
     c[list(plan.zero)] = 0
     c[plan.pivot] = 1 + rng.integers(prime - 1)
     if zero_gh is not None:
@@ -710,11 +710,14 @@ class TestOnePlanPerCell:
     lambda prime: verify_cell(5, 3, 2, 2, 20, prime=prime),
     lambda prime: closure_contains(5, 3, (2, 1), (2, 2), 5, prime=prime),
     lambda prime: intersect_experiment(5, 3, [(2, 2)], 5, prime=prime),
+    lambda prime: intersect_experiment(9, 4, [(1, 5), (3, 5)], 5, prime=prime),  # unsampled
     lambda prime: survey((5, 2), 50, prime=prime),
     lambda prime: dmap_oracle((3, 2, 1), 50, np.random.default_rng(0), prime=prime),
+    lambda prime: dmap_oracle((), 5, np.random.default_rng(0), prime=prime),
 ])
 def test_every_harness_refuses_an_unsupported_modulus(run, prime):
-    # one rule (`modpoly._check_modulus`), checked before the first draw
+    # one rule (`modpoly._check_modulus`), checked before the first draw,
+    # also where no draw is made (an unsampled system, the empty type)
     with pytest.raises(ValueError, match=f"modulus {prime} is (not a prime|out of range: .* 2 <= p < 2\\^63)"):
         run(prime)
 
