@@ -3,16 +3,16 @@
 A partition is encoded by iterating the block-removal step and recording,
 for each iterate, whether its lowest almost-rectangular block reaches part
 size 1 ('b') or not ('a'); the terminal zero partition contributes the
-final 'a'.  Each step is one scan of the frequency vector, started at the
-current largest part, that parses the blocks and removes their boxes at
-once (`partitions._remove_blocks`).  The codes are exactly 'a' and the
-words ending in 'ba', and decoding inverts one removal step per letter,
-right to left, by direct construction.  Reading the word left to right,
-the ends of the 'b' runs are exactly the parts of the stable partition
-attached to the input, and for a stable shape the full preimage of that
-map is a box of partitions indexed by its key.  Each box is decoded once
-per shape and memoized; `box_partitions` and `table` build fresh
-containers from it.
+final 'a'.  Each step is one scan of the frequency vector over the span
+[low, top] of the parts that parses the blocks and removes their boxes at
+once (`partitions._remove_blocks`); it still walks the empty indices
+between parts, so (2m, m) is quadratic in m.  The codes are exactly 'a' and
+the words ending in 'ba', and decoding inverts one removal step per
+letter, right to left, in place over the same span.  Reading the word left
+to right, the ends of the 'b' runs are exactly the parts of the stable
+partition attached to the input, and for a stable shape the full preimage
+of that map is a box of partitions indexed by its key.  Each box is
+decoded once per shape and memoized; `box_partitions` and `table` copy it.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ class BurgeWord(str):
     __slots__ = ()
 
     def __new__(cls, letters: str):
-        if not letters or set(letters) - {"a", "b"}:
+        if not letters or letters.strip("ab"):  # strip leaves any other letter
             raise ValueError(f"a code is a nonempty word over 'a'/'b': {letters!r}")
         if not letters.endswith("a"):
             raise ValueError(f"a code always ends with 'a': {letters!r}")
-        return super().__new__(cls, letters)
+        return str.__new__(cls, letters)
 
     @classmethod
     def from_tokens(cls, text: str) -> "BurgeWord":
@@ -72,43 +72,47 @@ class BurgeWord(str):
 def encode(p) -> BurgeWord:
     """Code of p: one letter per block-removal iterate, ending at zero.
 
-    Each iterate is one `_remove_blocks` scan started at the current
-    largest part `top`.  When the count at `top` runs out, `top - 1` has
-    just gained a part, so the largest part falls by at most one a step.
+    Each iterate is one `_remove_blocks` scan over [low, top], from the
+    largest part down to the smallest, empty indices between them included.
+    A block top j moves a part to j - 1, so `top` falls by at most one a
+    step and the smallest part becomes the last block top - 1.  When that is
+    0, and on the first step, `low` is 1: that scan also walks the gap below.
     """
     f = _freq1(p)
-    top = len(f) - 1
+    top, low = len(f) - 1, 1
     letters = []
     while top:
-        letters.append("b" if _remove_blocks(f, top)[-1] == 1 else "a")
+        last = _remove_blocks(f, top, low)[-1]
+        letters.append("b" if last == 1 else "a")
+        low = last - 1 or 1
         top -= not f[top]
     letters.append("a")
     return BurgeWord("".join(letters))
 
 
-def _delta_preimage(f: list[int], want_b: bool) -> list[int]:
-    """The frequency vector whose removal step gives f, in the given class.
+def _delta_preimage(f: list[int], want_b: bool, low: int, size: int) -> tuple[int, int]:
+    """Turn f in place into its preimage under the removal step, in the
+    given class, and return the new (low, size): the smallest occupied
+    index >= 1 and one past the largest.  f must hold index `size`.
 
     Each block top j moves down to j - 1, so every block keeps its bottom
     j - 1 in the support of f, and tops sit at least two apart.  Class 'b'
     means a part of size 1 went to 0, so index 0 joins the support.  The
     lowest index of a run of consecutive support indices cannot be a top,
     so the bottoms are every other index of each run, counted from its
-    lowest, and each top is its bottom + 1.
+    lowest, and each top is its bottom + 1, above the indices already read,
+    so the scan ends one past the new largest part.
     """
-    out = list(f) + [0]
-    j = 0 if want_b else 1
-    while j < len(f):
-        if f[j] or j == 0:
-            out[j + 1] += 1
+    j = 0 if want_b else low
+    while j < size:
+        if f[j] or not j:
+            f[j + 1] += 1
             if j:
-                out[j] -= 1
+                f[j] -= 1
             j += 2
         else:
             j += 1
-    if out[-1] == 0:
-        out.pop()
-    return out
+    return (1 if want_b else low if f[low] else low + 1), j
 
 
 def decode(word) -> Partition:
@@ -116,15 +120,16 @@ def decode(word) -> Partition:
 
     The codes are exactly 'a' and the words ending in 'ba': the zero
     partition's class-'a' preimage is zero, and every other preimage adds
-    boxes, so every letter but the last inverts one removal step.
+    boxes, so every letter but the last inverts one removal step in place,
+    over [low, size) of one list of counts (from 0 for a 'b'), gaps included.
     """
     w = word if isinstance(word, BurgeWord) else BurgeWord(str(word))
     if w[-2:-1] == "a":
         raise BurgeDecodeError(f"{str(w)!r} is not a code: a code is 'a' or ends in 'ba'")
-    f = [0]
+    f, low, size = [0] * (len(w) + 1), 1, 1
     for letter in reversed(w[:-1]):
-        f = _delta_preimage(f, letter == "b")
-    return _parts_from_freq1(f)
+        low, size = _delta_preimage(f, letter == "b", low, size)
+    return _parts_from_freq1(f[:size])
 
 
 def dmap(p) -> Partition:

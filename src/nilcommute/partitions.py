@@ -3,9 +3,10 @@
 Partitions are weakly decreasing tuples of positive integers; the empty
 tuple is the zero partition.  The workhorse operation acts on frequency
 sequences, i.e. multiplicity vectors indexed by part size: one
-right-to-left scan both parses the almost-rectangular blocks and removes
-one box from each (`_remove_blocks`), which keeps the removal step cheap
-enough to iterate tens of thousands of times.
+right-to-left scan of the span [low, top] from the largest part down to
+the smallest both parses the almost-rectangular blocks and removes one box
+from each (`_remove_blocks`).  It still walks the empty indices between
+parts, so iterating it on (2m, m) is quadratic in m.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ def frequency(p: Sequence[int]) -> tuple[int, ...]:
 
 
 def _freq1(p: Sequence[int]) -> list[int]:
-    # 1-indexed scratch copy of the frequency vector (index 0 is not a part)
+    # 1-indexed scratch copy of the frequency vector; a part below 1, which a
+    # Partition never holds, would index from the end, so it is refused
+    if p and not isinstance(p, Partition) and min(p) < 1:
+        raise ValueError(f"partition parts must be positive: {tuple(p)}")
     f = [0] * ((max(p) + 1) if p else 1)
     for x in p:
         f[x] += 1
@@ -63,15 +67,15 @@ def _parts_from_freq1(f: Sequence[int]) -> Partition:
     return Partition(out)
 
 
-def _remove_blocks(f: list[int], top: int) -> list[int]:
-    # Right-to-left backward-pair parse from index `top`, above which f
-    # holds no part: take the largest occupied index j as a block top,
-    # move one of its parts down to j - 1, and go on at j - 2.  The parse
-    # never reads j - 1 again, the only index the move raises, so one scan
-    # both parses and removes.  Index 0 collects the parts that reach zero.
+def _remove_blocks(f: list[int], top: int, low: int = 1) -> list[int]:
+    # Right-to-left backward-pair parse of [low, top], outside which f has no
+    # part: take the largest occupied index j as a block top, move one of its
+    # parts down to j - 1, and go on at j - 2, walking any empty index.  The
+    # parse never reads j - 1 again, the only index the move raises, so one
+    # scan both parses and removes.  Index 0 collects the parts that reach 0.
     tops = []
     j = top
-    while j >= 1:
+    while j >= low:
         if f[j]:
             tops.append(j)
             f[j] -= 1

@@ -22,6 +22,7 @@ from nilcommute.partitions import (
     Partition,
     _freq1,
     _parts_from_freq1,
+    _remove_blocks,
     classify,
     delta,
     is_stable,
@@ -124,6 +125,24 @@ def reference_encode(p):
     return "".join(letters) + "a"
 
 
+def _b_run_ends(code):
+    """The positions ending the 'b' runs of a code, largest first."""
+    runs = [(letter, len(list(g))) for letter, g in itertools.groupby(code)]
+    ends = itertools.accumulate(length for _, length in runs)
+    return tuple(sorted((end for (letter, _), end in zip(runs, ends) if letter == "b"), reverse=True))
+
+
+def _span_cases():
+    """Partitions whose smallest part is above 1 or whose parts leave gaps:
+    every partition of n <= 14 with each part raised by 1 and by 4, and the
+    families (n,), (n, 1), (n, n-2) and (n, n-2, 1) for n <= 60."""
+    for n in range(15):
+        for p in partitions_of(n):
+            yield from (Partition(x + lift for x in p) for lift in (1, 4))
+    for n in range(1, 61):
+        yield from (Partition(p) for p in [(n,), (n, 1), (n, n - 2), (n, n - 2, 1)] if min(p) >= 1)
+
+
 def _decode_or_error(decoder, word):
     try:
         return decoder(word)
@@ -144,6 +163,11 @@ class TestBurgeWord:
             BurgeWord("abc")
         with pytest.raises(ValueError):
             BurgeWord("")
+
+    @pytest.mark.parametrize("text", ["xa", "abxba", "a a", "aBa", "ab\na", "bäa"])
+    def test_rejects_other_letters_anywhere(self, text):
+        with pytest.raises(ValueError, match="nonempty word over"):
+            BurgeWord(text)
 
     def test_rejects_non_terminal(self):
         with pytest.raises(ValueError):
@@ -174,18 +198,53 @@ class TestEncode:
                 assert encode(p) == code, p
                 assert delta(p) == reference_step(p), p
                 # the parts of D(p) are the positions ending the 'b' runs
-                runs = [(letter, len(list(g))) for letter, g in itertools.groupby(code)]
-                ends = itertools.accumulate(length for _, length in runs)
-                b_ends = [end for (letter, _), end in zip(runs, ends) if letter == "b"]
-                assert dmap(p) == tuple(sorted(b_ends, reverse=True))
+                assert dmap(p) == _b_run_ends(code)
 
-    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_span_bound_matches_the_references(self):
+        # each step scans only [smallest part, largest part]; these shapes
+        # start above 1 and leave gaps, so a wrong bound changes some code
+        for p in _span_cases():
+            code = reference_encode(p)
+            assert encode(p) == code, p
+            assert decode(code) == reference_decode(code) == p, p
+            assert dmap(p) == _b_run_ends(code), p
+
+    def test_each_step_scans_exactly_the_span(self, monkeypatch):
+        # a bound below the smallest part only costs time, so check the
+        # bounds themselves: every encode step gets the largest part and the
+        # smallest, or 1 on its first step and after a last block top of 1;
+        # every decode step gets the smallest part and one past the largest
+        def span(f):
+            occupied = [j for j in range(1, len(f)) if f[j]]
+            return (occupied[0], occupied[-1]) if occupied else (1, 0)
+
+        def checked_scan(f, top, low):
+            smallest, largest = span(f)
+            assert (low, top) == (1 if last[0] == 1 else smallest, largest)
+            tops = _remove_blocks(f, top, low)
+            last[0] = tops[-1]
+            return tops
+
+        def checked_step(f, want_b, low, size):
+            assert (low, size - 1) == span(f)
+            return delta_preimage(f, want_b, low, size)
+
+        delta_preimage, last = burge._delta_preimage, [1]
+        monkeypatch.setattr(burge, "_remove_blocks", checked_scan)
+        monkeypatch.setattr(burge, "_delta_preimage", checked_step)
+        for p in _span_cases():
+            last[0] = 1
+            assert decode(encode(p)) == p
+
+    @pytest.mark.parametrize("n", [1, 2, 500, 100_000])
     def test_closed_forms(self, n):
         # one part loses a box a step, in class 'a' until it is 1; n ones
-        # are one block with top 1 until they are gone
+        # are one block with top 1 until they are gone; a step scans only
+        # the span of the parts, so n = 100,000 takes milliseconds
         for p, code in [((n,), "a" * (n - 1) + "ba"), ((1,) * n, "b" * n + "a")]:
             assert encode(p) == code
             assert decode(code) == p
+            assert dmap(p) == (n,)
 
     def test_step_chain(self):
         # the full 18-step iterate chain with classes
@@ -245,13 +304,18 @@ class TestDecode:
                 assert _decode_or_error(decode, w) == _decode_or_error(reference_decode, w), w
 
     def test_preimage_law_exhaustive(self):
-        # one removal step undoes the preimage, which lands in the class asked for
+        # one removal step undoes the in-place preimage, which lands in the
+        # class asked for; the step returns the new smallest part and size
         for n in range(21):
             for p in partitions_of(n):
                 for want_b in (False, True):
-                    g = _parts_from_freq1(burge._delta_preimage(_freq1(p), want_b))
+                    f = _freq1(p) + [0]
+                    low, size = burge._delta_preimage(f, want_b, min(p, default=1), len(f) - 1)
+                    g = _parts_from_freq1(f)
                     assert delta(g) == p
                     assert classify(g) == ("B" if want_b else "A")
+                    assert size == max(g, default=0) + 1
+                    assert low == min(g, default=low)
 
     def test_trivial(self):
         assert decode(BurgeWord("a")) == EMPTY

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilcommute.burge import dmap, encode
 from nilcommute.partitions import (
     EMPTY,
     Partition,
@@ -53,6 +54,14 @@ class TestPartitionType:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Partition([3, 0])
+
+    @pytest.mark.parametrize("reader", [frequency, r_set, ar_blocks, classify, delta, encode, dmap])
+    @pytest.mark.parametrize("parts", [(3, -1), (3, 0), (-1,), (0,)])
+    def test_frequency_readers_refuse_parts_below_one(self, reader, parts):
+        # a part below 1 would index the frequency vector from its end:
+        # (3, -1) used to read as (3, 3) and (-1,) raised IndexError
+        with pytest.raises(ValueError, match="must be positive"):
+            reader(parts)
 
 
 class TestFrequency:
