@@ -3,16 +3,15 @@
 A partition is encoded by iterating the block-removal step and recording,
 for each iterate, whether its lowest almost-rectangular block reaches part
 size 1 ('b') or not ('a'); the terminal zero partition contributes the
-final 'a'.  Each step is one scan of the frequency vector over the span
-[low, top] of the parts that parses the blocks and removes their boxes at
-once (`partitions._remove_blocks`); it still walks the empty indices
-between parts, so (2m, m) is quadratic in m.  The codes are exactly 'a' and
-the words ending in 'ba', and decoding inverts one removal step per
-letter, right to left, in place over the same span.  Reading the word left
-to right, the ends of the 'b' runs are exactly the parts of the stable
-partition attached to the input, and for a stable shape the full preimage
-of that map is a box of partitions indexed by its key.  Each box is
-decoded once per shape and memoized; `box_partitions` and `table` copy it.
+final 'a'.  A step is one pass over the runs of equal parts that parses the
+blocks and removes their boxes at once (`partitions._remove_blocks`).  The
+codes are exactly 'a' and the words ending in 'ba', and decoding inverts
+one removal step per letter, right to left, by the same pass over the runs
+read upwards (`_add_blocks`).  Reading the word left to right, the ends of
+the 'b' runs are exactly the parts of the stable partition attached to the
+input, and for a stable shape the full preimage of that map is a box of
+partitions indexed by its key.  Each box is decoded once per shape and
+memoized; `box_partitions` and `table` copy it.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .partitions import Partition, _freq1, _parts_from_freq1, _remove_blocks, key
+from .partitions import Partition, _parts_from_runs, _remove_blocks, _runs, key
 
 
 class BurgeDecodeError(ValueError):
@@ -72,47 +71,39 @@ class BurgeWord(str):
 def encode(p) -> BurgeWord:
     """Code of p: one letter per block-removal iterate, ending at zero.
 
-    Each iterate is one `_remove_blocks` scan over [low, top], from the
-    largest part down to the smallest, empty indices between them included.
-    A block top j moves a part to j - 1, so `top` falls by at most one a
-    step and the smallest part becomes the last block top - 1.  When that is
-    0, and on the first step, `low` is 1: that scan also walks the gap below.
+    Each iterate is one `_remove_blocks` pass over the runs of equal parts;
+    its letter is 'b' when the lowest block top is 1.
     """
-    f = _freq1(p)
-    top, low = len(f) - 1, 1
+    runs = _runs(p)
     letters = []
-    while top:
-        last = _remove_blocks(f, top, low)[-1]
-        letters.append("b" if last == 1 else "a")
-        low = last - 1 or 1
-        top -= not f[top]
+    while runs:
+        runs, top = _remove_blocks(runs)
+        letters.append("b" if top == 1 else "a")
     letters.append("a")
     return BurgeWord("".join(letters))
 
 
-def _delta_preimage(f: list[int], want_b: bool, low: int, size: int) -> tuple[int, int]:
-    """Turn f in place into its preimage under the removal step, in the
-    given class, and return the new (low, size): the smallest occupied
-    index >= 1 and one past the largest.  f must hold index `size`.
+def _add_blocks(runs: list[list[int]], want_b: bool) -> list[list[int]]:
+    """Preimage in the given class of ascending runs under the removal step.
 
-    Each block top j moves down to j - 1, so every block keeps its bottom
-    j - 1 in the support of f, and tops sit at least two apart.  Class 'b'
-    means a part of size 1 went to 0, so index 0 joins the support.  The
-    lowest index of a run of consecutive support indices cannot be a top,
-    so the bottoms are every other index of each run, counted from its
-    lowest, and each top is its bottom + 1, above the indices already read,
-    so the scan ends one past the new largest part.
+    `_remove_blocks` read upwards: each block keeps its bottom, so a run is
+    a bottom unless it is one above the previous bottom (the block's top).
+    One part of each bottom moves up a value, joining the top run or a run
+    of its own.  In class 'b' a part at 0 is the first bottom.
     """
-    j = 0 if want_b else low
-    while j < size:
-        if f[j] or not j:
-            f[j + 1] += 1
-            if j:
-                f[j] -= 1
-            j += 2
-        else:
-            j += 1
-    return (1 if want_b else low if f[low] else low + 1), j
+    out, bottom = [], -1
+    if want_b:
+        out.append([1, 1])
+        bottom = 0
+    for value, count in runs:
+        if value == bottom + 1:
+            out[-1][1] += count
+            continue
+        bottom = value
+        if count > 1:
+            out.append([value, count - 1])
+        out.append([value + 1, 1])
+    return out
 
 
 def decode(word) -> Partition:
@@ -120,30 +111,31 @@ def decode(word) -> Partition:
 
     The codes are exactly 'a' and the words ending in 'ba': the zero
     partition's class-'a' preimage is zero, and every other preimage adds
-    boxes, so every letter but the last inverts one removal step in place,
-    over [low, size) of one list of counts (from 0 for a 'b'), gaps included.
+    boxes, so every letter but the last inverts one removal step
+    (`_add_blocks`) on the runs of equal parts.
     """
     w = word if isinstance(word, BurgeWord) else BurgeWord(str(word))
     if w[-2:-1] == "a":
         raise BurgeDecodeError(f"{str(w)!r} is not a code: a code is 'a' or ends in 'ba'")
-    f, low, size = [0] * (len(w) + 1), 1, 1
+    runs = []
     for letter in reversed(w[:-1]):
-        low, size = _delta_preimage(f, letter == "b", low, size)
-    return _parts_from_freq1(f[:size])
+        runs = _add_blocks(runs, letter == "b")
+    return _parts_from_runs(reversed(runs))
 
 
 def dmap(p) -> Partition:
     """Largest Jordan type commuting generically with p, read off the code.
 
-    The parts are the positions ending each run of 'b' letters.
+    The parts are the positions ending each run of 'b' letters, that is,
+    one past the start of each "ba" in the code.
     """
     w = encode(p)
-    ends = [
-        i + 1
-        for i in range(len(w))
-        if w[i] == "b" and (i + 1 == len(w) or w[i + 1] == "a")
-    ]
-    return Partition(sorted(ends, reverse=True))
+    ends = []
+    i = w.rfind("ba")
+    while i >= 0:
+        ends.append(i + 1)
+        i = w.rfind("ba", 0, i)
+    return Partition(ends)
 
 
 def check_cell(u: int, r: int, k: int, l: int) -> None:

@@ -1,17 +1,17 @@
 """Integer partition arithmetic.
 
 Partitions are weakly decreasing tuples of positive integers; the empty
-tuple is the zero partition.  The workhorse operation acts on frequency
-sequences, i.e. multiplicity vectors indexed by part size: one
-right-to-left scan of the span [low, top] from the largest part down to
-the smallest both parses the almost-rectangular blocks and removes one box
-from each (`_remove_blocks`).  It still walks the empty indices between
-parts, so iterating it on (2m, m) is quadratic in m.
+tuple is the zero partition.  The workhorse operation acts on the runs of
+equal parts, held as [value, count] pairs from the largest value down: one
+pass over the runs both parses the almost-rectangular blocks and removes
+one box from each (`_remove_blocks`), so a step costs the number of runs,
+whatever the gaps between the parts.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 from typing import Iterable, Iterator, Sequence
@@ -23,7 +23,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        parts = tuple([int(x) for x in parts])
+        parts = tuple([operator.index(x) for x in parts])  # refuses 2.5, unlike int()
         prev = None
         for x in parts:
             if x < 1:
@@ -46,70 +46,76 @@ EMPTY = Partition()
 
 def frequency(p: Sequence[int]) -> tuple[int, ...]:
     """Multiplicity vector of p: entry i-1 counts the parts equal to i."""
-    return tuple(_freq1(p)[1:])
+    counts = dict(_runs(p))
+    return tuple(counts.get(i, 0) for i in range(1, max(counts, default=0) + 1))
 
 
-def _freq1(p: Sequence[int]) -> list[int]:
-    # 1-indexed scratch copy of the frequency vector; a part below 1, which a
-    # Partition never holds, would index from the end, so it is refused
-    if p and not isinstance(p, Partition) and min(p) < 1:
-        raise ValueError(f"partition parts must be positive: {tuple(p)}")
-    f = [0] * ((max(p) + 1) if p else 1)
+def _runs(p: Sequence[int]) -> list[list[int]]:
+    # [value, count] runs of equal parts, largest first; other input is made
+    # a Partition, which refuses a part below 1, after sorting its parts
+    if not isinstance(p, Partition):
+        p = Partition(sorted(p, reverse=True))
+    runs, last = [], 0
     for x in p:
-        f[x] += 1
-    return f
+        if x == last:
+            runs[-1][1] += 1
+        else:
+            runs.append([x, 1])
+            last = x
+    return runs
 
 
-def _parts_from_freq1(f: Sequence[int]) -> Partition:
+def _parts_from_runs(runs: Iterable[Sequence[int]]) -> Partition:
     out = []
-    for j in range(len(f) - 1, 0, -1):
-        out.extend([j] * f[j])
+    for value, count in runs:
+        out += [value] * count
     return Partition(out)
 
 
-def _remove_blocks(f: list[int], top: int, low: int = 1) -> list[int]:
-    # Right-to-left backward-pair parse of [low, top], outside which f has no
-    # part: take the largest occupied index j as a block top, move one of its
-    # parts down to j - 1, and go on at j - 2, walking any empty index.  The
-    # parse never reads j - 1 again, the only index the move raises, so one
-    # scan both parses and removes.  Index 0 collects the parts that reach 0.
-    tops = []
-    j = top
-    while j >= low:
-        if f[j]:
-            tops.append(j)
-            f[j] -= 1
-            f[j - 1] += 1
-            j -= 2
-        else:
-            j -= 1
-    return tops
-
-
-def r_set(p: Sequence[int]) -> frozenset[int]:
-    """Tops of the maximal almost-rectangular subpartitions, read from the top."""
-    f = _freq1(p)
-    return frozenset(_remove_blocks(f, len(f) - 1))
+def _remove_blocks(runs: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    # One pass over descending runs that parses the blocks and removes their
+    # boxes: a run is a block top unless it is one below the previous top (the
+    # block's bottom).  One part of each top moves down a value, joining the
+    # bottom run or a run of its own, or leaving at 0.  Returns the new runs
+    # and the lowest top (0 for no parts).
+    out, top = [], 0
+    for value, count in runs:
+        if value == top - 1:
+            out[-1][1] += count
+            continue
+        top = value
+        if count > 1:
+            out.append([value, count - 1])
+        if value > 1:
+            out.append([value - 1, 1])
+    return out, top
 
 
 def ar_blocks(p: Sequence[int]) -> list[tuple[int, ...]]:
     """Maximal almost-rectangular blocks of p, largest parts first."""
-    f = _freq1(p)
-    return [tuple(x for x in p if j - 1 <= x <= j) for j in _remove_blocks(f, len(f) - 1)]
+    blocks, top = [], 0
+    for value, count in _runs(p):
+        if value == top - 1:
+            blocks[-1] += (value,) * count
+        else:
+            blocks.append((value,) * count)
+            top = value
+    return blocks
+
+
+def r_set(p: Sequence[int]) -> frozenset[int]:
+    """Tops of the maximal almost-rectangular subpartitions, read from the top."""
+    return frozenset(blk[0] for blk in ar_blocks(p))
 
 
 def classify(p: Sequence[int]) -> str:
     """'B' if the lowest almost-rectangular block has top 1, else 'A'."""
-    f = _freq1(p)
-    tops = _remove_blocks(f, len(f) - 1)
-    return "B" if tops and tops[-1] == 1 else "A"
+    return "B" if _remove_blocks(_runs(p))[1] == 1 else "A"
 
 
 def delta(p: Sequence[int]) -> Partition:
     """Remove one box from the lowest row of the largest part of each block."""
-    f = _freq1(p)
-    _remove_blocks(f, len(f) - 1)
-    return _parts_from_freq1(f)
+    return _parts_from_runs(_remove_blocks(_runs(p))[0])
 
 
 def almost_rectangular(m: int, k: int) -> Partition:

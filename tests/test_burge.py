@@ -20,9 +20,6 @@ from nilcommute.burge import (
 from nilcommute.partitions import (
     EMPTY,
     Partition,
-    _freq1,
-    _parts_from_freq1,
-    _remove_blocks,
     classify,
     delta,
     is_stable,
@@ -105,7 +102,8 @@ def reference_decode(word):
         if len(g) == 1:
             raise BurgeDecodeError(f"{str(w)!r} is not a code (hits zero before its last letter)")
         f = g
-    return _parts_from_freq1(f)
+    # the partition with f[j] parts equal to j
+    return Partition(j for j in range(len(f) - 1, 0, -1) for _ in range(f[j]))
 
 
 def reference_step(p):
@@ -133,7 +131,7 @@ def _b_run_ends(code):
 
 
 def _span_cases():
-    """Partitions whose smallest part is above 1 or whose parts leave gaps:
+    """Partitions whose smallest part is above 1 or whose runs leave gaps:
     every partition of n <= 14 with each part raised by 1 and by 4, and the
     families (n,), (n, 1), (n, n-2) and (n, n-2, 1) for n <= 60."""
     for n in range(15):
@@ -201,50 +199,67 @@ class TestEncode:
                 assert dmap(p) == _b_run_ends(code)
 
     def test_span_bound_matches_the_references(self):
-        # each step scans only [smallest part, largest part]; these shapes
-        # start above 1 and leave gaps, so a wrong bound changes some code
+        # these shapes start above 1 and leave gaps between runs, so a step
+        # that mishandles a gap changes some code
         for p in _span_cases():
             code = reference_encode(p)
             assert encode(p) == code, p
             assert decode(code) == reference_decode(code) == p, p
             assert dmap(p) == _b_run_ends(code), p
 
-    def test_each_step_scans_exactly_the_span(self, monkeypatch):
-        # a bound below the smallest part only costs time, so check the
-        # bounds themselves: every encode step gets the largest part and the
-        # smallest, or 1 on its first step and after a last block top of 1;
-        # every decode step gets the smallest part and one past the largest
-        def span(f):
-            occupied = [j for j in range(1, len(f)) if f[j]]
-            return (occupied[0], occupied[-1]) if occupied else (1, 0)
+    def test_each_step_takes_and_returns_runs(self, monkeypatch):
+        # a step visits each run once, so it never meets a gap index or an
+        # empty run as long as every step takes and returns well-formed runs:
+        # values strictly monotone and at least 1 (no part left at 0 after a
+        # removal), counts at least 1
+        def check(runs, descending):
+            values = [value for value, _ in runs]
+            assert values == sorted(set(values), reverse=descending), runs
+            assert all(value >= 1 and count >= 1 for value, count in runs), runs
 
-        def checked_scan(f, top, low):
-            smallest, largest = span(f)
-            assert (low, top) == (1 if last[0] == 1 else smallest, largest)
-            tops = _remove_blocks(f, top, low)
-            last[0] = tops[-1]
-            return tops
+        def checked_removal(runs):
+            check(runs, True)
+            out, top = remove_blocks(runs)
+            check(out, True)
+            steps.append("remove")
+            return out, top
 
-        def checked_step(f, want_b, low, size):
-            assert (low, size - 1) == span(f)
-            return delta_preimage(f, want_b, low, size)
+        def checked_preimage(runs, want_b):
+            check(runs, False)
+            out = add_blocks(runs, want_b)
+            check(out, False)
+            steps.append("add")
+            return out
 
-        delta_preimage, last = burge._delta_preimage, [1]
-        monkeypatch.setattr(burge, "_remove_blocks", checked_scan)
-        monkeypatch.setattr(burge, "_delta_preimage", checked_step)
+        remove_blocks, add_blocks, steps = burge._remove_blocks, burge._add_blocks, []
+        monkeypatch.setattr(burge, "_remove_blocks", checked_removal)
+        monkeypatch.setattr(burge, "_add_blocks", checked_preimage)
         for p in _span_cases():
-            last[0] = 1
-            assert decode(encode(p)) == p
+            steps.clear()
+            code = encode(p)
+            assert decode(code) == p
+            # one removal and one preimage per letter but the last
+            assert steps.count("remove") == steps.count("add") == len(code) - 1, p
 
     @pytest.mark.parametrize("n", [1, 2, 500, 100_000])
     def test_closed_forms(self, n):
         # one part loses a box a step, in class 'a' until it is 1; n ones
-        # are one block with top 1 until they are gone; a step scans only
-        # the span of the parts, so n = 100,000 takes milliseconds
+        # are one block with top 1 until they are gone; a step visits each
+        # run once, so n = 100,000 takes milliseconds
         for p, code in [((n,), "a" * (n - 1) + "ba"), ((1,) * n, "b" * n + "a")]:
             assert encode(p) == code
             assert decode(code) == p
             assert dmap(p) == (n,)
+
+    @pytest.mark.parametrize("m", [2, 500, 100_000])
+    def test_two_parts_far_apart(self, m):
+        # (2m, m): each part loses a box a step, in class 'a' until the
+        # smaller is 1; a step visits only the runs, not the gap between
+        # them, so m = 100,000 takes milliseconds
+        code = "a" * (m - 1) + "b" + "a" * (m - 1) + "ba"
+        assert encode((2 * m, m)) == code
+        assert decode(code) == (2 * m, m)
+        assert dmap((2 * m, m)) == (2 * m, m)
 
     def test_step_chain(self):
         # the full 18-step iterate chain with classes
@@ -304,18 +319,17 @@ class TestDecode:
                 assert _decode_or_error(decode, w) == _decode_or_error(reference_decode, w), w
 
     def test_preimage_law_exhaustive(self):
-        # one removal step undoes the in-place preimage, which lands in the
-        # class asked for; the step returns the new smallest part and size
+        # one removal step undoes the preimage, which lands in the class
+        # asked for and comes back as the ascending runs of its parts
         for n in range(21):
             for p in partitions_of(n):
                 for want_b in (False, True):
-                    f = _freq1(p) + [0]
-                    low, size = burge._delta_preimage(f, want_b, min(p, default=1), len(f) - 1)
-                    g = _parts_from_freq1(f)
+                    runs = [[value, p.count(value)] for value in sorted(set(p))]
+                    out = burge._add_blocks(runs, want_b)
+                    g = Partition(sorted((v for v, c in out for _ in range(c)), reverse=True))
                     assert delta(g) == p
                     assert classify(g) == ("B" if want_b else "A")
-                    assert size == max(g, default=0) + 1
-                    assert low == min(g, default=low)
+                    assert out == [[value, g.count(value)] for value in sorted(set(g))]
 
     def test_trivial(self):
         assert decode(BurgeWord("a")) == EMPTY

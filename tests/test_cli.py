@@ -44,12 +44,14 @@ class TestBurgeCommands:
         assert out.strip() == "[5,4,3,3,3,2,2,1]"
 
     def test_tallest_shapes_run_in_span_time(self, capsys):
-        # one part of 100,000 is a 100,000-letter code; each step scans only
-        # the span of the parts, so both directions take milliseconds
-        code, out, _ = run(capsys, "burge", "encode", "--partition", "100000")
-        assert code == 0 and out.strip() == "a99999 b a"
-        code, out, _ = run(capsys, "burge", "decode", "--code", "a99999 b a")
-        assert code == 0 and out.strip() == "[100000]"
+        # one part of 100,000 is a 100,000-letter code, and (200000, 100000)
+        # a 200,000-letter one; each step visits only the runs of the parts,
+        # not the gaps between them, so both directions take milliseconds
+        for parts, tokens in [("100000", "a99999 b a"), ("200000,100000", "a99999 b a99999 b a")]:
+            code, out, _ = run(capsys, "burge", "encode", "--partition", parts)
+            assert code == 0 and out.strip() == tokens
+            code, out, _ = run(capsys, "burge", "decode", "--code", tokens)
+            assert code == 0 and out.strip() == f"[{parts}]"
 
     def test_bad_partition_exits_2(self, capsys):
         code, _, err = run(capsys, "burge", "encode", "--partition", "3,5")

@@ -22,6 +22,8 @@ from nilcommute.partitions import (
     r_set,
 )
 
+FREQUENCY_READERS = [frequency, r_set, ar_blocks, classify, delta, encode, dmap]
+
 partitions = st.lists(st.integers(1, 10), max_size=8).map(
     lambda xs: Partition(sorted(xs, reverse=True))
 )
@@ -55,13 +57,25 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition([3, 0])
 
-    @pytest.mark.parametrize("reader", [frequency, r_set, ar_blocks, classify, delta, encode, dmap])
+    @pytest.mark.parametrize("reader", [Partition, *FREQUENCY_READERS])
+    def test_rejects_non_integer_parts(self, reader):
+        # int() would truncate: (2.5,) would read as (2,)
+        with pytest.raises(TypeError):
+            reader((2.5,))
+
+    @pytest.mark.parametrize("reader", FREQUENCY_READERS)
     @pytest.mark.parametrize("parts", [(3, -1), (3, 0), (-1,), (0,)])
     def test_frequency_readers_refuse_parts_below_one(self, reader, parts):
-        # a part below 1 would index the frequency vector from its end:
-        # (3, -1) used to read as (3, 3) and (-1,) raised IndexError
+        # a part below 1 is refused, never read as some other partition
         with pytest.raises(ValueError, match="must be positive"):
             reader(parts)
+
+    @pytest.mark.parametrize("reader", FREQUENCY_READERS)
+    @pytest.mark.parametrize("parts", [(2, 5, 5, 1), (1, 3), (1, 2)])
+    def test_frequency_readers_sort_their_input(self, reader, parts):
+        # only the multiset of parts counts: a step on unsorted runs would
+        # give a wrong answer with no error
+        assert reader(parts) == reader(Partition(sorted(parts, reverse=True)))
 
 
 class TestFrequency:
