@@ -5,11 +5,11 @@ multiplication by a truncated polynomial followed by the natural
 projection, well defined exactly when its order is at least q_i - q_j.
 For a stable shape the nilpotent commutant is the linear slice where every
 diagonal entry has positive order.  An element is stored as its block
-coefficients, numbered by `_layout`.  It is fixed by its images of the
-generators, whose columns permute the row (`_generators`), so a product is
-one element applied to the other's generator columns.  For a two-part
-shape (u, u-r) the coordinates a, g, h, b of the locus equations are
-slices of the row (`_two_part_offsets`).
+coefficients, one row numbered by the shape's layout record (`_layout`).
+It is fixed by its images of the generators, whose columns permute the
+row (`_Layout.cols`), so a product is one element applied to the other's
+generator columns.  For a two-part shape (u, u-r) the coordinates a, g, h,
+b of the locus equations are the blocks of the row (`_two_part_offsets`).
 Assembling the blocks in bases ordered by decreasing t-power reproduces
 the familiar banded matrices, and ranks of powers of the assembled matrix
 recover the Jordan type.  Each chunk of `_chunks` is drawn as coefficient
@@ -29,12 +29,15 @@ per process (`_profile_type`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .modpoly import DEFAULT_PRIME, _as_field_matrix, _check_modulus, _eliminate, _mulmod, _reduce, matmul
+from .modpoly import DEFAULT_PRIME, _as_field_matrix, _as_integers, _check_modulus, _eliminate, _mulmod, _reduce
+from .modpoly import matmul
 from .modpoly import rank  # noqa: F401  (perfbench's tracer test asserts commutator.rank exists)
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
 
@@ -54,15 +57,41 @@ def _chunks(samples: int):
     return ((lo, min(lo + _CHUNK, samples)) for lo in range(0, samples, _CHUNK))
 
 
-@lru_cache(maxsize=512)
-def _layout(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient numbering of the block grid of `parts`, of any shape.
+class _Layout(NamedTuple):
+    """The numbering of the block coefficient row of a shape, the one record
+    that every reader of a row takes its numbers from.
 
     Coefficients are numbered block by block in row-major order, then by
-    t-power.  `take` maps each matrix cell to the number of its
-    coefficient, or to -1 (a zero appended after the last) for a
-    structural zero; `free` lists the coefficients that are free in the
-    nilpotent commutant, in draw order.
+    t-power: block (i, j) of the l x l grid holds q_i coefficients from
+    `starts[i, j]` = l (q_1 + ... + q_(i-1)) + j q_i, and a row holds
+    `width` = l n.  `take` maps each matrix cell to its coefficient, or to -1
+    (a zero appended after the last) for a structural zero; `free` lists the
+    coefficients free in the nilpotent commutant, in draw order.  `cols`,
+    the (n, l) numbers of the last column of each block column, permutes the
+    row, as a block holds all its coefficients in its last column; `gather`
+    assembles an element, or any power, from its generator columns
+    flattened row by row, then a zero (-1)."""
+
+    take: np.ndarray
+    free: np.ndarray
+    starts: np.ndarray
+    cols: np.ndarray
+    gather: np.ndarray
+    width: int
+
+
+def _layout(parts) -> _Layout:
+    """The layout record of `parts`, of any shape: integer parts of at least 1, in
+    any order, checked before the cache, where (2.0,) would read the record of (2,)."""
+    parts = tuple(parts)
+    if not all(isinstance(q, (int, np.integer)) and q >= 1 for q in parts):
+        raise ValueError(f"shape {parts} needs integer parts of at least 1")
+    return _build_layout(parts)
+
+
+@lru_cache(maxsize=512)
+def _build_layout(parts: tuple[int, ...]) -> _Layout:
+    """The layout record of checked parts, built once per shape.
 
     Constant terms between equal-size blocks form one matrix per size
     class, and the element is nilpotent exactly when each class matrix is.
@@ -71,46 +100,46 @@ def _layout(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     constant terms with i < j still meets the dense orbit.  For a stable
     shape this is the nilpotent commutant slice.
     """
-    n = sum(parts)
+    n, offs = sum(parts), np.cumsum((0,) + parts)
+    starts = len(parts) * offs[:-1, None] + np.diff(offs)[:, None] * np.arange(len(parts))
     take = np.full((n, n), -1, dtype=np.intp)
     free = []
-    offs = np.cumsum((0,) + parts)
-    coeff = 0
     for i, qi in enumerate(parts):
         for j, qj in enumerate(parts):
             # entry (row, col) is the coefficient of f at q_i - q_j + col - row,
             # i.e. multiplication by f in bases (t^{m-1}, ..., t, 1)
             deg = (qi - qj) + np.arange(qj)[None, :] - np.arange(qi)[:, None]
-            take[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = np.where(deg >= 0, coeff + deg, -1)
+            take[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = np.where(deg >= 0, starts[i, j] + deg, -1)
             lo = 1 if qi == qj and i >= j else max(0, qi - qj)
-            free.extend(range(coeff + lo, coeff + qi))
-            coeff += qi
-    free_idx = np.array(free, dtype=np.intp)
-    take.flags.writeable = free_idx.flags.writeable = False
-    return take, free_idx
+            free.extend(range(starts[i, j] + lo, starts[i, j] + qi))
+    cols = take[:, offs[1:] - 1]
+    gather = np.append(np.argsort(cols, axis=None), -1)[take]
+    layout = _Layout(take, np.array(free, dtype=np.intp), starts, cols, gather, n * len(parts))
+    for a in layout[:-1]:
+        a.flags.writeable = False
+    return layout
 
 
 def assemble_blocks(parts, coeffs) -> np.ndarray:
     """Assemble a row of block coefficients of `parts`, numbered as in
     `_layout`, into an n x n matrix, or (S, coefficients) rows of them into
-    an (S, n, n) stack.  A row must hold all sum(parts) * len(parts)
-    coefficients: numpy would broadcast a length-1 row into every one."""
-    parts, shape = tuple(parts), np.shape(coeffs)
-    width = sum(parts) * len(parts)
-    if shape[-1:] != (width,):
-        raise ValueError(f"shape {parts} takes rows of {width} block coefficients, got shape {shape}")
-    flat = np.zeros(shape[:-1] + (width + 1,), dtype=np.int64)
+    an (S, n, n) stack.  A row must hold all `_Layout.width` coefficients:
+    numpy would broadcast a length-1 row into every one."""
+    layout, coeffs = _layout(parts), _as_integers(coeffs)
+    if coeffs.shape[-1:] != (layout.width,):
+        raise ValueError(f"shape {tuple(parts)} takes rows of {layout.width} block coefficients, "
+                         f"got shape {coeffs.shape}")
+    flat = np.zeros(coeffs.shape[:-1] + (layout.width + 1,), dtype=np.int64)
     flat[..., :-1] = coeffs
-    return flat[..., _layout(parts)[0]]
+    return flat[..., layout.take]
 
 
 def _draw_free(parts: tuple[int, ...], rng, p: int, count: int) -> np.ndarray:
     """Block coefficient rows of `count` uniform draws from the slice `_layout`
     describes (a chunk of `_chunks`), drawn exactly as by `count` one-row calls."""
-    _check_modulus(p)
-    coeffs = np.zeros((count, sum(parts) * len(parts)), dtype=np.int64)
-    free = _layout(parts)[1]
-    coeffs[:, free] = rng.integers(p, size=(count, free.size))
+    p, layout = _check_modulus(p), _layout(parts)
+    coeffs = np.zeros((count, layout.width), dtype=np.int64)
+    coeffs[:, layout.free] = rng.integers(p, size=(count, layout.free.size))
     return coeffs
 
 
@@ -160,22 +189,6 @@ def _profile_types(rows, n: int) -> list[Partition]:
 
 
 @lru_cache(maxsize=512)
-def _generators(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The generator columns of the block grid of `parts`, of any shape.
-
-    Block (i, j) holds all q_i coefficients of its entry in its last column,
-    so `cols`, the (n, l) coefficient numbers of the last column of each
-    block column, permutes the row.  `gather` assembles an element, or any
-    power of it, from its generator columns flattened row by row and
-    followed by a zero (-1, as in `_layout`)."""
-    take = _layout(parts)[0]
-    cols = take[:, np.cumsum(parts) - 1]
-    gather = np.append(np.argsort(cols, axis=None), -1)[take]
-    cols.flags.writeable = gather.flags.writeable = False
-    return cols, gather
-
-
-@lru_cache(maxsize=512)
 def _antidiagonal_sums(u: int, m: int) -> np.ndarray:
     """The 0/1 matrix summing a flattened (u, m) array along its anti-diagonals."""
     degree = np.add.outer(np.arange(u), np.arange(m)).reshape(-1, 1)
@@ -186,8 +199,8 @@ def _antidiagonal_sums(u: int, m: int) -> np.ndarray:
 
 def _two_part_types(rows, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partition]:
     """Jordan types of (S, 2n) block coefficient rows of nilpotent commutant
-    elements of the shape (u, u-r), n = 2u - r, numbered as in `_layout`,
-    read without assembling an element or ranking any n x n power.
+    elements of the shape (u, u-r), n = 2u - r, numbered by its layout record
+    (`_layout`), read without assembling an element or ranking any power.
 
     An element is an endomorphism phi of k[t]^2 / D k[t]^2, D = diag(t^u,
     t^(u-r)), given by any polynomial lift Phi = [[a, t^r g], [h, b]].
@@ -204,35 +217,34 @@ def _two_part_types(rows, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partit
     Columns u - 1 and n - 1 of M^s are phi^s of the generators, so the
     doubled W = [ME, ..., M^k E] holds every row order (M^k E = 0 exactly
     when M^k = 0, as M commutes with J).  W starts as the rows' generator
-    columns, and each doubling round assembles M^k from the last column pair
-    of W (`_generators`) and makes one product, M^k W (`_mulmod`: one word
-    product while it is small).
+    columns (`_Layout.cols`), and each doubling round assembles M^k from the
+    last column pair of W (`_Layout.gather`) and makes one product, M^k W
+    (`_mulmod`: one word product while it is small).
 
-    delta = ord(ab - t^r g h) comes from the rows' a, t^r g, h and b
-    slices: the reduced outer products ab - (t^r g) h, summed along
+    delta = ord(ab - t^r g h) comes from the blocks a | t^r g | h | b of
+    the rows: the reduced outer products ab - (t^r g) h, summed along
     anti-diagonals (`_antidiagonal_sums`), in float64 for p < 2^31 (exact:
     every sum is below (u-r) p < 2^53) and on Python integers above.
     """
-    rows, n = np.asarray(rows), 2 * u - r
-    if rows.ndim != 2 or rows.shape[1] != 2 * n:
-        raise ValueError(f"_two_part_types expects (S, {2 * n}) coefficient rows, got shape {rows.shape}")
-    cols, gather = _generators((u, u - r))
+    rows, layout, n = np.asarray(rows), _layout((u, u - r)), 2 * u - r
+    if rows.ndim != 2 or rows.shape[1] != layout.width:
+        raise ValueError(f"_two_part_types expects (S, {layout.width}) coefficient rows, got shape {rows.shape}")
     rows = _as_field_matrix(rows, p)
-    w = rows[:, cols]
-    pair = np.zeros((len(w), 2 * n + 1), w.dtype)  # the last column pair of W, then a zero
+    w = rows[:, layout.cols]
+    pair = np.zeros((len(w), layout.width + 1), w.dtype)  # the last column pair of W, then a zero
     while w[:, :, -2:].any():
         if w.shape[2] >= 2 * n:
             raise ValueError("matrix is not nilpotent")
         pair[:, :-1] = w[:, :, -2:].reshape(len(w), -1)
-        w = np.concatenate([w, _mulmod(pair[:, gather], w, p)], axis=2)  # M^k from M^k E, times W
+        w = np.concatenate([w, _mulmod(pair[:, layout.gather], w, p)], axis=2)  # M^k from M^k E, times W
     # W's row i < u holds t^(u-1-i) of row 1 and its row u + j holds
     # t^(u-r-1-j) of row 2: at depth i + 1 or j + 1 in its block, both
     # (u-r) + ord row_1 and u + ord row_2 are n minus the deepest nonzero
     # entry's depth, or n for a zero row
     deepest = ((w != 0) * (np.arange(n) % u + 1)[:, None]).max(axis=1)
     deepest = deepest.reshape(len(w), -1, 2).max(axis=2)  # per power s
-    a, tg = rows[:, :u, None], rows[:, u : 2 * u, None]
-    h, b = rows[:, None, 2 * u : n + u], rows[:, None, n + u :]
+    _, tg0, h0, b0 = layout.starts.ravel().tolist()
+    a, tg, h, b = rows[:, :tg0, None], rows[:, tg0:h0, None], rows[:, None, h0:b0], rows[:, None, b0:]
     outer = _reduce(a * b - tg * h, p).reshape(len(w), -1)
     det = outer.astype(np.float64 if outer.dtype != object else object) @ _antidiagonal_sums(u, u - r) % p != 0
     delta = np.where(det.any(axis=1), det.argmax(axis=1), n)[:, None]
@@ -250,7 +262,7 @@ def jordan_type_of_matrix(mat, p: int = DEFAULT_PRIME) -> Partition:
 class CommutatorElement:
     """Nilpotent commutant element of the Jordan matrix of a stable shape q,
     stored as its block coefficients in the `_layout` numbering, its one
-    representation."""
+    representation; each coefficient and p must be integers."""
 
     q: Partition
     coeffs: tuple[int, ...]
@@ -261,26 +273,25 @@ class CommutatorElement:
         object.__setattr__(self, "q", q)
         if not q or not is_stable(q):
             raise ValueError(f"shape must be a nonempty stable partition: {tuple(q)}")
-        _check_modulus(self.p)
-        c = tuple(int(x) % self.p for x in self.coeffs)
+        p, layout = _check_modulus(self.p), _layout(q)
+        c = tuple(operator.index(x) % p for x in self.coeffs)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", c)
-        if len(c) != q.size * len(q):
-            raise ValueError(f"shape {tuple(q)} has {q.size * len(q)} block coefficients, got {len(c)}")
-        free = _layout(q)[1].tolist()
-        fixed = {i for i, x in enumerate(c) if x}.difference(free)
+        if len(c) != layout.width:
+            raise ValueError(f"shape {tuple(q)} has {layout.width} block coefficients, got {len(c)}")
+        fixed = {i for i, x in enumerate(c) if x}.difference(layout.free.tolist())
         if fixed:
-            raise ValueError(_order_error(q, min(fixed), free))
+            raise ValueError(_order_error(q, layout, min(fixed)))
 
     @classmethod
     def jordan(cls, q, p: int = DEFAULT_PRIME) -> "CommutatorElement":
         """The element assembling to the Jordan matrix itself: t in each
         diagonal block (i, i), whose t^1 coefficient is number
-        len(q) * sum(q[:i]) + i * q_i + 1 (a block with q_i = 1 has none)."""
+        `_Layout.starts`[i, i] + 1 (a block with q_i = 1 has none)."""
         q = Partition(q)
-        coeffs = [0] * (q.size * len(q))
-        for i, qi in enumerate(q):
-            if qi > 1:
-                coeffs[len(q) * sum(q[:i]) + i * qi + 1] = 1
+        layout = _layout(q)
+        coeffs = np.zeros(layout.width, dtype=np.int64)
+        coeffs[[layout.starts[i, i] + 1 for i, qi in enumerate(q) if qi > 1]] = 1
         return cls(q, coeffs, p)
 
     def assemble(self) -> np.ndarray:
@@ -291,25 +302,22 @@ class CommutatorElement:
 
     def __matmul__(self, other: "CommutatorElement") -> "CommutatorElement":
         """Composition of block maps, assembling to the matrix product: this
-        element applied to the other's generator columns (`_generators`)."""
+        element applied to the other's generator columns (`_Layout.cols`)."""
         if self.q != other.q or self.p != other.p:
             raise ValueError("elements live on different shapes")
-        cols = _generators(self.q)[0]
+        cols = _layout(self.q).cols
         out = np.zeros(cols.size, dtype=object)
         out[cols.ravel()] = matmul(self.assemble(), np.asarray(other.coeffs)[cols], self.p).ravel()
         return CommutatorElement(self.q, out, self.p)
 
 
-def _order_error(parts, coeff: int, free) -> str:
+def _order_error(parts, layout: _Layout, coeff: int) -> str:
     """Name the block entry holding the fixed coefficient `coeff` and the order it needs."""
-    start = 0
-    for i, qi in enumerate(parts):
-        for j in range(len(parts)):
-            if coeff < start + qi:
-                # the fixed coefficients of a block are its lowest degrees
-                need = qi - sum(start <= f < start + qi for f in free)
-                return f"entry ({i},{j}) needs order >= {need}"
-            start += qi
+    i, j = divmod(int(np.searchsorted(layout.starts.ravel(), coeff, side="right")) - 1, len(parts))
+    start = layout.starts[i, j]
+    # the fixed coefficients of a block are its lowest degrees
+    need = parts[i] - np.count_nonzero((start <= layout.free) & (layout.free < start + parts[i]))
+    return f"entry ({i},{j}) needs order >= {need}"
 
 
 def sample_commutator(q, rng, *, p: int = DEFAULT_PRIME) -> CommutatorElement:
@@ -321,9 +329,10 @@ def sample_commutator(q, rng, *, p: int = DEFAULT_PRIME) -> CommutatorElement:
 def _two_part_offsets(u: int, r: int) -> tuple[int, int, int]:
     """Block coefficient numbers of g_0, h_0 and b_0 for the shape (u, u-r).
 
-    The layout's blocks are a | t^r g | h | b, and a_0 is number 0.
+    The layout's blocks are a | t^r g | h | b: a_0 is number 0, g_0 the t^r of the second.
     """
-    return u + r, 2 * u, 3 * u - r
+    _, tg, h, b = _layout((u, u - r)).starts.ravel().tolist()
+    return tg + r, h, b
 
 
 def _generic_type(types) -> Partition:

@@ -105,7 +105,7 @@ class EquationSet:
         coefficient and sign (the term sign c_i c_j puts sign c_j in column
         i and sign c_i in column j)."""
         zero, steps = self._plan.zero, self._plan.steps
-        free = [i for i in _layout((self.u, self.u - self.r))[1].tolist() if i not in zero]
+        free = [i for i in _layout((self.u, self.u - self.r)).free.tolist() if i not in zero]
         entries = [(row, free.index(x), y, sign) for row, terms in enumerate(steps)
                    for sign, i, j in terms for x, y in ((i, j), (j, i))]
         return ((len(steps), len(free)), *np.array(entries, dtype=np.intp).reshape(-1, 4).T)
@@ -203,12 +203,10 @@ def _plan_rows(plan: _SolvePlan, rng, prime: int, count: int, zero_gh: int | Non
     coordinates, then its pivot, as `count` one-point draws would; each row
     solves each step for the b of its pivot term, in Python integers with
     one inverse of a_k."""
-    _check_modulus(prime)
-    u, r = plan.u, plan.r
-    free = _layout((u, u - r))[1]
-    draw = rng.integers([prime] * free.size + [prime - 1], size=(count, free.size + 1))
-    rows = np.zeros((count, 4 * u - 2 * r), dtype=np.int64)
-    rows[:, free] = draw[:, :-1]
+    prime, layout = _check_modulus(prime), _layout((plan.u, plan.u - plan.r))
+    draw = rng.integers([prime] * layout.free.size + [prime - 1], size=(count, layout.free.size + 1))
+    rows = np.zeros((count, layout.width), dtype=np.int64)
+    rows[:, layout.free] = draw[:, :-1]
     rows[:, list(plan.zero)] = 0
     rows[:, plan.pivot] = 1 + draw[:, -1]
     if zero_gh is not None:

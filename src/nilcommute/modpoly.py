@@ -15,7 +15,8 @@ otherwise, and Python integers past n = 2^21 or for p >= 2^31.  That is
 delayed reduction: accumulate in machine words up to the exactness bound,
 then reduce once.  Both stack kernels take already-reduced arrays, so a
 readout reduces its input once; `rank` and `matmul` are their public
-forms, which check p and reduce a copy first.
+forms, which check p and refuse non-integer entries (`_as_integers`)
+before they reduce a copy.
 The int64 path rests on the bounds stated at `_INT64_SAFE`.  The default
 prime is large enough that random cancellations never disturb desk-scale
 Monte-Carlo runs.
@@ -23,8 +24,10 @@ Monte-Carlo runs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -93,14 +96,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _check_modulus(p: int) -> None:
+@lru_cache(maxsize=None, typed=True)
+def _check_modulus(p) -> int:
     """The one modulus rule, checked once per p by every sampler, every array
-    kernel and `CommutatorElement`: 2 <= p < 2^63 (samples are int64) and p prime."""
+    kernel and `CommutatorElement`: p is an integer, 2 <= p < 2^63 (samples
+    are int64) and p prime.  Returns p as a Python integer.  The cache is
+    typed, so 7.0 never reads the entry of an equal np.int64(7): `operator.index`
+    refuses it."""
+    p = operator.index(p)
     if not 2 <= p < 2**63:
         raise ValueError(f"modulus {p} is out of range: supported primes are 2 <= p < 2^63")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not a prime")
+    return p
 
 
 @dataclass(frozen=True)
@@ -138,11 +146,21 @@ def _reduce(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
+def _as_integers(mat) -> np.ndarray:
+    """`mat` as an array of integers: a bool or integer dtype, an object array
+    of integers only, or no entries at all (`[]` is float64).  Anything else
+    raises `TypeError`, where a cast to int64 would truncate 0.5 to 0."""
+    a = np.asarray(mat)
+    if a.dtype.kind in "biu" or not a.size or a.dtype == object and all(isinstance(x, Integral) for x in a.flat):
+        return a
+    raise TypeError(f"expected integer entries, got {a.dtype} input")
+
+
 def _as_field_matrix(mat, p: int) -> np.ndarray:
-    """A reduced copy of `mat` (int64 for p < 2^31, Python integers above), the
-    entry of every array kernel: it checks p, as a Python integer for `is_prime`."""
-    _check_modulus(int(p))
-    return _reduce(np.array(mat, dtype=np.int64 if p < _INT64_SAFE else object), p)
+    """A reduced copy of the integers `mat` (int64 for p < 2^31, Python
+    integers above), the entry of every array kernel: it checks p."""
+    p = _check_modulus(p)
+    return _reduce(np.array(_as_integers(mat), dtype=np.int64 if p < _INT64_SAFE else object), p)
 
 
 @lru_cache(maxsize=256)

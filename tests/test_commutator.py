@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import islice
 
 import numpy as np
@@ -9,7 +10,6 @@ from nilcommute.commutator import (
     CommutatorElement,
     _chunks,
     _draw_free,
-    _generators,
     _generic_type,
     _layout,
     _two_part_offsets,
@@ -298,22 +298,20 @@ class TestAssemble:
 
     def test_validity_matches_per_entry_rule(self):
         # one nonzero coefficient at a time, on every stable shape with at
-        # most 3 parts and size at most 12
-        for n in range(1, 13):
-            for q in partitions_of(n):
-                if len(q) > 3 or not is_stable(q):
+        # most 3 parts and size at most 12, and on a 4 x 4 block grid
+        shapes = [q for n in range(1, 13) for q in partitions_of(n) if len(q) <= 3 and is_stable(q)]
+        for q in shapes + [(7, 5, 3, 1)]:
+            size = sum(q) * len(q)
+            for c in range(size):
+                coeffs = [0] * size
+                coeffs[c] = 1
+                violation = reference_order_violation(q, grid(q, coeffs))
+                if violation is None:
+                    assert CommutatorElement(q, coeffs).coeffs == tuple(coeffs)
                     continue
-                size = n * len(q)
-                for c in range(size):
-                    coeffs = [0] * size
-                    coeffs[c] = 1
-                    violation = reference_order_violation(q, grid(q, coeffs))
-                    if violation is None:
-                        assert CommutatorElement(q, coeffs).coeffs == tuple(coeffs)
-                        continue
-                    i, j, need = violation
-                    with pytest.raises(ValueError, match=rf"^entry \({i},{j}\) needs order >= {need}$"):
-                        CommutatorElement(q, coeffs)
+                i, j, need = violation
+                with pytest.raises(ValueError, match=rf"^entry \({i},{j}\) needs order >= {need}$"):
+                    CommutatorElement(q, coeffs)
 
 
 class TestJordanType:
@@ -565,12 +563,105 @@ class TestDominatedByShape:
             assert rounds[-1] == math.ceil(math.log2(index)) <= math.ceil(math.log2(u))
 
 
+class TestLayout:
+    """`_layout` is the one record of a shape's block coefficient row."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_starts_and_width_match_the_formula(self, n):
+        # block (i, j) starts at l (q_1 + ... + q_(i-1)) + j q_i; a row holds l n
+        for q in partitions_of(n):
+            layout, l = _layout(q), len(q)
+            expect = [[l * sum(q[:i]) + j * q[i] for j in range(l)] for i in range(l)]
+            assert layout.starts.tolist() == expect and layout.width == l * n
+            for i in range(l):
+                for j in range(l):
+                    block = layout.take[sum(q[:i]) : sum(q[: i + 1]), sum(q[:j]) : sum(q[: j + 1])]
+                    cells = block[block >= 0]
+                    assert ((expect[i][j] <= cells) & (cells < expect[i][j] + q[i])).all()
+
+    def test_fields_read_by_position_and_read_only(self):
+        layout = _layout((8, 5, 2))
+        assert layout[0] is layout.take and layout[1] is layout.free
+        for a in (layout.take, layout.free, layout.starts, layout.cols, layout.gather):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_two_part_offsets(self):
+        for u in range(3, 31):
+            for r in range(2, u):
+                offsets = _two_part_offsets(u, r)
+                assert offsets == (u + r, 2 * u, 3 * u - r)
+                assert all(type(x) is int for x in offsets)
+
+    @pytest.mark.parametrize("parts", [(2, 0), (3, -1), (0,), (2.5,), (2.0, 1.0), ("3",)])
+    def test_refuses_parts_below_one_or_not_integers(self, parts):
+        # (2.0, 1.0) would read the cached record of (2, 1)
+        _layout((2, 1))
+        with pytest.raises(ValueError, match=rf"^shape {re.escape(str(parts))} needs integer parts of at least 1$"):
+            _layout(parts)
+        with pytest.raises(ValueError, match="needs integer parts"):
+            assemble_blocks(parts, [0, 1] * len(parts))
+
+    def test_any_order_and_numpy_integers(self):
+        # the layout serves any shape, unsorted ones included
+        assert _layout((1, 2)).starts.tolist() == [[0, 1], [2, 4]]
+        assert _layout((np.int64(2), 1)) is _layout((2, 1)) is _layout(Partition((2, 1)))
+        assert _layout(()).width == 0
+
+
+class TestIntegerInput:
+    """Entries that are not integers are refused, never truncated."""
+
+    @pytest.mark.parametrize("run", [
+        lambda m: jordan_type_of_matrix(m),
+        lambda m: jordan_types(np.asarray(m)[None]),
+        lambda m: rank(m, 7),
+        lambda m: matmul(m, [[1], [1]]),
+    ])
+    @pytest.mark.parametrize("mat", [
+        [[0, 0.5], [0, 0]],
+        np.array([[0, 1], [0, 0]], dtype=np.float64),
+        np.array([[0, 0.5], [0, 0]], dtype=object),
+        [["0", "1"], ["0", "0"]],
+    ])
+    def test_readouts_refuse_non_integer_entries(self, run, mat):
+        with pytest.raises(TypeError, match="integer entries"):
+            run(mat)
+
+    def test_integer_bool_and_object_entries_still_read(self):
+        for mat in [[[0, 1], [0, 0]], np.array([[0, 1], [0, 0]], dtype=object),
+                    np.array([[False, True], [False, False]]), np.array([[0, 1], [0, 0]], dtype=np.uint8)]:
+            assert jordan_type_of_matrix(mat) == (2,)
+        # no entries at all: numpy reads [[]] as float64
+        assert jordan_type_of_matrix(np.zeros((0, 0))) == EMPTY and rank([[]], 7) == 0
+
+    def test_assemble_refuses_non_integer_rows(self):
+        for coeffs in [[0, 0.7, 0, 0, 0, 0], np.array([0, 1, 0, 0, 0, 0], dtype=object) * 0.5]:
+            with pytest.raises(TypeError, match="integer entries"):
+                assemble_blocks((2, 1), coeffs)
+        assert assemble_blocks((2, 1), np.array([0, 1, 0, 0, 0, 0], dtype=object))[0, 1] == 1
+
+    def test_two_part_readout_refuses_non_integer_rows(self):
+        rows = np.zeros((2, 14))
+        with pytest.raises(TypeError, match="integer entries"):
+            _two_part_types(rows, 5, 3)
+
+    def test_element_reads_each_coefficient_as_an_index(self):
+        c = [0] * 14
+        c[1] = 1.5
+        for coeffs in [c, ["0"] * 14, [0.0] * 14]:
+            with pytest.raises(TypeError):
+                CommutatorElement((5, 2), coeffs)
+        e = CommutatorElement((5, 2), np.array(CommutatorElement.jordan((5, 2)).coeffs), np.int64(P))
+        assert e == CommutatorElement.jordan((5, 2)) and type(e.p) is int
+
+
 class TestGeneratorGather:
     @pytest.mark.parametrize("q", TWO_PART_SHAPES)
     def test_generator_columns_permute_the_row(self, q):
         u, m = q
         n = u + m
-        cols = _generators(q)[0]
+        cols = _layout(q).cols
         assert sorted(cols.ravel().tolist()) == list(range(2 * n))
         rows = two_part_rows(q, np.random.default_rng([u, m, 2]), P)
         assert np.array_equal(rows[:, cols], assemble_blocks(q, rows)[:, :, [u - 1, n - 1]])
@@ -586,7 +677,7 @@ class TestGeneratorGather:
     def test_every_shape_permutes_the_row(self, n):
         # generator columns are the last column of each block column
         for q in partitions_of(n):
-            cols = _generators(q)[0]
+            cols = _layout(q).cols
             assert cols.shape == (n, len(q))
             assert sorted(cols.ravel().tolist()) == list(range(n * len(q)))
             rows = _draw_free(q, np.random.default_rng([n, *q]), P, count=4)
@@ -606,7 +697,7 @@ class TestGeneratorGather:
     def check_powers(q, rows, p):
         """Every power of each row's element equals `pair[:, gather]` of its
         own generator columns, up to the first zero power."""
-        n, (cols, gather) = sum(q), _generators(tuple(q))
+        n, cols, gather = sum(q), _layout(q).cols, _layout(q).gather
         stack = _as_field_matrix(assemble_blocks(q, rows), p)
         power = stack
         for _ in range(n):

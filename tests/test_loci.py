@@ -705,8 +705,7 @@ class TestOnePlanPerCell:
                         assert [terms[0] for terms in steps] == pivots, (u, r, k, l)
 
 
-@pytest.mark.parametrize("prime", [4, 2**64 - 59])
-@pytest.mark.parametrize("run", [
+HARNESSES = [
     lambda prime: verify_cell(5, 3, 2, 2, 20, prime=prime),
     lambda prime: closure_contains(5, 3, (2, 1), (2, 2), 5, prime=prime),
     lambda prime: intersect_experiment(5, 3, [(2, 2)], 5, prime=prime),
@@ -714,12 +713,25 @@ class TestOnePlanPerCell:
     lambda prime: survey((5, 2), 50, prime=prime),
     lambda prime: dmap_oracle((3, 2, 1), 50, np.random.default_rng(0), prime=prime),
     lambda prime: dmap_oracle((), 5, np.random.default_rng(0), prime=prime),
-])
+]
+
+
+@pytest.mark.parametrize("prime", [4, 2**64 - 59])
+@pytest.mark.parametrize("run", HARNESSES)
 def test_every_harness_refuses_an_unsupported_modulus(run, prime):
     # one rule (`modpoly._check_modulus`), checked before the first draw,
     # also where no draw is made (an unsampled system, the empty type)
     with pytest.raises(ValueError, match=f"modulus {prime} is (not a prime|out of range: .* 2 <= p < 2\\^63)"):
         run(prime)
+
+
+@pytest.mark.parametrize("run", HARNESSES)
+def test_every_harness_reads_a_numpy_integer_modulus(run):
+    # the rule reads p with `operator.index`: np.int64(p) is p, draws and
+    # readouts included (Miller-Rabin's three-argument pow refused it)
+    assert run(np.int64(P)) == run(P)
+    with pytest.raises(TypeError):
+        run(float(P))
 
 
 @pytest.mark.parametrize("run", [

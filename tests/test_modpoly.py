@@ -76,6 +76,26 @@ class TestPrime:
             assert not is_prime(n)
 
 
+class TestModulusRule:
+    def test_reads_p_as_an_integer(self):
+        for p in [np.int64(11), np.uint64(11), 11]:
+            assert type(modpoly._check_modulus(p)) is int and modpoly._check_modulus(p) == 11
+        # the cache must not answer 7.0 or 11.0 from the equal entries of
+        # np.int64(7) and np.int64(11), which are wrapped alike in its keys
+        assert rank([[1]], np.int64(7)) == 1
+        for p in [7.0, 11.0, np.float64(11), "7"]:
+            with pytest.raises(TypeError):
+                modpoly._check_modulus(p)
+        with pytest.raises(TypeError):
+            rank([[1]], 7.0)
+
+    def test_numpy_integer_modulus_reads_like_the_python_one(self):
+        m = np.random.default_rng(3).integers(P, size=(6, 6))
+        for p in [np.int64(P), np.int64(BIG)]:
+            assert rank(m, p) == rank(m, int(p))
+            assert np.array_equal(matmul(m, m, p), matmul(m, m, int(p)))
+
+
 class TestTruncPoly:
     def test_order(self):
         # the test-side order, the reference of the valuation claims
