@@ -16,9 +16,11 @@ recover the Jordan type.  Each chunk of `_chunks` is drawn as coefficient
 rows in one generator call (`_draw_free`, the same draws as one per sample).
 `jordan_types` reads a chunk assembled by `assemble_blocks` as one (S, n, n)
 stack, reduced mod p once, and ranks every power of it (doubled by
-`modpoly._mulmod`) in one stacked `modpoly._eliminate`, for `survey`,
+`modpoly._mulmod`) in one `modpoly._eliminate`, for `survey`,
 `jordan_type_of_matrix` (which `dmap_oracle` calls on each matrix of its
-chunk) and `CommutatorElement.jordan_type`.
+chunk) and `CommutatorElement.jordan_type`.  A small readout, as every one
+of `dmap_oracle` up to n = 8 is, is ranked by its scalar loop on Python
+integers; a chunk of `survey` samples by its loop over the whole stack.
 `verify_cell` and `intersect_experiment` use `_two_part_types`, which reads
 a two-part shape from the 2x2 minors of [Phi^s | D] and squares no power.
 It reads powers from the rows' generator columns and assembles nothing.
@@ -151,11 +153,12 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     at a time.  Within a chunk, the powers M, ..., M^k times M^k give
     M^(k+1), ..., M^(2k), so the powers up to the first one that is zero on
     every matrix (at most n) take at most ceil(log2 n) products
-    (`_mulmod`), and one elimination (`_eliminate`) reads every corank in
-    place; both kernels take the reduced copy as it is.  A matrix whose
+    (`_mulmod`), and one elimination (`_eliminate`) reads every corank;
+    both kernels take the reduced copy as it is.  A matrix whose
     powers reach zero early contributes only zero powers after that, which
     repeat its final corank n.
     """
+    p = _check_modulus(p)
     m = _as_field_matrix(stack, p)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError("jordan_types expects an (S, n, n) stack")
@@ -229,6 +232,7 @@ def _two_part_types(rows, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partit
     rows, layout, n = np.asarray(rows), _layout((u, u - r)), 2 * u - r
     if rows.ndim != 2 or rows.shape[1] != layout.width:
         raise ValueError(f"_two_part_types expects (S, {layout.width}) coefficient rows, got shape {rows.shape}")
+    p = _check_modulus(p)
     rows = _as_field_matrix(rows, p)
     w = rows[:, layout.cols]
     pair = np.zeros((len(w), layout.width + 1), w.dtype)  # the last column pair of W, then a zero

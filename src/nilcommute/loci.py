@@ -325,7 +325,7 @@ def verify_cell(
     return CellReport(
         q=Partition((u, u - r)),
         cell=(k, l),
-        prime=prime,
+        prime=_check_modulus(prime),
         seed=seed,
         samples=samples,
         max_type=_generic_type(counts),  # EMPTY fails the cell
@@ -383,8 +383,9 @@ def closure_contains(
     rng = np.random.default_rng([seed, u, r, k, l, k2, l2])
     chunks = (_plan_rows(plan, rng, prime, hi - lo) for lo, hi in _chunks(samples))
     montecarlo = all(eqs._holds(c, prime) for rows in chunks for c in rows.tolist())
-    return ContainmentReport(q=Partition((u, u - r)), outer=(k, l), inner=(k2, l2), prime=prime,
-                             seed=seed, samples=samples, predicate=predicate, montecarlo=montecarlo)
+    return ContainmentReport(q=Partition((u, u - r)), outer=(k, l), inner=(k2, l2),
+                             prime=_check_modulus(prime), seed=seed, samples=samples,
+                             predicate=predicate, montecarlo=montecarlo)
 
 
 @dataclass(frozen=True)
@@ -430,7 +431,7 @@ def intersect_experiment(
     chunks = list(_chunks(samples))  # read once per branch
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
-    _check_modulus(prime)
+    prime = _check_modulus(prime)
     plan = _solve_plan(u, r, tuple(cells))
     base = dict(
         q=Partition((u, u - r)),
@@ -488,5 +489,5 @@ def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> Sur
         rows = _draw_free(q, rng, prime, hi - lo)
         counts.update(jordan_types(assemble_blocks(q, rows), prime))
     outside = tuple(tuple(t) for t in sorted((t for t in counts if dmap(t) != q), reverse=True))
-    return SurveyReport(q=q, prime=prime, seed=seed, samples=samples, box_size=box_size,
+    return SurveyReport(q=q, prime=_check_modulus(prime), seed=seed, samples=samples, box_size=box_size,
                         type_counts=_type_counts(counts), outside=outside)

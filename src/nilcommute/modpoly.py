@@ -3,11 +3,15 @@
 Scalars live in GF(p); matrices are numpy int64 arrays reduced mod p
 (object arrays of Python integers for p >= 2^31).  No package code builds
 a `TruncPoly`: it stays only for the benchmark's construction count.  Exact
-ranks come from one kernel, `_eliminate`, an inverse-free elimination
-over a whole (S, rows, cols) stack.  It serves the Jordan-type readout,
-which ranks all powers of a chunk of sampled matrices at once, and, as
-its one-matrix case `rank`, the sparse rectangular Jacobians of the
-locus equations.  Both readouts' powers come from `_mulmod`: one
+ranks come from `_eliminate`, an inverse-free elimination of an (S, rows,
+cols) stack with two loops of the same steps: a scalar loop on Python
+integers, one matrix at a time (`_eliminate_scalar`), while the stack's
+worst-case work S rows cols min(rows, cols) is at most `_SCALAR_MAX_WORK`,
+and a loop over the whole stack at once in numpy (`_eliminate_stacked`)
+above it.  It serves the Jordan-type readout, which ranks all powers of a
+chunk of sampled matrices at once, and, as its one-matrix case `rank`,
+the sparse rectangular Jacobians of the locus equations.  Both readouts'
+powers come from `_mulmod`: one
 machine-word product while its sums stay exact (int64 while n (p-1)^2 <
 2^63 for inner dimension n, uint64 while below 2^64) and it makes at most
 `_PRODUCT_MAX_WORK` multiply-adds, float64 BLAS products of exact limbs
@@ -67,6 +71,32 @@ _PRODUCT_MAX_WORK = 20_000
 # 2.5 us at 343 entries, 3.1 vs 2.9 us at 512, 9.3 vs 6.6 us at 1,936 and
 # 81 vs 21 us at 9,248
 _REDUCE_BY_DIVISION = 512
+
+# `_eliminate` ranks an (S, rows, cols) stack on Python integers while its
+# worst-case work S rows cols min(rows, cols) is at most this, as each
+# stacked step pays numpy's per-call cost.  Best-of-5 times (least of three
+# runs), numpy 2.4 on a shared 2-vCPU x86-64 host, default prime, of the
+# stacked loop (its copy of the input excluded) vs the scalar loop (its
+# `tolist` included), on the powers M, ..., M^k of commutant samples (the
+# readouts' stacks) and on dense full-rank matrices:
+#
+#   stack                     S, rows, cols      work   stacked   scalar
+#   (2,1), 1 sample              3,  3,  3          81      17.9      2.3 us
+#   (5,3), 1 sample              8,  8,  8       4,096      51.2     15.6
+#   (8), 1 sample                8,  8,  8       4,096      63.1     13.5
+#   (4,3,2,1), 1 sample          8, 10, 10       8,000      70.2     40.8
+#   (12,5), 1 sample            16, 17, 17      78,608       178      100
+#   (8,5,2), 5 samples          40, 15, 15     135,000       197      353
+#   (10,7,4,1), 5 samples       80, 22, 22     851,840       638    1,337
+#   dense, full rank             1, 16, 16       4,096       118      147
+#   dense, full rank             1, 20, 20       8,000       158      269
+#
+# A power stack loses rows fast, so the scalar loop wins on it well past
+# the cap, but a dense full-rank matrix does all the work, and a cap on
+# entries alone would send it to the slow side.  The cap holds every
+# readout up to n = 8 (at most n powers of an n x n matrix) and the
+# Jacobian blocks of the cells of (8,3), (12,5) and (13,4) (at most 4 x 20)
+_SCALAR_MAX_WORK = 4_096
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -158,9 +188,13 @@ def _as_integers(mat) -> np.ndarray:
 
 def _as_field_matrix(mat, p: int) -> np.ndarray:
     """A reduced copy of the integers `mat` (int64 for p < 2^31, Python
-    integers above), the entry of every array kernel: it checks p."""
+    integers above), the entry of every array kernel: it checks p.  A uint64
+    input is reduced before the cast, which would wrap entries of 2^63 and up."""
     p = _check_modulus(p)
-    return _reduce(np.array(_as_integers(mat), dtype=np.int64 if p < _INT64_SAFE else object), p)
+    a = _as_integers(mat)
+    if a.dtype == np.uint64:
+        a = a % np.uint64(p)
+    return _reduce(np.array(a, dtype=np.int64 if p < _INT64_SAFE else object), p)
 
 
 @lru_cache(maxsize=256)
@@ -172,14 +206,60 @@ def _grid_index(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eliminate(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of the reduced (S, rows, cols) stack `a`, which it overwrites.
+    """Ranks of the reduced (S, rows, cols) stack `a`, which it may overwrite;
+    p is a Python integer.
 
     Each step pivots every matrix A on its first nonzero entry (i, j) in
     row-major order and replaces it by a_ij A - A[:, j] (x) A[i, :] mod p.
     That zeroes row i and column j and lowers the rank by exactly one, with
     no modular inverse, so a rank is the number of steps that found a
-    pivot.  A zero matrix has pivot 0 and stays zero, so finished matrices
-    stay in the stack until they are at least half of it.
+    pivot.  A stack whose worst-case work S rows cols min(rows, cols) is at
+    most `_SCALAR_MAX_WORK` takes these steps on Python integers
+    (`_eliminate_scalar`), a larger one on the whole stack at once
+    (`_eliminate_stacked`).
+    """
+    count, rows, cols = a.shape
+    if count * rows * cols * min(rows, cols) <= _SCALAR_MAX_WORK:
+        return _eliminate_scalar(a, p)
+    return _eliminate_stacked(a, p)
+
+
+def _eliminate_scalar(a: np.ndarray, p: int) -> np.ndarray:
+    """The steps of `_eliminate`, one matrix at a time, on the Python integers
+    of `a.tolist()`: exact for every p, and `a` is left as it is.
+
+    Zero rows are dropped as they appear, so the pivot row is the first row
+    left, and it is zero after its own step.  A row with a zero in the pivot
+    column is left as it is: the step would only scale it by a_ij != 0,
+    which moves no zero and so no later pivot.
+    """
+    ranks = []
+    for m in a.tolist():
+        left = [row for row in m if any(row)]
+        found = 0
+        while left:
+            top = left.pop(0)
+            pivot = next(filter(None, top))
+            j = top.index(pivot)  # every entry before the first nonzero one is 0
+            found += 1
+            step = []
+            for row in left:
+                x = row[j]
+                if x:
+                    row = [(pivot * v - x * t) % p for v, t in zip(row, top)]
+                    if not any(row):
+                        continue
+                step.append(row)
+            left = step
+        ranks.append(found)
+    return np.array(ranks, dtype=np.intp)
+
+
+def _eliminate_stacked(a: np.ndarray, p: int) -> np.ndarray:
+    """`_eliminate` on the whole stack at once, in place in `a`.
+
+    A zero matrix has pivot 0 and stays zero, so finished matrices stay in
+    the stack until they are at least half of it.
     """
     count, rows, cols = a.shape
     out = np.zeros(count, dtype=np.intp)
@@ -209,12 +289,14 @@ def _eliminate(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def rank(mat, p: int = DEFAULT_PRIME) -> int:
-    """Exact rank over GF(p): the one-matrix case of the stacked `_eliminate`.
+    """Exact rank over GF(p): the one-matrix case of `_eliminate`, which
+    ranks a reduced copy of `mat` (small ones on Python integers).
 
     Args:
-        mat: rectangular array-like of integers (copied, not mutated).
+        mat: rectangular array-like of integers (not mutated).
         p: prime modulus.
     """
+    p = _check_modulus(p)
     a = _as_field_matrix(mat, p)
     if a.ndim != 2:
         raise ValueError("rank expects a 2-d matrix")
@@ -225,23 +307,24 @@ def _word_dtype(a: np.ndarray, b: np.ndarray, p: int):
     """The dtype of `_mulmod`'s one word product of the reduced factors
     a @ b, or None for its float64 limbs.
 
-    Every sum is at most n (p-1)^2 for inner dimension n, reckoned in Python
-    integers (a numpy-integer p would wrap around): int64 while that is
-    below 2^63, else uint64 while below 2^64, which is exact because reduced
-    factors are non-negative.  Either is taken only up to
+    Every sum is at most n (p-1)^2 for inner dimension n, reckoned in
+    Python integers (p is one; a numpy-integer p would wrap around): int64
+    while that is below 2^63, else uint64 while below 2^64, which is exact
+    because reduced factors are non-negative.  Either is taken only up to
     `_PRODUCT_MAX_WORK` multiply-adds, counted as a's entries times b's
     columns: the true count whenever b's stack dimensions broadcast into
     a's, as in every product the readouts take.  A larger stack of b is
     undercounted, which costs time, never exactness.
     """
-    bound = a.shape[-1] * int(p - 1) ** 2
+    bound = a.shape[-1] * (p - 1) ** 2
     if bound >= 2**64 or a.size * (b.shape[-1] if b.ndim > 1 else 1) > _PRODUCT_MAX_WORK:
         return None
     return np.int64 if bound < 2**63 else np.uint64
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p of reduced factors; `a` may be a stack.
+    """Exact (a @ b) mod p of reduced factors; `a` may be a stack, and p is
+    a Python integer.
 
     A product whose sums fit a machine word and that is small enough takes
     one int64 or uint64 product (`_word_dtype`), reduced once.  Otherwise,
@@ -259,12 +342,12 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if word is np.int64:
         return _reduce(a @ b, p)
     if word is not None:  # uint64 views of the same non-negative bits
-        return _reduce(a.view(word) @ b.view(word), int(p)).view(np.int64)
+        return _reduce(a.view(word) @ b.view(word), p).view(np.int64)
     w = 22 - (a.shape[-1] - 1).bit_length()
     if w < 1:
         return _mulmod(a.astype(object), b.astype(object), p).astype(np.int64)
     bf, mask, acc = b.astype(np.float64), (1 << w) - 1, None
-    for s in range((int(p - 1).bit_length() - 1) // w * w, -1, -w):
+    for s in range(((p - 1).bit_length() - 1) // w * w, -1, -w):
         part = ((a >> s & mask).astype(np.float64) @ bf).astype(np.int64)
         if acc is not None:
             part += acc << w
@@ -278,4 +361,5 @@ def matmul(a, b, p: int = DEFAULT_PRIME) -> np.ndarray:
     The factors are reduced into copies and multiplied by `_mulmod`:
     int64 results for p < 2^31, Python integers above.
     """
+    p = _check_modulus(p)
     return _mulmod(_as_field_matrix(a, p), _as_field_matrix(b, p), p)

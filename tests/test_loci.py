@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from collections import Counter
 
@@ -728,8 +729,12 @@ def test_every_harness_refuses_an_unsupported_modulus(run, prime):
 @pytest.mark.parametrize("run", HARNESSES)
 def test_every_harness_reads_a_numpy_integer_modulus(run):
     # the rule reads p with `operator.index`: np.int64(p) is p, draws and
-    # readouts included (Miller-Rabin's three-argument pow refused it)
-    assert run(np.int64(P)) == run(P)
+    # readouts included (Miller-Rabin's three-argument pow refused it), and
+    # a report stores the checked Python integer, which JSON can write
+    at_int64, at_int = run(np.int64(P)), run(P)
+    assert at_int64 == at_int
+    dump = [json.dumps(out, default=lambda rep: rep.to_dict()) for out in (at_int64, at_int)]
+    assert dump[0] == dump[1]
     with pytest.raises(TypeError):
         run(float(P))
 

@@ -1,10 +1,25 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from nilcommute import modpoly
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _reduce, is_prime, matmul, rank
+from nilcommute.commutator import _draw_free, assemble_blocks, dmap_oracle, jordan_type_of_matrix
+from nilcommute.loci import equations, sample_on_locus, survey
+from nilcommute.modpoly import (
+    DEFAULT_PRIME,
+    TruncPoly,
+    _as_field_matrix,
+    _eliminate,
+    _eliminate_scalar,
+    _eliminate_stacked,
+    _reduce,
+    is_prime,
+    matmul,
+    rank,
+)
+from nilcommute.partitions import partitions_of
 
 P = DEFAULT_PRIME
 BIG = 2_147_483_659  # first prime past the int64 fast path
@@ -90,10 +105,17 @@ class TestModulusRule:
             rank([[1]], 7.0)
 
     def test_numpy_integer_modulus_reads_like_the_python_one(self):
+        # the kernels compute with the checked Python integer: near 2^63,
+        # a product of two entries overflows an np.int64 modulus; the
+        # strictly upper triangle is permuted, so that elimination steps
+        # update rows
         m = np.random.default_rng(3).integers(P, size=(6, 6))
-        for p in [np.int64(P), np.int64(BIG)]:
+        order = [3, 0, 5, 1, 4, 2]
+        nilpotent = np.triu(m, 1)[order][:, order]
+        for p in [np.int64(P), np.int64(BIG), np.int64(2**63 - 25)]:
             assert rank(m, p) == rank(m, int(p))
             assert np.array_equal(matmul(m, m, p), matmul(m, m, int(p)))
+            assert jordan_type_of_matrix(nilpotent, p) == jordan_type_of_matrix(nilpotent, int(p))
 
 
 class TestTruncPoly:
@@ -185,6 +207,17 @@ class TestRank:
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
             rank(np.zeros((2, 3, 3), dtype=np.int64))
+
+    def test_uint64_input_is_reduced_before_the_cast(self):
+        # 2^64 - 1 = 0 and 2^63 = 2 mod 3; cast to int64 first, they would
+        # read as -1 = 2 and -2^63 = 1, a matrix of rank 2, not nilpotent
+        m = np.array([[2**64 - 1, 2**63], [0, 2**64 - 1]], dtype=np.uint64)
+        exact = m.astype(object)
+        for p in [3, P, BIG]:
+            assert np.array_equal(matmul(m, m, p), exact @ exact % p)
+            assert rank(m, p) == reference_rank(exact % p, p)
+        assert rank(m, 3) == 1
+        assert jordan_type_of_matrix(m, 3) == (2,)
 
 
 class TestMatmul:
@@ -362,13 +395,33 @@ class TestReduce:
 
 
 class TestRanks:
-    """The stacked elimination, on stacks reduced as the readout reduces them."""
+    """Both elimination loops, each called directly, and `_eliminate`, which
+    picks one, on stacks reduced as the readout reduces them."""
 
     @staticmethod
     def check(stack, p):
         expect = [reference_rank(m, p) for m in stack]
-        assert _eliminate(_as_field_matrix(stack, p), p).tolist() == expect
+        for eliminate in (_eliminate, _eliminate_scalar, _eliminate_stacked):
+            assert eliminate(_as_field_matrix(stack, p), p).tolist() == expect
         assert [rank(m, p) for m in stack] == expect
+
+    @pytest.mark.parametrize("p, shape", [(2, (3, 3)), (3, (2, 3))])
+    def test_every_small_matrix(self, p, shape):
+        entries = itertools.product(range(p), repeat=math.prod(shape))
+        self.check(np.array(list(entries)).reshape(-1, *shape), p)
+
+    @pytest.mark.parametrize("p", [3, P])
+    def test_power_stacks_of_commutant_samples(self, p):
+        # what the oracle ranks: M, ..., M^n of commutant draws of every
+        # partition of n <= 8, zero powers included
+        rng = np.random.default_rng(p % 1000)
+        for n in range(1, 9):
+            for parts in partitions_of(n):
+                for m in assemble_blocks(parts, _draw_free(parts, rng, p, 2)):
+                    powers = [m % p]
+                    while len(powers) < n:
+                        powers.append(matmul(powers[-1], m, p))
+                    self.check(np.array(powers), p)
 
     @pytest.mark.parametrize("p", [2, 3, P, BIG, 2**63 - 25])
     def test_random_and_deficient_stacks(self, p):
@@ -432,6 +485,68 @@ class TestRanks:
             self.check(stack, p)
             expect = [reference_rank(m, p) for m in stack]
             assert sum(r <= 3 for r in expect) >= 30 and max(expect) >= 6
+
+
+def spy_loops(monkeypatch):
+    """Record the name of the loop `_eliminate` takes on each call."""
+    taken = []
+    for name in ("_eliminate_scalar", "_eliminate_stacked"):
+        def spy(a, p, loop=getattr(modpoly, name), name=name):
+            taken.append(name)
+            return loop(a, p)
+
+        monkeypatch.setattr(modpoly, name, spy)
+    return taken
+
+
+class TestScalarBound:
+    """`_eliminate` takes the scalar loop while a stack's worst-case work
+    S rows cols min(rows, cols) is at most `_SCALAR_MAX_WORK`, and where
+    that puts each benchmarked caller."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_work_cap(self, monkeypatch, n):
+        # (S, n, n) is at the cap, which is inclusive; one more row is past it
+        taken = spy_loops(monkeypatch)
+        count = modpoly._SCALAR_MAX_WORK // n**3
+        assert count * n**3 == modpoly._SCALAR_MAX_WORK
+        rng = np.random.default_rng(n)
+        for rows, loop in [(n, "_eliminate_scalar"), (n + 1, "_eliminate_stacked")]:
+            stack = rng.integers(P, size=(count, rows, n))
+            assert _eliminate(_as_field_matrix(stack, P), P).tolist() == [reference_rank(m) for m in stack]
+            assert taken[-1] == loop
+
+    def test_oracle_readouts_take_the_scalar_loop(self, monkeypatch):
+        # a readout ranks at most n powers of an n x n matrix, so up to the
+        # oracle's benchmarked size 8 its work is at most 8^4
+        assert 8**4 <= modpoly._SCALAR_MAX_WORK
+        taken = spy_loops(monkeypatch)
+        for n in range(1, 9):
+            for parts in partitions_of(n):
+                dmap_oracle(parts, 2, np.random.default_rng(list(parts)))
+        assert set(taken) == {"_eliminate_scalar"}
+
+    def test_jacobian_blocks_take_the_scalar_loop(self, monkeypatch):
+        # every cell of the two-part shapes that the benchmark verifies; the
+        # largest block, 4 x 20, has work 320
+        taken = spy_loops(monkeypatch)
+        rng = np.random.default_rng(0)
+        blocks = []
+        for u, m in [(8, 3), (12, 5), (13, 4)]:
+            for k, l in itertools.product(range(1, u - m), range(1, m + 1)):
+                eqs = equations(u, u - m, k, l)
+                blocks.append(eqs._jacobian_block[0])
+                eqs.jacobian_rank_at(sample_on_locus(u, u - m, k, l, rng))
+        assert max(blocks, key=lambda shape: shape[0] * shape[1]) == (4, 20)
+        assert 4 * 20 * 4 <= modpoly._SCALAR_MAX_WORK
+        assert set(taken) == {"_eliminate_scalar"}
+
+    @pytest.mark.parametrize("q", [(8, 5, 2), (10, 7, 4, 1)])
+    def test_survey_chunks_take_the_stacked_loop(self, monkeypatch, q):
+        # the benchmark surveys 5 samples of each shape: one chunk, with its powers
+        taken = spy_loops(monkeypatch)
+        survey(q, 5)
+        assert taken == ["_eliminate_stacked"]
 
 
 class TestDet2:
