@@ -15,12 +15,16 @@ the familiar banded matrices, and ranks of powers of the assembled matrix
 recover the Jordan type.  Each chunk of `_chunks` is drawn as coefficient
 rows in one generator call (`_draw_free`, the same draws as one per sample).
 `jordan_types` reads a chunk assembled by `assemble_blocks` as one (S, n, n)
-stack, reduced mod p once, and ranks every power of it (doubled by
-`modpoly._mulmod`) in one `modpoly._eliminate`, for `survey`,
+stack, reduced mod p once, and hands its (S, K, n, n) powers (doubled by
+`modpoly._mulmod`) to one `modpoly._eliminate`, for `survey`,
 `jordan_type_of_matrix` (which `dmap_oracle` calls on each matrix of its
 chunk) and `CommutatorElement.jordan_type`.  A small readout, as every one
 of `dmap_oracle` up to n = 8 is, is ranked by its scalar loop on Python
-integers; a chunk of `survey` samples by its loop over the whole stack.
+integers, which stops at the first power whose rank drops by one: a
+single Jordan block is left, so the later ranks follow.  A generic oracle
+sample has the stable type D(P), whose largest part q_1 exceeds the next
+by at least 2, so that drop comes by power q_2 + 1, before M^(q_1) = 0.  A chunk of `survey` samples is
+ranked, every power, by the loop over the whole stack.
 `verify_cell` and `intersect_experiment` use `_two_part_types`, which reads
 a two-part shape from the 2x2 minors of [Phi^s | D] and squares no power.
 It reads powers from the rows' generator columns and assembles nothing.
@@ -153,10 +157,17 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     at a time.  Within a chunk, the powers M, ..., M^k times M^k give
     M^(k+1), ..., M^(2k), so the powers up to the first one that is zero on
     every matrix (at most n) take at most ceil(log2 n) products
-    (`_mulmod`), and one elimination (`_eliminate`) reads every corank;
-    both kernels take the reduced copy as it is.  A matrix whose
-    powers reach zero early contributes only zero powers after that, which
-    repeat its final corank n.
+    (`_mulmod`), and one elimination (`_eliminate`) of the (S, K, n, n)
+    powers reads every corank; both kernels take the reduced copy as it
+    is.  A matrix whose powers reach zero early contributes only zero
+    powers after that, which repeat its final corank n.
+
+    The elimination may stop ranking a matrix's powers early, by the
+    rank-drop lemma: d_s = rank M^(s-1) - rank M^s is the number of Jordan
+    blocks of size at least s.  Proof: rank M^s sums rank J_m^s = max(m -
+    s, 0) over the blocks J_m, and each term drops by one from s - 1 to s
+    exactly when m >= s.  So the drops decrease weakly, and once d_s = 1
+    the ranks after M^s are rank M^s - 1, ..., 0, reached by M^K = 0.
     """
     p = _check_modulus(p)
     m = _as_field_matrix(stack, p)
@@ -173,7 +184,7 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
             if k >= n:
                 raise ValueError("matrix is not nilpotent")
             powers = np.concatenate([powers, _mulmod(powers[:, : n - k], powers[:, -1:], p)], axis=1)
-        coranks = n - _eliminate(powers.reshape(-1, n, n), p).reshape(len(powers), -1)
+        coranks = n - _eliminate(powers, p)
         rows.extend(coranks.tolist())
     return _profile_types(rows, n)
 

@@ -8,10 +8,13 @@ cols) stack with two loops of the same steps: a scalar loop on Python
 integers, one matrix at a time (`_eliminate_scalar`), while the stack's
 worst-case work S rows cols min(rows, cols) is at most `_SCALAR_MAX_WORK`,
 and a loop over the whole stack at once in numpy (`_eliminate_stacked`)
-above it.  It serves the Jordan-type readout, which ranks all powers of a
-chunk of sampled matrices at once, and, as its one-matrix case `rank`,
-the sparse rectangular Jacobians of the locus equations.  Both readouts'
-powers come from `_mulmod`: one
+above it.  It serves the Jordan-type readout, which hands it the (S, K,
+n, n) stack of the powers M, ..., M^K of a chunk of sampled matrices,
+and, as its one-matrix case `rank`, the sparse rectangular Jacobians of
+the locus equations.  The scalar loop ranks a matrix's powers only until
+the rank is 0 or drops by exactly one, when a single Jordan block is left
+and every later rank is one less than the one before; the stacked loop
+ranks every power.  The readout's powers come from `_mulmod`: one
 machine-word product while its sums stay exact (int64 while n (p-1)^2 <
 2^63 for inner dimension n, uint64 while below 2^64) and it makes at most
 `_PRODUCT_MAX_WORK` multiply-adds, float64 BLAS products of exact limbs
@@ -20,7 +23,8 @@ delayed reduction: accumulate in machine words up to the exactness bound,
 then reduce once.  Both stack kernels take already-reduced arrays, so a
 readout reduces its input once; `rank` and `matmul` are their public
 forms, which check p and refuse non-integer entries (`_as_integers`)
-before they reduce a copy.
+before they reduce a copy, and reduce Python integers and uint64 entries
+before a cast to int64 could overflow or wrap them (`_as_field_matrix`).
 The int64 path rests on the bounds stated at `_INT64_SAFE`.  The default
 prime is large enough that random cancellations never disturb desk-scale
 Monte-Carlo runs.
@@ -74,26 +78,31 @@ _REDUCE_BY_DIVISION = 512
 
 # `_eliminate` ranks an (S, rows, cols) stack on Python integers while its
 # worst-case work S rows cols min(rows, cols) is at most this, as each
-# stacked step pays numpy's per-call cost.  Best-of-5 times (least of three
-# runs), numpy 2.4 on a shared 2-vCPU x86-64 host, default prime, of the
-# stacked loop (its copy of the input excluded) vs the scalar loop (its
-# `tolist` included), on the powers M, ..., M^k of commutant samples (the
-# readouts' stacks) and on dense full-rank matrices:
+# stacked step pays numpy's per-call cost; an (S, K, n, n) power stack
+# counts S K matrices.  Best-of-5 times (least of three runs), numpy 2.4 on
+# a shared 2-vCPU x86-64 host, default prime, of the stacked loop (its copy
+# of the input excluded) vs the scalar loop (its `tolist` included), on the
+# powers M, ..., M^k of commutant samples (the readouts' stacks, flattened
+# to S K matrices) and on dense full-rank matrices; "rule" is the scalar
+# loop on the unflattened power stack, which stops at the first rank drop
+# of one (`_eliminate`):
 #
-#   stack                     S, rows, cols      work   stacked   scalar
-#   (2,1), 1 sample              3,  3,  3          81      17.9      2.3 us
-#   (5,3), 1 sample              8,  8,  8       4,096      51.2     15.6
-#   (8), 1 sample                8,  8,  8       4,096      63.1     13.5
-#   (4,3,2,1), 1 sample          8, 10, 10       8,000      70.2     40.8
-#   (12,5), 1 sample            16, 17, 17      78,608       178      100
-#   (8,5,2), 5 samples          40, 15, 15     135,000       197      353
-#   (10,7,4,1), 5 samples       80, 22, 22     851,840       638    1,337
-#   dense, full rank             1, 16, 16       4,096       118      147
-#   dense, full rank             1, 20, 20       8,000       158      269
+#   stack                     S, rows, cols      work   stacked   scalar    rule
+#   (2,1), 1 sample              3,  3,  3          81      18.3      2.6     2.6 us
+#   (5,3), 1 sample              8,  8,  8       4,096      51.6     16.7    14.4
+#   (8), 1 sample                8,  8,  8       4,096      63.9     13.9     4.1
+#   (4,3,2,1), 1 sample          8, 10, 10       8,000      73.4     41.7    36.3
+#   (12,5), 1 sample            16, 17, 17      78,608       177      105    75.3
+#   (8,5,2), 5 samples          40, 15, 15     135,000       199      357     341
+#   (10,7,4,1), 5 samples       80, 22, 22     851,840       577    1,412   1,145
+#   dense, full rank             1, 16, 16       4,096       120      144       -
+#   dense, full rank             1, 20, 20       8,000       155      267       -
 #
 # A power stack loses rows fast, so the scalar loop wins on it well past
 # the cap, but a dense full-rank matrix does all the work, and a cap on
-# entries alone would send it to the slow side.  The cap holds every
+# entries alone would send it to the slow side.  The rule saves most where
+# one block dominates, as in (8), and little where the last drop of one
+# comes late, as in (5,3) and the survey chunks.  The cap holds every
 # readout up to n = 8 (at most n powers of an n x n matrix) and the
 # Jacobian blocks of the cells of (8,3), (12,5) and (13,4) (at most 4 x 20)
 _SCALAR_MAX_WORK = 4_096
@@ -189,11 +198,14 @@ def _as_integers(mat) -> np.ndarray:
 def _as_field_matrix(mat, p: int) -> np.ndarray:
     """A reduced copy of the integers `mat` (int64 for p < 2^31, Python
     integers above), the entry of every array kernel: it checks p.  A uint64
-    input is reduced before the cast, which would wrap entries of 2^63 and up."""
+    or object input is reduced before the cast, which would wrap uint64
+    entries of 2^63 and up and refuse Python integers beyond int64."""
     p = _check_modulus(p)
     a = _as_integers(mat)
     if a.dtype == np.uint64:
         a = a % np.uint64(p)
+    elif a.dtype == object:
+        a = a % p  # Python integers of any size, so none overflows the cast
     return _reduce(np.array(a, dtype=np.int64 if p < _INT64_SAFE else object), p)
 
 
@@ -206,53 +218,85 @@ def _grid_index(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eliminate(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of the reduced (S, rows, cols) stack `a`, which it may overwrite;
-    p is a Python integer.
+    """Ranks of the reduced stack `a`, which it may overwrite; p is a Python
+    integer.  An (S, rows, cols) stack gives S ranks.  An (S, K, n, n) stack
+    holds the powers M, ..., M^K of S nilpotent matrices and gives their
+    (S, K) ranks; its last powers must be zero, else it raises ValueError.
 
     Each step pivots every matrix A on its first nonzero entry (i, j) in
     row-major order and replaces it by a_ij A - A[:, j] (x) A[i, :] mod p.
     That zeroes row i and column j and lowers the rank by exactly one, with
     no modular inverse, so a rank is the number of steps that found a
-    pivot.  A stack whose worst-case work S rows cols min(rows, cols) is at
-    most `_SCALAR_MAX_WORK` takes these steps on Python integers
-    (`_eliminate_scalar`), a larger one on the whole stack at once
-    (`_eliminate_stacked`).
+    pivot.  A stack whose worst-case work S rows cols min(rows, cols), S
+    counting every matrix (S K for powers), is at most `_SCALAR_MAX_WORK`
+    takes these steps on Python integers (`_eliminate_scalar`), a larger
+    one on the whole stack at once (`_eliminate_stacked`).
+
+    The scalar loop ranks a matrix's powers only until the rank drop d_s =
+    rank M^(s-1) - rank M^s (rank M^0 = n) is 1 or the rank is 0, and fills
+    in the rest, exactly.  d_s is the number of Jordan blocks of size at
+    least s, as rank J_m^s = max(m - s, 0) drops by one from s - 1 to s
+    exactly when m >= s.  So once d_s = 1 one block is left, of size s +
+    rank M^s, and rank M^(s+t) = rank M^s - t down to 0; M^K = 0 keeps
+    that fill within K.
     """
-    count, rows, cols = a.shape
-    if count * rows * cols * min(rows, cols) <= _SCALAR_MAX_WORK:
+    rows, cols = a.shape[-2:]
+    if a.ndim == 4 and a[:, -1:].any():
+        raise ValueError("matrix is not nilpotent")
+    if a.size * min(rows, cols) <= _SCALAR_MAX_WORK:
         return _eliminate_scalar(a, p)
-    return _eliminate_stacked(a, p)
+    return _eliminate_stacked(a.reshape(-1, rows, cols), p).reshape(a.shape[:-2])
 
 
 def _eliminate_scalar(a: np.ndarray, p: int) -> np.ndarray:
-    """The steps of `_eliminate`, one matrix at a time, on the Python integers
-    of `a.tolist()`: exact for every p, and `a` is left as it is.
+    """The steps of `_eliminate`, one matrix at a time on Python integers
+    (`_rank_scalar`): exact for every p, and `a` is left as it is.  The
+    powers of an (S, K, n, n) stack are ranked in order, each from its own
+    `tolist`, up to the first whose rank is 0 or drops by one; the rank-drop
+    rule of `_eliminate` gives the rest."""
+    if a.ndim == 3:
+        return np.array([_rank_scalar(m, p) for m in a.tolist()], dtype=np.intp)
+    count, k, n, _ = a.shape
+    ranks = []
+    for powers in a:
+        row, before = [], n
+        for m in powers:
+            r = _rank_scalar(m.tolist(), p)
+            row.append(r)
+            if r == 0 or before - r == 1:
+                row += range(r - 1, -1, -1)
+                break
+            before = r
+        ranks.append(row + [0] * (k - len(row)))
+    return np.array(ranks, dtype=np.intp).reshape(count, k)
+
+
+def _rank_scalar(m: list[list[int]], p: int) -> int:
+    """The rank of one matrix, given as lists of reduced Python integers, by
+    the steps of `_eliminate`; `m` is left as it is.
 
     Zero rows are dropped as they appear, so the pivot row is the first row
     left, and it is zero after its own step.  A row with a zero in the pivot
     column is left as it is: the step would only scale it by a_ij != 0,
     which moves no zero and so no later pivot.
     """
-    ranks = []
-    for m in a.tolist():
-        left = [row for row in m if any(row)]
-        found = 0
-        while left:
-            top = left.pop(0)
-            pivot = next(filter(None, top))
-            j = top.index(pivot)  # every entry before the first nonzero one is 0
-            found += 1
-            step = []
-            for row in left:
-                x = row[j]
-                if x:
-                    row = [(pivot * v - x * t) % p for v, t in zip(row, top)]
-                    if not any(row):
-                        continue
-                step.append(row)
-            left = step
-        ranks.append(found)
-    return np.array(ranks, dtype=np.intp)
+    left = [row for row in m if any(row)]
+    found = 0
+    while left:
+        top = left.pop(0)
+        pivot = next(filter(None, top))
+        j = top.index(pivot)  # every entry before the first nonzero one is 0
+        found += 1
+        step = []
+        for row in left:
+            x = row[j]
+            if x:
+                row = [(pivot * v - x * t) % p for v, t in zip(row, top)]
+                if not any(row):
+                    continue
+            step.append(row)
+        left = step
+    return found
 
 
 def _eliminate_stacked(a: np.ndarray, p: int) -> np.ndarray:

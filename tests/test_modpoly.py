@@ -219,6 +219,18 @@ class TestRank:
         assert rank(m, 3) == 1
         assert jordan_type_of_matrix(m, 3) == (2,)
 
+    def test_big_integers_are_reduced_before_the_cast(self):
+        # 10^30 = 1 and -10^30 = 6 mod 7: an object array past int64,
+        # reduced as Python integers before the int64 cast would overflow
+        assert rank([[10**30, 0], [0, 1]], 7) == 2
+        assert rank([[-10**30, 0], [0, 1]], 7) == 2
+        assert matmul([[10**30]], [[1]], 7).tolist() == [[1]]
+        assert jordan_type_of_matrix([[0, 10**30], [0, 0]]) == (2,)
+        # p >= 2^31 keeps Python integers throughout
+        assert rank([[10**30, 0], [0, 1]], BIG) == 2
+        assert matmul([[10**30]], [[1]], BIG).tolist() == [[10**30 % BIG]]
+        assert rank([[BIG * 10**20, 0], [0, 1]], BIG) == 1
+
 
 class TestMatmul:
     def test_matches_object_arithmetic(self):
@@ -487,6 +499,132 @@ class TestRanks:
             assert sum(r <= 3 for r in expect) >= 30 and max(expect) >= 6
 
 
+def random_unit(n, p, rng):
+    """A random invertible n x n matrix over GF(p) and its inverse, by
+    Gauss-Jordan elimination on Python integers."""
+    while True:
+        u = rng.integers(p, size=(n, n)).astype(object)
+        if reference_rank(u, p) == n:
+            break
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(u.tolist())]
+    for c in range(n):
+        r = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[r] = aug[r], aug[c]
+        inv = pow(aug[c][c], -1, p)
+        aug[c] = [x * inv % p for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[c])]
+    return u, np.array([row[n:] for row in aug], dtype=object)
+
+
+def power_stack(mats, p, k=None):
+    """The (S, K, n, n) stack of the powers M, ..., M^K of each of the n x n
+    matrices `mats`, reduced mod p; K = n unless given."""
+    out = []
+    for m in mats:
+        powers = [_as_field_matrix(m, p)]
+        while len(powers) < (len(m) if k is None else k):
+            powers.append(matmul(powers[-1], m, p))
+        out.append(powers)
+    return np.array(out, dtype=out[0][0].dtype)
+
+
+class TestPowerRanks:
+    """`_eliminate` on (S, K, n, n) power stacks: the scalar loop, which stops
+    at the first rank drop of one, and the stacked loop on the reshaped stack,
+    each called directly, against `reference_rank` on every power."""
+
+    @staticmethod
+    def check(stack, p):
+        count, k, n, _ = stack.shape
+        expect = [[reference_rank(m, p) for m in powers] for powers in stack]
+        assert _eliminate_scalar(stack, p).tolist() == expect
+        assert _eliminate_stacked(stack.reshape(-1, n, n).copy(), p).reshape(count, k).tolist() == expect
+        assert _eliminate(stack.copy(), p).tolist() == expect
+
+    @pytest.mark.parametrize("p", [2, 3, P, BIG])
+    def test_every_jordan_type_conjugated(self, p):
+        from test_commutator import jordan_matrix
+
+        rng = np.random.default_rng(p % 1000)
+        for n in range(1, 9):
+            mats = []
+            for parts in partitions_of(n):
+                u, inverse = random_unit(n, p, rng)
+                assert (u @ inverse % p == np.eye(n, dtype=np.int64)).all()
+                mats.append(u @ jordan_matrix(parts) @ inverse % p)
+            self.check(power_stack(mats, p), p)
+            # the doubling loop may stop at the nilpotency index
+            for m, parts in zip(mats, partitions_of(n)):
+                self.check(power_stack([m], p, parts[0]), p)
+
+    @pytest.mark.parametrize("p", [3, P])
+    def test_commutant_draws(self, p):
+        rng = np.random.default_rng(p % 1000)
+        for n in range(1, 9):
+            for parts in partitions_of(n):
+                self.check(power_stack(assemble_blocks(parts, _draw_free(parts, rng, p, 2)), p), p)
+
+    def test_every_nilpotent_3x3_over_gf2(self):
+        mats = np.array(list(itertools.product(range(2), repeat=9))).reshape(-1, 3, 3)
+        nilpotent = [m for m in mats if not matmul(matmul(m, m, 2), m, 2).any()]
+        assert len(nilpotent) == 2 ** (3 * 2)  # p^(n^2 - n) nilpotent n x n matrices over GF(p)
+        self.check(power_stack(nilpotent, 2), 2)
+
+
+def spy_ranks(monkeypatch):
+    """Record the size of each matrix the scalar loop ranks."""
+    ranked = []
+
+    def spy(m, p, rank_scalar=modpoly._rank_scalar):
+        ranked.append(len(m))
+        return rank_scalar(m, p)
+
+    monkeypatch.setattr(modpoly, "_rank_scalar", spy)
+    return ranked
+
+
+class TestPowerRankStop:
+    """The scalar loop ranks a matrix's powers only up to the first whose rank
+    is 0 or drops by one, and `_eliminate` refuses a stack whose last powers
+    are not all zero."""
+
+    @pytest.mark.parametrize("parts, ranked", [
+        ((8,), 1), ((1,) * 5, 1), ((3, 1), 2), ((2, 2), 2), ((5, 3, 2), 4), ((4, 4, 1), 4),
+    ])
+    def test_powers_ranked(self, monkeypatch, parts, ranked):
+        from test_commutator import jordan_matrix
+
+        stack = power_stack([jordan_matrix(parts)], P)
+        expect = [[reference_rank(m) for m in powers] for powers in stack]
+        calls = spy_ranks(monkeypatch)
+        assert _eliminate_scalar(stack, P).tolist() == expect
+        assert len(calls) == ranked
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_fill_ends_at_k(self, monkeypatch, n):
+        # J_n with K = n: one power ranked, and the fill n - 2, ..., 0 ends
+        # exactly at M^n
+        from test_commutator import jordan_matrix
+
+        calls = spy_ranks(monkeypatch)
+        assert _eliminate_scalar(power_stack([jordan_matrix((n,))], P), P).tolist() == [list(range(n - 1, -1, -1))]
+        assert calls == [n]
+
+    @pytest.mark.parametrize("count", [1, 40])
+    def test_nonzero_last_power_is_refused(self, count):
+        # one sequence of `count` ends on J_4^3 != 0; below and above the
+        # scalar cap, as the guard comes before the choice
+        from test_commutator import jordan_matrix
+
+        mats = [np.zeros((4, 4), dtype=np.int64)] * (count - 1) + [jordan_matrix((4,))]
+        with pytest.raises(ValueError, match="not nilpotent"):
+            _eliminate(power_stack(mats, P, 3), P)
+        assert _eliminate(power_stack(mats, P, 4), P).tolist() == [[0] * 4] * (count - 1) + [[3, 2, 1, 0]]
+
+
 def spy_loops(monkeypatch):
     """Record the name of the loop `_eliminate` takes on each call."""
     taken = []
@@ -514,6 +652,21 @@ class TestScalarBound:
         for rows, loop in [(n, "_eliminate_scalar"), (n + 1, "_eliminate_stacked")]:
             stack = rng.integers(P, size=(count, rows, n))
             assert _eliminate(_as_field_matrix(stack, P), P).tolist() == [reference_rank(m) for m in stack]
+            assert taken[-1] == loop
+
+    @pytest.mark.parametrize("n, k", [(4, 4), (8, 8)])
+    def test_work_cap_for_power_stacks(self, monkeypatch, n, k):
+        # (S, K, n, n) counts S K matrices: at the cap it takes the scalar
+        # loop, one more sample's powers take the stacked one (at n = 8, a
+        # batched readout of 2 samples, work 8,192)
+        from test_commutator import jordan_matrix
+
+        taken = spy_loops(monkeypatch)
+        count = modpoly._SCALAR_MAX_WORK // (k * n**3)
+        assert count * k * n**3 == modpoly._SCALAR_MAX_WORK
+        for extra, loop in [(0, "_eliminate_scalar"), (1, "_eliminate_stacked")]:
+            stack = power_stack([jordan_matrix((n,))] * (count + extra), P, k)
+            assert _eliminate(stack, P).tolist() == [list(range(n - 1, -1, -1))] * (count + extra)
             assert taken[-1] == loop
 
     def test_oracle_readouts_take_the_scalar_loop(self, monkeypatch):
