@@ -15,22 +15,24 @@ the familiar banded matrices, and ranks of powers of the assembled matrix
 recover the Jordan type.  Each chunk of `_chunks` is drawn as coefficient
 rows in one generator call (`_draw_free`, the same draws as one per sample).
 `jordan_types` reads a chunk assembled by `assemble_blocks` as one (S, n, n)
-stack, reduced mod p once, and hands its (S, K, n, n) powers (doubled by
-`modpoly._mulmod`) to one `modpoly._eliminate`, for `survey`,
-`jordan_type_of_matrix` (which `dmap_oracle` calls on each matrix of its
-chunk) and `CommutatorElement.jordan_type`.  A small readout, as every one
-of `dmap_oracle` up to n = 8 is, is ranked by its scalar loop on Python
-integers, which stops at the first power whose rank drops by one: a
-single Jordan block is left, so the later ranks follow.  A generic oracle
+stack, reduced mod p once, for `survey`, `jordan_type_of_matrix` (which
+`dmap_oracle` calls on each matrix of its chunk) and
+`CommutatorElement.jordan_type`.  A chunk of one small matrix, as every
+readout of `dmap_oracle` is, goes to `modpoly._power_ranks`, which builds
+its powers one at a time and ranks each on Python integers up to the first
+whose rank drops by one: a single Jordan block is left, so the later ranks
+follow, and a few squarings prove the matrix nilpotent.  A generic oracle
 sample has the stable type D(P), whose largest part q_1 exceeds the next
-by at least 2, so that drop comes by power q_2 + 1, before M^(q_1) = 0.  A chunk of `survey` samples is
-ranked, every power, by the loop over the whole stack.
+by at least 2, so that drop comes by power q_2 + 1, before M^(q_1) = 0.
+Every other chunk, such as a chunk of `survey` samples, doubles its (S,
+K, n, n) powers (`modpoly._mulmod`) and ranks every one in one
+`modpoly._eliminate`.
 `verify_cell` and `intersect_experiment` use `_two_part_types`, which reads
 a two-part shape from the 2x2 minors of [Phi^s | D] and squares no power.
 It reads powers from the rows' generator columns and assembles nothing.
-`jordan_types` is its test oracle.  Both end in the same corank profiles
-over and over, so each distinct profile is converted to a Jordan type once
-per process (`_profile_type`).
+`jordan_types` is its test oracle.  All three paths end in the same corank
+profiles over and over, so each distinct profile, cut at its first n, is
+converted to a Jordan type once per process (`_profile_type`).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modpoly import DEFAULT_PRIME, _as_field_matrix, _as_integers, _check_modulus, _eliminate, _mulmod, _reduce
+from .modpoly import DEFAULT_PRIME, _as_field_matrix, _as_integers, _check_modulus, _eliminate, _mulmod, _power_ranks, _reduce
 from .modpoly import matmul
 from .modpoly import rank  # noqa: F401  (perfbench's tracer test asserts commutator.rank exists)
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
@@ -53,6 +55,35 @@ from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_
 # chunk of (10, 7, 4, 1) samples, n = 22 with 10 powers, peaks at 1.7 MB
 # under tracemalloc, doubling included)
 _CHUNK = 8
+
+# `jordan_types` reads a chunk of one n x n matrix with n at most this by
+# `modpoly._power_ranks`, every other chunk by doubling its powers and one
+# `modpoly._eliminate`.  Times per chunk, the least of nine timed passes
+# over six chunks, numpy 2.4 on a shared 2-vCPU x86-64 host, default prime,
+# of the whole readout of a chunk of S commutant samples of each shape,
+# doubled vs one `_power_ranks` per matrix:
+#
+#   shape              n     S = 1               S = 2               S = 5
+#   (2,1)              3   11.1    6.0 us     13.2    11.4 us     19.2    27.2 us
+#   (5,3)              8   63.6   21.8        71.2    43.2        86.8     106
+#   (8)                8   75.5    9.8        86.0    18.8         109    46.1
+#   (4,3,2,1)         10   87.1   45.6         100    90.7         132     226
+#   (8,5,2)           15    138   89.0         169     177         249     442
+#   (12,5)            17    219    103         292     207         563     514
+#   (9,6,3)           18    209    163         270     327         497     792
+#   (6,5,4,2,1)       18    219    234         290     467         571   1,140
+#   (7,5,4,2,1)       19    244    268         320     538         652   1,336
+#   (8,6,4,2)         20    207    248         260     488         466   1,214
+#   (10,7,4,1)        22    282    296         421     592         821   1,475
+#   (22)              22    477   61.3         816     121       1,832     304
+#
+# One matrix shares no per-call cost with another, so `_power_ranks` wins
+# alone up to n = 17 on every shape timed (also (7,5,3,2), (5,4,3,2,1) and
+# (4,3,2,1,1)) and ties at n = 18.  Past that it wins where one Jordan block
+# dominates, as in (22), and loses up to 1.2x where the first rank drop of
+# one comes late.  Two matrices win only up to about n = 12 and five lose
+# on most shapes, so a chunk of two or more takes the doubled stack
+_POWER_RANKS_MAX_N = 18
 
 
 def _chunks(samples: int):
@@ -151,23 +182,35 @@ def _draw_free(parts: tuple[int, ...], rng, p: int, count: int) -> np.ndarray:
 
 def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     """Jordan types of an (S, n, n) stack of nilpotent matrices, via coranks
-    of their powers.
+    of their powers; a matrix that is not nilpotent raises ValueError.
 
     The stack is reduced mod p once into a copy, read `_CHUNK` matrices
-    at a time.  Within a chunk, the powers M, ..., M^k times M^k give
-    M^(k+1), ..., M^(2k), so the powers up to the first one that is zero on
-    every matrix (at most n) take at most ceil(log2 n) products
-    (`_mulmod`), and one elimination (`_eliminate`) of the (S, K, n, n)
-    powers reads every corank; both kernels take the reduced copy as it
-    is.  A matrix whose powers reach zero early contributes only zero
-    powers after that, which repeat its final corank n.
+    at a time.  A chunk of one matrix with n at most `_POWER_RANKS_MAX_N`
+    is read by `_power_ranks`, which stops at the settle point below.  In
+    any other chunk, the powers M, ..., M^k times M^k give M^(k+1), ...,
+    M^(2k), so the powers up to the first one that is zero on every matrix
+    (at most n) take at most ceil(log2 n) products (`_mulmod`), and one
+    elimination (`_eliminate`) of the S K powers reads every corank; both
+    kernels take the reduced copy as it is.  A matrix whose powers reach
+    zero early contributes only zero powers after that, which repeat its
+    final corank n.  Either way a row is cut at its first corank n
+    (`_profile_types`).
 
-    The elimination may stop ranking a matrix's powers early, by the
-    rank-drop lemma: d_s = rank M^(s-1) - rank M^s is the number of Jordan
-    blocks of size at least s.  Proof: rank M^s sums rank J_m^s = max(m -
-    s, 0) over the blocks J_m, and each term drops by one from s - 1 to s
-    exactly when m >= s.  So the drops decrease weakly, and once d_s = 1
-    the ranks after M^s are rank M^s - 1, ..., 0, reached by M^K = 0.
+    The rank-drop lemma: d_s = rank M^(s-1) - rank M^s (rank M^0 = n) is
+    the number of Jordan blocks of size at least s.  Proof: rank M^s sums
+    rank J_m^s = max(m - s, 0) over the blocks J_m, and each term drops by
+    one from s - 1 to s exactly when m >= s.  So the drops decrease weakly,
+    and once d_s = 1 just one block has size at least s.  Only it adds to
+    r = rank M^s, so its size is s + r, the ranks after M^s are r - 1, ...,
+    0, and the nilpotency index of M, its largest block, is s + r.
+
+    The squaring certificate: `_power_ranks` stops at the first M^s whose
+    rank r is 0 or drops by one, at M^n at the latest, and accepts M only
+    if r = 0 or M^(2^j) = 0 for the least 2^j >= s + r.  That is exact both
+    ways.  If M is nilpotent, the lemma makes its index s + r <= 2^j, so
+    M^(2^j) = 0.  If M is not nilpotent, no power of M is zero, so it is
+    refused, even where its rank drops by one before its ranks stall, as
+    for diag(J_2, 1) at s = 1.
     """
     p = _check_modulus(p)
     m = _as_field_matrix(stack, p)
@@ -178,13 +221,17 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
         return [EMPTY] * count
     rows = []
     for lo in range(0, count, _CHUNK):
-        powers = m[lo : lo + _CHUNK, None]
+        chunk = m[lo : lo + _CHUNK]
+        if len(chunk) == 1 and n <= _POWER_RANKS_MAX_N:
+            rows.append([n - r for r in _power_ranks(chunk[0], p)])
+            continue
+        powers = chunk[:, None]
         while powers[:, -1].any():
             k = powers.shape[1]
             if k >= n:
                 raise ValueError("matrix is not nilpotent")
             powers = np.concatenate([powers, _mulmod(powers[:, : n - k], powers[:, -1:], p)], axis=1)
-        coranks = n - _eliminate(powers, p)
+        coranks = n - _eliminate(powers.reshape(-1, n, n), p).reshape(powers.shape[:2])
         rows.extend(coranks.tolist())
     return _profile_types(rows, n)
 
@@ -198,8 +245,10 @@ def _profile_type(key: tuple[int, ...], n: int) -> Partition:
 
 def _profile_types(rows, n: int) -> list[Partition]:
     """Jordan types of corank rows (powers 1..k of n x n matrices with
-    M^k = 0), converting each distinct row once per process."""
-    return [_profile_type(tuple(row), n) for row in rows]
+    M^k = 0), converting each distinct row once per process.  A row is keyed
+    up to its first corank n, so a type has one key whichever path read it
+    and however many zero powers its chunk added."""
+    return [_profile_type(tuple(row[: row.index(n) + 1]), n) for row in rows]
 
 
 @lru_cache(maxsize=512)

@@ -22,7 +22,7 @@ from nilcommute.commutator import (
 )
 from nilcommute.burge import dmap
 from nilcommute.loci import sample_on_locus
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _eliminate, _mulmod, matmul, rank
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _as_field_matrix, _mulmod, matmul, rank
 from nilcommute.partitions import EMPTY, Partition, dominates, is_stable, jordan_from_coranks, partitions_of
 from test_modpoly import reference_rank, t_power, zero
 
@@ -401,17 +401,16 @@ class TestJordanTypes:
         assert len({t[0] for t in types}) >= 4
 
     def test_one_ranks_call_per_chunk(self, monkeypatch):
-        calls = []
+        # a chunk of two or more matrices is one `_eliminate` of its powers;
+        # a chunk of one (n = 6) is one `_power_ranks`
+        from test_modpoly import spy_readouts
 
-        def counting_eliminate(stack, p):
-            calls.append(len(stack))
-            return _eliminate(stack, p)
-
-        monkeypatch.setattr(commutator, "_eliminate", counting_eliminate)
+        calls = spy_readouts(monkeypatch)
         for count in (1, 8, 9, 17):
             calls.clear()
             jordan_types(mixed_stack(6, count, np.random.default_rng(1), P))
-            assert len(calls) == math.ceil(count / commutator._CHUNK)
+            full, last = divmod(count, commutator._CHUNK)
+            assert calls == ["_eliminate"] * full + ["_power_ranks"] * last
 
     def test_input_not_mutated(self):
         # an already reduced int64 stack: the readout must eliminate a
@@ -726,11 +725,15 @@ class TestProfileTypes:
         commutator._profile_type.cache_clear()
 
     def test_each_distinct_profile_converted_once(self, calls):
+        # the doubled chunk holds M, ..., M^4, but each row is keyed up to
+        # its first corank 4, so `_two_part_types` and the one-matrix
+        # readout (`_power_ranks`) find the same keys
         stack = np.stack([jordan_matrix((3, 1))] * 5 + [jordan_matrix((2, 2))] * 3)
         for _ in range(2):
             assert jordan_types(stack) == [(3, 1)] * 5 + [(2, 2)] * 3
         assert _two_part_types([CommutatorElement.jordan((3, 1)).coeffs] * 5, 3, 2) == [(3, 1)] * 5
-        assert calls == [(0, 2, 3, 4, 4, 4), (0, 2, 4, 4, 4, 4)]
+        assert [jordan_type_of_matrix(m) for m in stack[4:6]] == [(3, 1), (2, 2)]
+        assert calls == [(0, 2, 3, 4, 4), (0, 2, 4, 4)]
         # other matrices with the same profiles convert nothing
         assert jordan_types(2 * stack[::-1]) == [(2, 2)] * 3 + [(3, 1)] * 5
         assert len(calls) == 2

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from nilcommute import modpoly
-from nilcommute.commutator import _draw_free, assemble_blocks, dmap_oracle, jordan_type_of_matrix
+from nilcommute import commutator, modpoly
+from nilcommute.commutator import _draw_free, assemble_blocks, dmap_oracle, jordan_type_of_matrix, jordan_types
 from nilcommute.loci import equations, sample_on_locus, survey
 from nilcommute.modpoly import (
     DEFAULT_PRIME,
@@ -14,6 +14,7 @@ from nilcommute.modpoly import (
     _eliminate,
     _eliminate_scalar,
     _eliminate_stacked,
+    _power_ranks,
     _reduce,
     is_prime,
     matmul,
@@ -532,17 +533,21 @@ def power_stack(mats, p, k=None):
 
 
 class TestPowerRanks:
-    """`_eliminate` on (S, K, n, n) power stacks: the scalar loop, which stops
-    at the first rank drop of one, and the stacked loop on the reshaped stack,
-    each called directly, against `reference_rank` on every power."""
+    """`_power_ranks` on the first power of each (K, n, n) sequence of an
+    (S, K, n, n) power stack, which builds its own powers and stops at the
+    first rank of 0, and both elimination loops on the flattened stack, each
+    called directly, against `reference_rank` on every power."""
 
     @staticmethod
     def check(stack, p):
         count, k, n, _ = stack.shape
         expect = [[reference_rank(m, p) for m in powers] for powers in stack]
-        assert _eliminate_scalar(stack, p).tolist() == expect
-        assert _eliminate_stacked(stack.reshape(-1, n, n).copy(), p).reshape(count, k).tolist() == expect
-        assert _eliminate(stack.copy(), p).tolist() == expect
+        for powers, ranks in zip(stack, expect):
+            assert _power_ranks(powers[0], p) == ranks[: ranks.index(0) + 1]
+        flat = stack.reshape(-1, n, n)
+        assert _eliminate_scalar(flat, p).reshape(count, k).tolist() == expect
+        assert _eliminate_stacked(flat.copy(), p).reshape(count, k).tolist() == expect
+        assert _eliminate(flat.copy(), p).reshape(count, k).tolist() == expect
 
     @pytest.mark.parametrize("p", [2, 3, P, BIG])
     def test_every_jordan_type_conjugated(self, p):
@@ -586,10 +591,42 @@ def spy_ranks(monkeypatch):
     return ranked
 
 
+def spy_products(monkeypatch):
+    """Record the inner dimension of each product `_mulmod` takes."""
+    products = []
+
+    def spy(a, b, p, mulmod=modpoly._mulmod):
+        products.append(a.shape[-1])
+        return mulmod(a, b, p)
+
+    monkeypatch.setattr(modpoly, "_mulmod", spy)
+    return products
+
+
+def first_drop_of_one(p, rng):
+    """Matrices that are not nilpotent, though the first rank drop of their
+    powers is one: diag(J_2, 1), J_3 + [5] and J_m + I_k (m <= 7, k = 1, 2)
+    conjugated by a random unit."""
+    from test_commutator import jordan_matrix
+
+    def block(m, k, c=1):
+        mat = jordan_matrix((m,) + (1,) * k)
+        mat[m:, m:] = c * np.eye(k, dtype=np.int64)
+        return mat
+
+    mats = [block(2, 1), block(3, 1, 5)]
+    for m in range(1, 8):
+        for k in (1, 2):
+            u, inverse = random_unit(m + k, p, rng)
+            mats.append(u @ block(m, k) @ inverse % p)
+    return mats
+
+
 class TestPowerRankStop:
-    """The scalar loop ranks a matrix's powers only up to the first whose rank
-    is 0 or drops by one, and `_eliminate` refuses a stack whose last powers
-    are not all zero."""
+    """`_power_ranks` ranks a matrix's powers only up to the first whose rank
+    is 0 or drops by one, builds them one product at a time, and refuses by
+    its squaring certificate a matrix that is not nilpotent; `jordan_types`
+    refuses it on both sides of its switch."""
 
     @pytest.mark.parametrize("parts, ranked", [
         ((8,), 1), ((1,) * 5, 1), ((3, 1), 2), ((2, 2), 2), ((5, 3, 2), 4), ((4, 4, 1), 4),
@@ -597,32 +634,54 @@ class TestPowerRankStop:
     def test_powers_ranked(self, monkeypatch, parts, ranked):
         from test_commutator import jordan_matrix
 
-        stack = power_stack([jordan_matrix(parts)], P)
-        expect = [[reference_rank(m) for m in powers] for powers in stack]
+        powers = power_stack([jordan_matrix(parts)], P)[0]
+        expect = [reference_rank(m) for m in powers]
         calls = spy_ranks(monkeypatch)
-        assert _eliminate_scalar(stack, P).tolist() == expect
+        assert _power_ranks(powers[0], P) == expect[: expect.index(0) + 1]
         assert len(calls) == ranked
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_fill_ends_at_k(self, monkeypatch, n):
-        # J_n with K = n: one power ranked, and the fill n - 2, ..., 0 ends
-        # exactly at M^n
+        # J_n: one power ranked, the fill n - 2, ..., 0 ends exactly at
+        # M^n, and the certificate squares M up to M^(2^j) >= M^n: ceil(log2 n)
+        # products
         from test_commutator import jordan_matrix
 
-        calls = spy_ranks(monkeypatch)
-        assert _eliminate_scalar(power_stack([jordan_matrix((n,))], P), P).tolist() == [list(range(n - 1, -1, -1))]
+        calls, products = spy_ranks(monkeypatch), spy_products(monkeypatch)
+        assert _power_ranks(_as_field_matrix(jordan_matrix((n,)), P), P) == list(range(n - 1, -1, -1))
         assert calls == [n]
+        assert len(products) == math.ceil(math.log2(n)) == (n - 1).bit_length()
 
     @pytest.mark.parametrize("count", [1, 40])
     def test_nonzero_last_power_is_refused(self, count):
-        # one sequence of `count` ends on J_4^3 != 0; below and above the
-        # scalar cap, as the guard comes before the choice
+        # J_4 with a 1 in its last diagonal entry, so M^4 != 0, last of
+        # `count`: one matrix is read by `_power_ranks`, 40 in doubled stacks
         from test_commutator import jordan_matrix
 
-        mats = [np.zeros((4, 4), dtype=np.int64)] * (count - 1) + [jordan_matrix((4,))]
+        mats = np.zeros((count, 4, 4), dtype=np.int64)
+        mats[-1] = jordan_matrix((4,))
+        mats[-1, 3, 3] = 1
         with pytest.raises(ValueError, match="not nilpotent"):
-            _eliminate(power_stack(mats, P, 3), P)
-        assert _eliminate(power_stack(mats, P, 4), P).tolist() == [[0] * 4] * (count - 1) + [[3, 2, 1, 0]]
+            jordan_types(mats, P)
+        mats[-1, 3, 3] = 0
+        assert jordan_types(mats, P) == [(1,) * 4] * (count - 1) + [(4,)]
+
+    @pytest.mark.parametrize("p", [2, 3, P, BIG])
+    def test_first_drop_of_one_is_refused(self, p):
+        # the rank-drop rule alone would read diag(J_2, 1) as (2, 1); each
+        # matrix is refused alone (`_power_ranks`) and last of a chunk of
+        # five (the doubled stack)
+        for m in first_drop_of_one(p, np.random.default_rng(p % 1000)):
+            n = len(m)
+            assert reference_rank(m, p) == n - 1
+            with pytest.raises(ValueError, match="not nilpotent"):
+                _power_ranks(_as_field_matrix(m, p), p)
+            with pytest.raises(ValueError, match="not nilpotent"):
+                jordan_type_of_matrix(m, p)
+            chunk = np.zeros((5, n, n), dtype=object)
+            chunk[-1] = m
+            with pytest.raises(ValueError, match="not nilpotent"):
+                jordan_types(chunk, p)
 
 
 def spy_loops(monkeypatch):
@@ -637,10 +696,24 @@ def spy_loops(monkeypatch):
     return taken
 
 
+def spy_readouts(monkeypatch):
+    """Record the name of the readout `jordan_types` takes on each chunk:
+    `_power_ranks` for each matrix, or one `_eliminate` of doubled powers."""
+    taken = []
+    for name in ("_power_ranks", "_eliminate"):
+        def spy(a, p, readout=getattr(commutator, name), name=name):
+            taken.append(name)
+            return readout(a, p)
+
+        monkeypatch.setattr(commutator, name, spy)
+    return taken
+
+
 class TestScalarBound:
     """`_eliminate` takes the scalar loop while a stack's worst-case work
-    S rows cols min(rows, cols) is at most `_SCALAR_MAX_WORK`, and where
-    that puts each benchmarked caller."""
+    S rows cols min(rows, cols) is at most `_SCALAR_MAX_WORK`, `jordan_types`
+    reads a chunk of one matrix of n at most `_POWER_RANKS_MAX_N` by
+    `_power_ranks`, and where that puts each benchmarked caller."""
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_work_cap(self, monkeypatch, n):
@@ -656,28 +729,61 @@ class TestScalarBound:
 
     @pytest.mark.parametrize("n, k", [(4, 4), (8, 8)])
     def test_work_cap_for_power_stacks(self, monkeypatch, n, k):
-        # (S, K, n, n) counts S K matrices: at the cap it takes the scalar
-        # loop, one more sample's powers take the stacked one (at n = 8, a
-        # batched readout of 2 samples, work 8,192)
+        # a chunk past the readout switch hands `_eliminate` the K powers of
+        # each of its S samples as one (S K, n, n) stack of S K matrices: the
+        # cap holds 12 samples' powers at n = 4 and 6 powers, fewer than one
+        # sample's, at n = 8; one more sample's powers take the stacked loop,
+        # as does a chunk of 2 J_8 (work 8,192)
         from test_commutator import jordan_matrix
 
+        loops = spy_loops(monkeypatch)
+        fit = modpoly._SCALAR_MAX_WORK // n**3
+        assert fit * n**3 == modpoly._SCALAR_MAX_WORK
+        samples = fit // k + 2
+        stack = power_stack([jordan_matrix((n,))] * samples, P, k).reshape(-1, n, n)
+        ranks = list(range(n - 1, -1, -1)) * samples
+        assert ranks == [reference_rank(m) for m in stack]
+        for count, loop in [(fit, "_eliminate_scalar"), (fit + k, "_eliminate_stacked")]:
+            assert _eliminate(stack[:count], P).tolist() == ranks[:count]
+            assert loops[-1] == loop
+        readouts = spy_readouts(monkeypatch)
+        loops.clear()
+        assert jordan_types(np.stack([jordan_matrix((n,))] * 2)) == [(n,)] * 2
+        assert readouts == ["_eliminate"]
+        assert loops == ["_eliminate_scalar" if 2 * k * n**3 <= modpoly._SCALAR_MAX_WORK else "_eliminate_stacked"]
+
+    def test_dense_full_rank_crossover(self, monkeypatch):
+        # dense square matrices take the scalar loop up to 14 x 14 and the
+        # stacked one from 15 x 15, where the table puts the crossover
         taken = spy_loops(monkeypatch)
-        count = modpoly._SCALAR_MAX_WORK // (k * n**3)
-        assert count * k * n**3 == modpoly._SCALAR_MAX_WORK
-        for extra, loop in [(0, "_eliminate_scalar"), (1, "_eliminate_stacked")]:
-            stack = power_stack([jordan_matrix((n,))] * (count + extra), P, k)
-            assert _eliminate(stack, P).tolist() == [list(range(n - 1, -1, -1))] * (count + extra)
+        rng = np.random.default_rng(14)
+        for n, loop in [(14, "_eliminate_scalar"), (15, "_eliminate_stacked")]:
+            m = rng.integers(P, size=(n, n))
+            assert rank(m) == reference_rank(m) == n
             assert taken[-1] == loop
 
+    def test_readout_switch(self, monkeypatch):
+        # one matrix up to the switch takes `_power_ranks`; one past it, or
+        # two of any size, take the doubled stack
+        from test_commutator import jordan_matrix
+
+        top = commutator._POWER_RANKS_MAX_N
+        taken = spy_readouts(monkeypatch)
+        for n, count, readout in [(top, 1, "_power_ranks"), (top + 1, 1, "_eliminate"),
+                                  (1, 2, "_eliminate"), (top, 2, "_eliminate")]:
+            taken.clear()
+            assert jordan_types(np.stack([jordan_matrix((n,))] * count)) == [(n,)] * count
+            assert taken == [readout]
+
     def test_oracle_readouts_take_the_scalar_loop(self, monkeypatch):
-        # a readout ranks at most n powers of an n x n matrix, so up to the
-        # oracle's benchmarked size 8 its work is at most 8^4
-        assert 8**4 <= modpoly._SCALAR_MAX_WORK
-        taken = spy_loops(monkeypatch)
+        # every readout of the oracle up to its benchmarked size 8 is one
+        # matrix, read by `_power_ranks` on the scalar loop
+        assert 8 <= commutator._POWER_RANKS_MAX_N
+        taken = spy_readouts(monkeypatch)
         for n in range(1, 9):
             for parts in partitions_of(n):
                 dmap_oracle(parts, 2, np.random.default_rng(list(parts)))
-        assert set(taken) == {"_eliminate_scalar"}
+        assert set(taken) == {"_power_ranks"}
 
     def test_jacobian_blocks_take_the_scalar_loop(self, monkeypatch):
         # every cell of the two-part shapes that the benchmark verifies; the
