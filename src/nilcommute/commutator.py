@@ -27,12 +27,17 @@ by at least 2, so that drop comes by power q_2 + 1, before M^(q_1) = 0.
 Every other chunk, such as a chunk of `survey` samples, doubles its (S,
 K, n, n) powers (`modpoly._mulmod`) and ranks every one in one
 `modpoly._eliminate`.
-`verify_cell` and `intersect_experiment` use `_two_part_types`, which reads
-a two-part shape from the 2x2 minors of [Phi^s | D] and squares no power.
-It reads powers from the rows' generator columns and assembles nothing.
-`jordan_types` is its test oracle.  All three paths end in the same corank
-profiles over and over, so each distinct profile, cut at its first n, is
-converted to a Jordan type once per process (`_profile_type`).
+A two-part shape is read by `_two_part_coranks` from the 2x2 minors of
+[Phi^s | D], on the rows' generator columns: it assembles nothing, proves
+nilpotency from the slice (a_0 = b_0 = 0) up front, and doubles its powers
+only up to a budget.  `intersect_experiment` reads whole profiles with a
+budget of n (`_two_part_types`).  `verify_cell` only asks whether a row has
+its cell's table type, which the coranks up to that type's settle point
+decide (`_settled_prefix`), and reads an on-locus row in full only if it
+misses.  `jordan_types` is the test oracle of both.  All these paths end
+in the same corank profiles over and over, so each distinct profile, cut
+at its first n, is converted to a Jordan type once per process
+(`_profile_type`).
 """
 
 from __future__ import annotations
@@ -260,10 +265,22 @@ def _antidiagonal_sums(u: int, m: int) -> np.ndarray:
     return sums
 
 
-def _two_part_types(rows, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partition]:
-    """Jordan types of (S, 2n) block coefficient rows of nilpotent commutant
-    elements of the shape (u, u-r), n = 2u - r, numbered by its layout record
-    (`_layout`), read without assembling an element or ranking any power.
+@lru_cache(maxsize=1024)
+def _settled_prefix(t: Partition) -> tuple[int, ...]:
+    """Coranks of powers 1..s* of a nilpotent matrix of Jordan type t: its
+    settle point s* is the first power whose corank rises by exactly one
+    (just one block has size at least s*) or reaches n (M^s* = 0), so
+    min(t_2 + 1, t_1) with t_2 = 0 for one block.  A nilpotent matrix has
+    type t exactly when its coranks up to s* are these (`_two_part_coranks`)."""
+    settle = min(t[1] + 1, t[0]) if len(t) > 1 else 1
+    return tuple(sum(min(part, s) for part in t) for s in range(1, settle + 1))
+
+
+def _two_part_coranks(rows, u: int, r: int, p: int, powers: int) -> np.ndarray:
+    """Coranks of powers 1..`powers` of (S, 2n) block coefficient rows of
+    nilpotent commutant elements of the shape (u, u-r), n = 2u - r, numbered
+    by its layout record (`_layout`), as an (S, powers) array, read without
+    assembling an element or ranking any power.
 
     An element is an endomorphism phi of k[t]^2 / D k[t]^2, D = diag(t^u,
     t^(u-r)), given by any polynomial lift Phi = [[a, t^r g], [h, b]].
@@ -282,7 +299,30 @@ def _two_part_types(rows, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partit
     when M^k = 0, as M commutes with J).  W starts as the rows' generator
     columns (`_Layout.cols`), and each doubling round assembles M^k from the
     last column pair of W (`_Layout.gather`) and makes one product, M^k W
-    (`_mulmod`: one word product while it is small).
+    (`_mulmod`: one word product while it is small), of only the columns
+    that reach M^powers.  The rounds stop at M^powers or at the first power
+    that is zero on every row, whose later coranks are all n.
+
+    The slice certificate: phi mod t acts on M/tM, spanned by the two
+    generators, as [[a_0, 0], [h_0, b_0]] (t^r g vanishes mod t, r >= 1).
+    phi is nilpotent exactly when that lower triangular matrix is, that is
+    when a_0 = b_0 = 0: if it is, phi^2 maps M into tM, so phi^(2u) maps M
+    into t^u M = 0, and if phi^s = 0 then so is its reduction.  So a row of
+    the slice (nonzero only at `_Layout.free`, hence a_0 = b_0 = 0) is
+    nilpotent, and a row with a_0 or b_0 nonzero is refused up front; a row
+    nonzero elsewhere off the slice is no module map and is refused too.
+    As a nilpotent n x n matrix has M^n = 0, a budget of n reads every
+    row's whole profile, in the rounds that reach its chunk's largest
+    nilpotency index.
+
+    The prefix-equality rule: a nilpotent row has the Jordan type t exactly
+    when its coranks up to t's settle point s* (`_settled_prefix`) are t's.
+    The coranks up to s* give the drops d_1, ..., d_s*, the numbers of
+    blocks of size at least 1, ..., s*.  If t's corank reaches n at s*, so
+    does the row's, and its later coranks are all n.  If it rises by one
+    at s*, the rank-drop lemma (`jordan_types`) leaves one block of size
+    s* + rank M^s* and fixes every later corank.  Either way the prefix
+    fixes the whole profile, so a budget of s* decides the question.
 
     delta = ord(ab - t^r g h) comes from the blocks a | t^r g | h | b of
     the rows: the reduced outer products ab - (t^r g) h, summed along
@@ -291,30 +331,44 @@ def _two_part_types(rows, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partit
     """
     rows, layout, n = np.asarray(rows), _layout((u, u - r)), 2 * u - r
     if rows.ndim != 2 or rows.shape[1] != layout.width:
-        raise ValueError(f"_two_part_types expects (S, {layout.width}) coefficient rows, got shape {rows.shape}")
+        raise ValueError(f"_two_part_coranks expects (S, {layout.width}) coefficient rows, got shape {rows.shape}")
     p = _check_modulus(p)
     rows = _as_field_matrix(rows, p)
+    _, tg0, h0, b0 = layout.starts.ravel().tolist()
+    if np.count_nonzero(rows) != np.count_nonzero(rows[:, layout.free]):  # the slice certificate
+        fixed = np.ones(layout.width, dtype=bool)  # a mask: np.setdiff1d imports a numpy submodule
+        fixed[layout.free] = False
+        coeff = np.flatnonzero(fixed & (rows != 0).any(axis=0))[0]
+        raise ValueError("matrix is not nilpotent" if coeff in (0, b0) else _order_error((u, u - r), layout, coeff))
     w = rows[:, layout.cols]
     pair = np.zeros((len(w), layout.width + 1), w.dtype)  # the last column pair of W, then a zero
-    while w[:, :, -2:].any():
-        if w.shape[2] >= 2 * n:
-            raise ValueError("matrix is not nilpotent")
+    while w.shape[2] < 2 * powers and w[:, :, -2:].any():
         pair[:, :-1] = w[:, :, -2:].reshape(len(w), -1)
-        w = np.concatenate([w, _mulmod(pair[:, layout.gather], w, p)], axis=2)  # M^k from M^k E, times W
+        needed = w[:, :, : 2 * powers - w.shape[2]]
+        w = np.concatenate([w, _mulmod(pair[:, layout.gather], needed, p)], axis=2)  # M^k from M^k E, times W
     # W's row i < u holds t^(u-1-i) of row 1 and its row u + j holds
     # t^(u-r-1-j) of row 2: at depth i + 1 or j + 1 in its block, both
     # (u-r) + ord row_1 and u + ord row_2 are n minus the deepest nonzero
     # entry's depth, or n for a zero row
     deepest = ((w != 0) * (np.arange(n) % u + 1)[:, None]).max(axis=1)
     deepest = deepest.reshape(len(w), -1, 2).max(axis=2)  # per power s
-    _, tg0, h0, b0 = layout.starts.ravel().tolist()
     a, tg, h, b = rows[:, :tg0, None], rows[:, tg0:h0, None], rows[:, None, h0:b0], rows[:, None, b0:]
     outer = _reduce(a * b - tg * h, p).reshape(len(w), -1)
     det = outer.astype(np.float64 if outer.dtype != object else object) @ _antidiagonal_sums(u, u - r) % p != 0
     delta = np.where(det.any(axis=1), det.argmax(axis=1), n)[:, None]
-    s = np.arange(1, w.shape[2] // 2 + 1)
-    coranks = np.minimum(s * delta, n - deepest)
-    return _profile_types(coranks.tolist(), n)
+    k = deepest.shape[1]  # powers read
+    coranks = np.minimum(np.arange(1, k + 1) * delta, n - deepest)
+    if k < powers:  # M^k = 0 on every row, so every later corank is n
+        coranks = np.concatenate([coranks, np.full((len(w), powers - k), n)], axis=1)
+    return coranks
+
+
+def _two_part_types(rows, u: int, r: int, p: int = DEFAULT_PRIME) -> list[Partition]:
+    """Jordan types of (S, 2n) block coefficient rows of nilpotent commutant
+    elements of the shape (u, u-r): their whole corank profiles, read by
+    `_two_part_coranks` with a budget of n."""
+    n = 2 * u - r
+    return _profile_types(_two_part_coranks(rows, u, r, p, n).tolist(), n)
 
 
 def jordan_type_of_matrix(mat, p: int = DEFAULT_PRIME) -> Partition:

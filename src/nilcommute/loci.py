@@ -16,13 +16,15 @@ form that its row checks, Jacobian and a, b, g, h view and the samplers read.
 Every harness draws the chunks of `commutator._chunks` as coefficient rows
 (`_plan_rows` on a locus, `commutator._draw_free` on the commutant), the
 same draws in the same order as one at a time, and reads and checks each chunk
-on its rows: `_two_part_types` reads the types from the rows themselves, and
-only `survey` assembles a stack, for `jordan_types`.
+on its rows: `_two_part_types` reads the types from the rows themselves
+(`verify_cell` first reads each row only up to its cell entry's settle point,
+`_two_part_coranks`), and only `survey` assembles a stack, for `jordan_types`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
@@ -37,6 +39,8 @@ from .commutator import (
     _draw_free,
     _generic_type,
     _layout,
+    _settled_prefix,
+    _two_part_coranks,
     _two_part_offsets,
     _two_part_types,
     assemble_blocks,
@@ -301,12 +305,18 @@ def verify_cell(
     drawn in that order from one generator as stacked coefficient rows, in
     the chunks of `_chunks`, so a chunk may hold the last on-locus and the first
     converse draws (the draws of the one-sample samplers), read together,
-    with Jacobian ranks and equations checked on its rows.  Cells
-    whose type is never hit by the independent samples count as a vacuous
-    pass for the converse direction.
+    with Jacobian ranks and equations checked on its rows.  A chunk is read
+    only up to the entry's settle point s* (`_settled_prefix`), in
+    ceil(log2 s*) doubling rounds: a row has the entry's type exactly when
+    its coranks up to s* are the entry's (`_two_part_coranks`).  An on-locus
+    row that misses is read in full (`_two_part_types`), so the type counts
+    are those of a full read, and a converse hit is a converse row that
+    matches.  Cells whose type is never hit by the independent samples
+    count as a vacuous pass for the converse direction.
     """
     eqs = equations(u, r, k, l)
     expected = table((u, u - r))[k - 1][l - 1]
+    prefix = list(_settled_prefix(expected))
     rng = np.random.default_rng([seed, u, r, k, l])
     counts: Counter = Counter()
     jac_hits = converse_hits = 0
@@ -315,11 +325,14 @@ def verify_cell(
         on = max(0, min(hi, samples) - lo)  # on-locus rows in this chunk
         rows = np.concatenate([
             _plan_rows(eqs._plan, rng, prime, on), _draw_free((u, u - r), rng, prime, hi - lo - on)])
-        types = _two_part_types(rows, u, r, prime)
-        counts.update(types[:on])
+        hit = [row == prefix for row in _two_part_coranks(rows, u, r, prime, len(prefix)).tolist()]
+        misses = [i for i in range(on) if not hit[i]]
+        counts.update([expected] * (on - len(misses)))
+        if misses:
+            counts.update(_two_part_types(rows[misses], u, r, prime))
         jac_hits += sum(eqs._jacobian_rank(c, prime) == eqs.codim for c in rows[:on])
-        for c, t in zip(rows[on:].tolist(), types[on:]):
-            if t == expected:
+        for c, h in zip(rows[on:].tolist(), hit[on:]):
+            if h:
                 converse_hits += 1
                 converse_ok = converse_ok and eqs._holds(c, prime)
     return CellReport(
@@ -425,7 +438,7 @@ def intersect_experiment(
     rather than guessed.  A branch whose sampled types have no dominance
     maximum reports `max_type` EMPTY: it has no generic type.
     """
-    cells = sorted({(int(k), int(l)) for k, l in cells})
+    cells = sorted({(operator.index(k), operator.index(l)) for k, l in cells})
     if not cells:
         raise ValueError("need at least one cell")
     chunks = list(_chunks(samples))  # read once per branch

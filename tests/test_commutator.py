@@ -12,6 +12,8 @@ from nilcommute.commutator import (
     _draw_free,
     _generic_type,
     _layout,
+    _settled_prefix,
+    _two_part_coranks,
     _two_part_offsets,
     _two_part_types,
     assemble_blocks,
@@ -512,6 +514,76 @@ class TestTwoPartTypes:
         for shape in [(2, 20), (2, 23), (22,), (2, 11, 11)]:
             with pytest.raises(ValueError, match="coefficient rows"):
                 _two_part_types(np.zeros(shape, dtype=np.int64), 8, 5)
+
+
+def conjugate(t):
+    """The conjugate partition: part j counts the parts of t of size at least j."""
+    return [sum(part >= j for part in t) for j in range(1, (t[0] if t else 0) + 1)]
+
+
+def full_profile(t):
+    """Coranks of powers 1..n of a nilpotent matrix of Jordan type t, from
+    its conjugate: corank M^s is the sum of its first s parts."""
+    c = conjugate(t)
+    return [sum(c[:s]) for s in range(1, sum(t) + 1)]
+
+
+class TestTwoPartCoranks:
+    @pytest.mark.parametrize("p", [3, 5, P, 2_147_483_659])
+    @pytest.mark.parametrize("q", TWO_PART_SHAPES)
+    def test_budget_read_is_a_prefix_of_the_full_read(self, q, p):
+        # a budget of K reads the first K coranks of the budget-n read, row
+        # for row, for K at and next to each round's 2^j powers, where the
+        # last round builds one, all but one or all of the powers it doubles to
+        u, m = q
+        n = u + m
+        budgets = sorted({k for j in range(6) for k in (2**j - 1, 2**j, 2**j + 1) if 1 <= k <= n} | {n})
+        rows = two_part_rows(q, np.random.default_rng([p % 1000, u, m, 1]), p)
+        for lo in range(0, len(rows), commutator._CHUNK):
+            chunk = rows[lo : lo + commutator._CHUNK]
+            full = _two_part_coranks(chunk, u, u - m, p, n)
+            assert full.shape == (len(chunk), n) and (full[:, -1] == n).all()
+            for k in budgets:
+                assert _two_part_coranks(chunk, u, u - m, p, k).tolist() == full[:, :k].tolist()
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_settled_prefix_decides_the_type(self, n):
+        # the prefix is the full profile's up to the settle point: the first
+        # power whose corank rises by exactly one or reaches n; and no other
+        # type of size n shares it
+        profiles = {t: full_profile(t) for t in partitions_of(n)}
+        for t, full in profiles.items():
+            settle = next(s for s in range(1, n + 1) if full[s - 1] - ([0] + full)[s - 1] == 1 or full[s - 1] == n)
+            assert _settled_prefix(t) == tuple(full[:settle])
+            assert [o for o, other in profiles.items() if other[:settle] == full[:settle]] == [t]
+
+    @pytest.mark.parametrize("p", [2, 3, P, 2_147_483_659])
+    @pytest.mark.parametrize("q", [(5, 2), (8, 3), (13, 4)])
+    def test_constant_term_refused_before_any_power(self, q, p):
+        # J_q with b_0 = 1 is diag(J_u, I): its corank rises by one at s = 1,
+        # so a budget of 1 would read it as the one-block type (n); the slice
+        # certificate refuses it, and a_0 = 1 alike
+        u, m = q
+        n, (_, _, b0) = u + m, _two_part_offsets(u, u - m)
+        for const in (b0, 0):
+            row = np.array(CommutatorElement.jordan(q).coeffs)
+            row[const] = 1
+            assert reference_rank(assemble_blocks(q, row), p) == n - 1
+            rows = np.stack([np.array(CommutatorElement.jordan(q).coeffs), row])
+            assert _settled_prefix(Partition((n,))) == (1,)
+            with pytest.raises(ValueError, match="not nilpotent"):
+                _two_part_coranks(rows, u, u - m, p, 1)
+
+    def test_fixed_coefficient_refused_with_its_order(self):
+        # below t^r the second block of a row is no module map: refused as
+        # `CommutatorElement` refuses it
+        u, r = 8, 5
+        row = np.zeros(_layout((u, u - r)).width, dtype=np.int64)
+        row[_two_part_offsets(u, r)[0] - 1] = 1  # t^(r-1) of the block t^r g
+        with pytest.raises(ValueError, match=r"entry \(0,1\) needs order >= 5"):
+            CommutatorElement((u, u - r), row)
+        with pytest.raises(ValueError, match=r"entry \(0,1\) needs order >= 5"):
+            _two_part_coranks(row[None], u, r, P, 3)
 
 
 class TestDominatedByShape:

@@ -1,18 +1,20 @@
 import json
+import math
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from nilcommute import loci
+from nilcommute import commutator, loci
 from nilcommute.burge import check_cell, table
 from nilcommute.commutator import (
     CommutatorElement,
     _draw_free,
     _layout,
+    _settled_prefix,
+    _two_part_coranks,
     _two_part_offsets,
-    _two_part_types,
     dmap_oracle,
     sample_commutator,
 )
@@ -32,7 +34,7 @@ from nilcommute.loci import (
     survey,
     verify_cell,
 )
-from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, rank
+from nilcommute.modpoly import DEFAULT_PRIME, TruncPoly, _mulmod, rank
 from nilcommute.partitions import EMPTY, Partition
 from nilcommute.tropical import predicted_jordan_type
 from test_commutator import coords, det2, order, two_part
@@ -486,13 +488,38 @@ class TestVerifyCell:
         # on-locus then converse draws are one stream, read _CHUNK at a time
         seen = []
 
-        def counting_two_part_types(rows, u, r, p):
+        def counting_two_part_coranks(rows, u, r, p, powers):
             seen.append(len(rows))
-            return _two_part_types(rows, u, r, p)
+            return _two_part_coranks(rows, u, r, p, powers)
 
-        monkeypatch.setattr(loci, "_two_part_types", counting_two_part_types)
+        monkeypatch.setattr(loci, "_two_part_coranks", counting_two_part_coranks)
         assert verify_cell(8, 5, 2, 2, samples, seed=2) == reference_verify_cell(8, 5, 2, 2, samples, seed=2)
         assert seen == chunks
+
+    @pytest.mark.parametrize("q", [(8, 3), (12, 5), (13, 4)])
+    def test_rounds_follow_the_entry_settle_point(self, monkeypatch, q):
+        # each chunk is read up to the entry's settle point s* only: ceil(log2 s*)
+        # products, where the converse draws of type q would take ceil(log2 u);
+        # an on-locus miss, read again in full, would add rounds
+        u, m = q
+        rounds = []
+
+        def counting_coranks(rows, u, r, p, powers):
+            rounds.append(0)
+            return _two_part_coranks(rows, u, r, p, powers)
+
+        def counting_mulmod(a, b, p):
+            rounds[-1] += 1
+            return _mulmod(a, b, p)
+
+        monkeypatch.setattr(loci, "_two_part_coranks", counting_coranks)
+        monkeypatch.setattr(commutator, "_mulmod", counting_mulmod)
+        for k in range(1, u - m):
+            for l in range(1, m + 1):
+                rounds.clear()
+                settle = len(_settled_prefix(table(q)[k - 1][l - 1]))
+                assert verify_cell(u, u - m, k, l, 5, seed=3).passed  # chunks of 8 and 2
+                assert rounds == [math.ceil(math.log2(settle))] * 2
 
     @pytest.mark.parametrize("p", [3, P])
     def test_reads_rows_without_assembly(self, monkeypatch, p):
@@ -637,6 +664,15 @@ class TestIntersect:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             intersect_experiment(5, 3, [(2, 2)], 0)
+
+    def test_reads_each_cell_as_an_index(self):
+        # int() would read (1.7, 2) as the cell (1, 2) and sample it
+        with pytest.raises(TypeError):
+            intersect_experiment(5, 3, [(1.7, 2)], 4)
+        cells = [(1, 2), (2, 2)]
+        rep = intersect_experiment(5, 3, [(np.int64(k), np.int64(l)) for k, l in cells], 20, seed=8)
+        assert rep == intersect_experiment(5, 3, cells, 20, seed=8)
+        assert all(type(x) is int for cell in rep.cells for x in cell)
 
     def test_unsampled_reported(self):
         rep = intersect_experiment(9, 4, [(1, 5), (3, 5)], 5, seed=10)
