@@ -11,7 +11,8 @@ read upwards (`_add_blocks`).  Reading the word left to right, the ends of
 the 'b' runs are exactly the parts of the stable partition attached to the
 input, and for a stable shape the full preimage of that map is a box of
 partitions indexed by its key.  Each box is decoded once per shape and
-memoized; `box_partitions` and `table` copy it.
+memoized, and so is the grid of a two-part box; `box_partitions` copies the
+box into a new dict and `table` copies the grid row by row into new lists.
 """
 
 from __future__ import annotations
@@ -191,14 +192,20 @@ def box_partitions(q) -> dict[tuple[int, ...], Partition]:
     return dict(_box(tuple(q)))
 
 
+@lru_cache(maxsize=128)
+def _grid(q: Partition) -> tuple[tuple[Partition, ...], ...]:
+    """The table of a two-part stable shape as rows of tuples, once per shape."""
+    if len(q) != 2:
+        raise ValueError(f"table needs a two-part stable partition, got {tuple(q)}")
+    cells = dict(_box(q))
+    s1, s2 = key(q)
+    return tuple(tuple(cells[k, l] for l in range(1, s2 + 1)) for k in range(1, s1 + 1))
+
+
 def table(q) -> list[list[Partition]]:
     """The (r-1) x (u-r) grid of the box of a two-part stable shape.
 
-    Row k, column l (1-based) is the box cell (i_1, i_2) = (k, l).
+    Row k, column l (1-based) is the box cell (i_1, i_2) = (k, l).  The
+    grid is built once per shape; each call returns new lists.
     """
-    q = Partition(q)
-    if len(q) != 2:
-        raise ValueError(f"table needs a two-part stable partition, got {tuple(q)}")
-    cells = box_partitions(q)
-    s1, s2 = key(q)
-    return [[cells[k, l] for l in range(1, s2 + 1)] for k in range(1, s1 + 1)]
+    return [list(row) for row in _grid(Partition(q))]

@@ -21,15 +21,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .burge import BurgeWord, box_codes, box_partitions, decode, dmap, encode, table
-from .commutator import dmap_oracle
+from .commutator import _rng, dmap_oracle
 from .loci import intersect_experiment, survey, verify_cell
 from .modpoly import DEFAULT_PRIME, _check_modulus
 from .partitions import Partition, ar_notation, is_stable, key
-
-import numpy as np
 
 
 class UsageError(ValueError, argparse.ArgumentTypeError):
@@ -238,7 +236,7 @@ def cmd_oracle(args, cfg: RunConfig):
     p = _parse_partition(args.p)
     if p.size > cfg.size_bound:
         raise UsageError(f"|P|={p.size} exceeds --size-bound {cfg.size_bound}")
-    rng = np.random.default_rng([cfg.seed] + list(p))
+    rng = _rng([cfg.seed] + list(p))
     est = dmap_oracle(p, cfg.samples, rng, prime=cfg.prime, size_limit=cfg.size_bound)
     truth = dmap(p)
     agree = est == truth
@@ -309,8 +307,9 @@ def main(argv=None) -> int:
         cfg = _config(args)
         payload, lines, ok = args.func(args, cfg)
         if cfg.output == "json":
-            # reports nested in the payload are written through their to_dict
-            print(json.dumps({**payload, "config": asdict(cfg)}, default=lambda rep: rep.to_dict()))
+            # reports nested in the payload are written through their to_dict;
+            # the config's fields are plain values, so its own dict needs no copy
+            print(json.dumps({**payload, "config": vars(cfg)}, default=lambda rep: rep.to_dict()))
         else:
             print("\n".join(lines))
         return 0 if ok else 1

@@ -30,14 +30,19 @@ K, n, n) powers (`modpoly._mulmod`) and ranks every one in one
 A two-part shape is read by `_two_part_coranks` from the 2x2 minors of
 [Phi^s | D], on the rows' generator columns: it assembles nothing, proves
 nilpotency from the slice (a_0 = b_0 = 0) up front, and doubles its powers
-only up to a budget.  `intersect_experiment` reads whole profiles with a
+only up to a budget, into one array allocated for that budget.  What it
+reads of the shape alone (the coefficients off the slice, the depth
+weights, the float64 anti-diagonal sums, the block starts) is one read-only
+record per shape (`_two_part`).  `intersect_experiment` reads whole profiles with a
 budget of n (`_two_part_types`).  `verify_cell` only asks whether a row has
 its cell's table type, which the coranks up to that type's settle point
 decide (`_settled_prefix`), and reads an on-locus row in full only if it
 misses.  `jordan_types` is the test oracle of both.  All these paths end
 in the same corank profiles over and over, so each distinct profile, cut
 at its first n, is converted to a Jordan type once per process
-(`_profile_type`).
+(`_profile_type`).  Every harness seeds its generator through `_rng`,
+which is `np.random.default_rng` in the same state, minus numpy's
+item-by-item reading of a list of small seed integers.
 """
 
 from __future__ import annotations
@@ -97,6 +102,18 @@ def _chunks(samples: int):
     if samples < 1:
         raise ValueError("need at least one sample")
     return ((lo, min(lo + _CHUNK, samples)) for lo in range(0, samples, _CHUNK))
+
+
+def _rng(seed) -> np.random.Generator:
+    """`np.random.default_rng(seed)`, in the same state.  A list of Python
+    integers in [0, 2^32), as the harnesses pass, goes as a uint32 array:
+    numpy's seed sequence reads each such integer as that one 32-bit word,
+    and then skips converting the items one by one.  Any other seed goes to
+    `default_rng` as it is, so a float or negative seed raises exactly as
+    there."""
+    if isinstance(seed, list) and all(type(x) is int and 0 <= x < 2**32 for x in seed):
+        return np.random.default_rng(np.array(seed, dtype=np.uint32))
+    return np.random.default_rng(seed)
 
 
 class _Layout(NamedTuple):
@@ -256,13 +273,35 @@ def _profile_types(rows, n: int) -> list[Partition]:
     return [_profile_type(tuple(row[: row.index(n) + 1]), n) for row in rows]
 
 
-@lru_cache(maxsize=512)
-def _antidiagonal_sums(u: int, m: int) -> np.ndarray:
-    """The 0/1 matrix summing a flattened (u, m) array along its anti-diagonals."""
+class _TwoPart(NamedTuple):
+    """The numbers `_two_part_coranks` reads for the shape (u, u-r), built
+    once per shape: its layout record, `fixed`, the coefficients outside
+    `_Layout.free`, `depth`, the (n, 1) depth of each row of W in its block
+    (row i < u at i + 1, row u + j at j + 1), `sums`, the float64 0/1 matrix
+    summing a flattened (u, u-r) array along its anti-diagonals, and
+    `blocks`, the starts of the blocks t^r g, h and b."""
+
+    layout: _Layout
+    fixed: np.ndarray
+    depth: np.ndarray
+    sums: np.ndarray
+    blocks: tuple[int, int, int]
+
+
+@lru_cache(maxsize=512, typed=True)
+def _two_part(u: int, r: int) -> _TwoPart:
+    """The readout record of the shape (u, u-r).  The cache is typed, so
+    12.0 never reads the record of 12: `_layout` refuses it."""
+    layout, m = _layout((u, u - r)), u - r
+    fixed = np.ones(layout.width, dtype=bool)  # a mask: np.setdiff1d imports a numpy submodule
+    fixed[layout.free] = False
     degree = np.add.outer(np.arange(u), np.arange(m)).reshape(-1, 1)
-    sums = (degree == np.arange(u + m - 1)).astype(np.int64)
-    sums.flags.writeable = False
-    return sums
+    record = _TwoPart(layout, np.flatnonzero(fixed), (np.arange(u + m) % u + 1)[:, None],
+                      (degree == np.arange(u + m - 1)).astype(np.float64),
+                      tuple(layout.starts.ravel().tolist()[1:]))
+    for a in record[1:4]:
+        a.flags.writeable = False
+    return record
 
 
 @lru_cache(maxsize=1024)
@@ -300,7 +339,8 @@ def _two_part_coranks(rows, u: int, r: int, p: int, powers: int) -> np.ndarray:
     columns (`_Layout.cols`), and each doubling round assembles M^k from the
     last column pair of W (`_Layout.gather`) and makes one product, M^k W
     (`_mulmod`: one word product while it is small), of only the columns
-    that reach M^powers.  The rounds stop at M^powers or at the first power
+    that reach M^powers, written in place into W, which is allocated once
+    for the budget.  The rounds stop at M^powers or at the first power
     that is zero on every row, whose later coranks are all n.
 
     The slice certificate: phi mod t acts on M/tM, spanned by the two
@@ -326,40 +366,43 @@ def _two_part_coranks(rows, u: int, r: int, p: int, powers: int) -> np.ndarray:
 
     delta = ord(ab - t^r g h) comes from the blocks a | t^r g | h | b of
     the rows: the reduced outer products ab - (t^r g) h, summed along
-    anti-diagonals (`_antidiagonal_sums`), in float64 for p < 2^31 (exact:
+    anti-diagonals (`_TwoPart.sums`), in float64 for p < 2^31 (exact:
     every sum is below (u-r) p < 2^53) and on Python integers above.
     """
-    rows, layout, n = np.asarray(rows), _layout((u, u - r)), 2 * u - r
+    rows, rec, n = np.asarray(rows), _two_part(u, r), 2 * u - r
+    layout, (tg0, h0, b0) = rec.layout, rec.blocks
     if rows.ndim != 2 or rows.shape[1] != layout.width:
         raise ValueError(f"_two_part_coranks expects (S, {layout.width}) coefficient rows, got shape {rows.shape}")
     p = _check_modulus(p)
     rows = _as_field_matrix(rows, p)
-    _, tg0, h0, b0 = layout.starts.ravel().tolist()
-    if np.count_nonzero(rows) != np.count_nonzero(rows[:, layout.free]):  # the slice certificate
-        fixed = np.ones(layout.width, dtype=bool)  # a mask: np.setdiff1d imports a numpy submodule
-        fixed[layout.free] = False
-        coeff = np.flatnonzero(fixed & (rows != 0).any(axis=0))[0]
+    if np.count_nonzero(rows.take(rec.fixed, axis=1)):  # the slice certificate
+        coeff = rec.fixed[(rows[:, rec.fixed] != 0).any(axis=0)][0]
         raise ValueError("matrix is not nilpotent" if coeff in (0, b0) else _order_error((u, u - r), layout, coeff))
-    w = rows[:, layout.cols]
-    pair = np.zeros((len(w), layout.width + 1), w.dtype)  # the last column pair of W, then a zero
-    while w.shape[2] < 2 * powers and w[:, :, -2:].any():
-        pair[:, :-1] = w[:, :, -2:].reshape(len(w), -1)
-        needed = w[:, :, : 2 * powers - w.shape[2]]
-        w = np.concatenate([w, _mulmod(pair[:, layout.gather], needed, p)], axis=2)  # M^k from M^k E, times W
+    count = len(rows)
+    w = np.empty((count, n, 2 * powers), rows.dtype)
+    w[:, :, :2] = rows.take(layout.cols, axis=1)
+    k = 1  # powers in W
+    pair = np.zeros((count, layout.width + 1), rows.dtype)  # the last column pair of W, then a zero
+    while k < powers and np.count_nonzero(w[:, :, 2 * k - 2 : 2 * k]):
+        pair[:, :-1] = w[:, :, 2 * k - 2 : 2 * k].reshape(count, -1)
+        step = min(k, powers - k)
+        w[:, :, 2 * k : 2 * (k + step)] = _mulmod(pair.take(layout.gather, axis=1), w[:, :, : 2 * step], p)  # M^k W
+        k += step
     # W's row i < u holds t^(u-1-i) of row 1 and its row u + j holds
     # t^(u-r-1-j) of row 2: at depth i + 1 or j + 1 in its block, both
     # (u-r) + ord row_1 and u + ord row_2 are n minus the deepest nonzero
     # entry's depth, or n for a zero row
-    deepest = ((w != 0) * (np.arange(n) % u + 1)[:, None]).max(axis=1)
-    deepest = deepest.reshape(len(w), -1, 2).max(axis=2)  # per power s
+    deepest = ((w[:, :, : 2 * k] != 0) * rec.depth).max(axis=1)
+    deepest = deepest.reshape(count, k, 2).max(axis=2)  # per power s
     a, tg, h, b = rows[:, :tg0, None], rows[:, tg0:h0, None], rows[:, None, h0:b0], rows[:, None, b0:]
-    outer = _reduce(a * b - tg * h, p).reshape(len(w), -1)
-    det = outer.astype(np.float64 if outer.dtype != object else object) @ _antidiagonal_sums(u, u - r) % p != 0
+    outer = _reduce(a * b - tg * h, p).reshape(count, -1)
+    if outer.dtype == object:
+        det = outer @ rec.sums.astype(np.int64) % p != 0
+    else:
+        det = outer.astype(np.float64) @ rec.sums % p != 0
     delta = np.where(det.any(axis=1), det.argmax(axis=1), n)[:, None]
-    k = deepest.shape[1]  # powers read
-    coranks = np.minimum(np.arange(1, k + 1) * delta, n - deepest)
-    if k < powers:  # M^k = 0 on every row, so every later corank is n
-        coranks = np.concatenate([coranks, np.full((len(w), powers - k), n)], axis=1)
+    coranks = np.full((count, powers), n)  # M^k = 0 on every row, so every later corank is n
+    coranks[:, :k] = np.minimum(np.arange(1, k + 1) * delta, n - deepest)
     return coranks
 
 
@@ -449,7 +492,7 @@ def _two_part_offsets(u: int, r: int) -> tuple[int, int, int]:
 
     The layout's blocks are a | t^r g | h | b: a_0 is number 0, g_0 the t^r of the second.
     """
-    _, tg, h, b = _layout((u, u - r)).starts.ravel().tolist()
+    tg, h, b = _two_part(u, r).blocks
     return tg + r, h, b
 
 

@@ -16,7 +16,11 @@ form that its row checks, Jacobian and a, b, g, h view and the samplers read.
 Every harness draws the chunks of `commutator._chunks` as coefficient rows
 (`_plan_rows` on a locus, `commutator._draw_free` on the commutant), the
 same draws in the same order as one at a time, and reads and checks each chunk
-on its rows: `_two_part_types` reads the types from the rows themselves
+on its rows.  `_plan_rows` takes its draw bounds from a read-only array
+cached per (free count, prime) (`_draw_bounds`), and the index of its zero
+coordinates and its solve steps from fields that each plan builds once
+(`_SolvePlan._zero_index`, `_SolvePlan._solve_steps`).  Each harness reads
+its rows thus: `_two_part_types` reads the types from the rows themselves
 (`verify_cell` first reads each row only up to its cell entry's settle point,
 `_two_part_coranks`), and only `survey` assembles a stack, for `jordan_types`.
 """
@@ -39,6 +43,7 @@ from .commutator import (
     _draw_free,
     _generic_type,
     _layout,
+    _rng,
     _settled_prefix,
     _two_part_coranks,
     _two_part_offsets,
@@ -119,20 +124,22 @@ class EquationSet:
         return not any(c[i] for i in self._plan.zero) and not any(
             sum(sign * c[i] * c[j] for sign, i, j in terms) % p for terms in self._plan.steps)
 
-    def _jacobian_rank(self, c, p: int) -> int:
-        """Jacobian rank at the block coefficients `c` (reduced mod p): the
-        linear rows are unit vectors on free columns, so it is |linear| plus the
-        rank of the quadric block on the other free columns, ranked even if empty."""
+    def _jacobian_ranks(self, rows, p: int) -> list[int]:
+        """Jacobian ranks at (S, coefficients) rows (reduced mod p): the linear
+        rows are unit vectors on free columns, so each is |linear| plus the
+        rank of its quadric block on the other free columns.  The blocks of
+        all rows are scattered in one step, then ranked one 2-d block at a
+        time, even if empty."""
         shape, row, col, src, sign = self._jacobian_block
-        block = np.zeros(shape, dtype=np.int64)
-        block[row, col] = sign * np.asarray(c)[src] % p
-        return len(self._plan.zero) + rank(block, p)
+        blocks = np.zeros((len(rows), *shape), dtype=np.int64)
+        blocks[:, row, col] = sign * rows.take(src, axis=1) % p
+        return [len(self._plan.zero) + rank(block, p) for block in blocks]
 
     def jacobian_rank_at(self, e: CommutatorElement) -> int:
         shape = (self.u, self.u - self.r)
         if e.q != shape:
             raise ValueError(f"element of shape {tuple(e.q)} against equations on {shape}")
-        return self._jacobian_rank(e.coeffs, e.p)
+        return self._jacobian_ranks(np.asarray(e.coeffs)[None], e.p)[0]
 
 
 @lru_cache(maxsize=1024)
@@ -161,6 +168,18 @@ class _SolvePlan:
     steps: tuple[tuple[tuple[int, int, int], ...], ...]
     split: tuple[int, ...]
     reason: str = ""
+
+    @cached_property
+    def _zero_index(self) -> np.ndarray:
+        """`zero` as a read-only index array, for `_plan_rows`."""
+        index = np.array(self.zero, dtype=np.intp)
+        index.flags.writeable = False
+        return index
+
+    @cached_property
+    def _solve_steps(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+        """Each step as (the b its pivot term solves, the step's other terms)."""
+        return tuple((terms[0][2], terms[1:]) for terms in self.steps)
 
 
 def _solve_plan(u: int, r: int, cells: tuple[tuple[int, int], ...]) -> _SolvePlan:
@@ -201,6 +220,16 @@ def _solve_plan(u: int, r: int, cells: tuple[tuple[int, int], ...]) -> _SolvePla
     return _SolvePlan(u, r, zero, big_k, tuple(steps), split)
 
 
+@lru_cache(maxsize=256)
+def _draw_bounds(free: int, prime: int) -> np.ndarray:
+    """The exclusive bounds of one `_plan_rows` draw, read-only: p for each
+    of the `free` coordinates, then p - 1 for the pivot a_k, drawn less one."""
+    bounds = np.full(free + 1, prime, dtype=np.int64)
+    bounds[-1] = prime - 1
+    bounds.flags.writeable = False
+    return bounds
+
+
 def _plan_rows(plan: _SolvePlan, rng, prime: int, count: int, zero_gh: int | None = None) -> np.ndarray:
     """`count` points of the plan's locus as (count, coefficients) rows;
     zero_gh = 0 or 1 zeroes g_0 or h_0.  One draw takes each row's free
@@ -208,17 +237,17 @@ def _plan_rows(plan: _SolvePlan, rng, prime: int, count: int, zero_gh: int | Non
     solves each step for the b of its pivot term, in Python integers with
     one inverse of a_k."""
     prime, layout = _check_modulus(prime), _layout((plan.u, plan.u - plan.r))
-    draw = rng.integers([prime] * layout.free.size + [prime - 1], size=(count, layout.free.size + 1))
+    draw = rng.integers(_draw_bounds(layout.free.size, prime), size=(count, layout.free.size + 1))
     rows = np.zeros((count, layout.width), dtype=np.int64)
     rows[:, layout.free] = draw[:, :-1]
-    rows[:, list(plan.zero)] = 0
+    rows[:, plan._zero_index] = 0
     rows[:, plan.pivot] = 1 + draw[:, -1]
     if zero_gh is not None:
         rows[:, plan.split[zero_gh]] = 0
-    out, steps = rows.tolist(), [(terms[0][2], terms[1:]) for terms in plan.steps]
+    out = rows.tolist()
     for c in out:
         inv_ak = pow(c[plan.pivot], -1, prime)
-        for solved, rest in steps:
+        for solved, rest in plan._solve_steps:
             c[solved] = -sum(sign * c[i] * c[j] for sign, i, j in rest) % prime * inv_ak % prime
     return np.array(out, dtype=np.int64).reshape(rows.shape)
 
@@ -250,10 +279,14 @@ class _Report:
     derived: ClassVar[tuple[tuple[str, str], ...]] = ()
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key, prop in self.derived:
-            out[key] = getattr(self, prop)
-        return out
+        return {key: getattr(self, attr) for key, attr in _report_keys(type(self))}
+
+
+@lru_cache(maxsize=None)
+def _report_keys(cls) -> tuple[tuple[str, str], ...]:
+    """The (key, attribute) pairs of a report class, once per class: its
+    fields, then its `derived` keys."""
+    return tuple((f.name, f.name) for f in fields(cls)) + cls.derived
 
 
 @dataclass(frozen=True)
@@ -317,7 +350,7 @@ def verify_cell(
     eqs = equations(u, r, k, l)
     expected = table((u, u - r))[k - 1][l - 1]
     prefix = list(_settled_prefix(expected))
-    rng = np.random.default_rng([seed, u, r, k, l])
+    rng = _rng([seed, u, r, k, l])
     counts: Counter = Counter()
     jac_hits = converse_hits = 0
     converse_ok = True
@@ -330,7 +363,7 @@ def verify_cell(
         counts.update([expected] * (on - len(misses)))
         if misses:
             counts.update(_two_part_types(rows[misses], u, r, prime))
-        jac_hits += sum(eqs._jacobian_rank(c, prime) == eqs.codim for c in rows[:on])
+        jac_hits += eqs._jacobian_ranks(rows[:on], prime).count(eqs.codim)
         for c, h in zip(rows[on:].tolist(), hit[on:]):
             if h:
                 converse_hits += 1
@@ -393,7 +426,7 @@ def closure_contains(
     eqs = equations(u, r, k, l)
     plan = equations(u, r, k2, l2)._plan
     predicate = (k == k2 and l <= l2) or (k <= k2 and l <= l2 and k2 + l <= r)
-    rng = np.random.default_rng([seed, u, r, k, l, k2, l2])
+    rng = _rng([seed, u, r, k, l, k2, l2])
     chunks = (_plan_rows(plan, rng, prime, hi - lo) for lo, hi in _chunks(samples))
     montecarlo = all(eqs._holds(c, prime) for rows in chunks for c in rows.tolist())
     return ContainmentReport(q=Partition((u, u - r)), outer=(k, l), inner=(k2, l2),
@@ -459,7 +492,7 @@ def intersect_experiment(
     branch_defs = [("g0=0", 0), ("h0=0", 1)] if plan.split else [("", None)]
     branches = []
     for bidx, (label, zero_gh) in enumerate(branch_defs):
-        rng = np.random.default_rng([seed, u, r, bidx] + [x for c in cells for x in c])
+        rng = _rng([seed, u, r, bidx] + [x for c in cells for x in c])
         counts: Counter = Counter()
         for lo, hi in chunks:
             rows = _plan_rows(plan, rng, prime, hi - lo, zero_gh)
@@ -496,7 +529,7 @@ def survey(q, samples: int, *, seed: int = 0, prime: int = DEFAULT_PRIME) -> Sur
     outside it when its `dmap` is not q."""
     q = Partition(q)
     box_size = math.prod(key(q))
-    rng = np.random.default_rng([seed] + list(q))
+    rng = _rng([seed] + list(q))
     counts: Counter = Counter()
     for lo, hi in _chunks(samples):
         rows = _draw_free(q, rng, prime, hi - lo)

@@ -457,7 +457,9 @@ class TestBoxCache:
         cells.clear()
         assert box_partitions((5, 2))[(1, 1)] == (5, 2)
         grid = table((5, 2))
+        assert all(type(row) is list for row in grid) and table((5, 2)) is not grid
         grid[0][0] = Partition((1,))
+        grid[1].append(Partition((1,)))
         grid.append([])
         assert table((5, 2)) == [[(5, 2), (5, 1, 1)], [(4, 2, 1), (4, 1, 1, 1)]]
 
@@ -470,10 +472,12 @@ class TestBoxCache:
 
         monkeypatch.setattr(burge, "decode", counting_decode)
         burge._box.cache_clear()
+        burge._grid.cache_clear()
         first = table((13, 4))
-        assert table((13, 4)) == first
-        assert len(calls) == 8 * 4  # one decode per cell of the 8 x 4 box, for both calls
+        assert table((13, 4)) == first and box_partitions((13, 4))[3, 2] == first[2][1]
+        assert len(calls) == 8 * 4  # one decode per cell of the 8 x 4 box, for all three calls
         burge._box.cache_clear()
+        burge._grid.cache_clear()
 
     def test_unstable_shape_raises_every_call(self):
         for _ in range(2):

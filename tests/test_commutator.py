@@ -12,7 +12,9 @@ from nilcommute.commutator import (
     _draw_free,
     _generic_type,
     _layout,
+    _rng,
     _settled_prefix,
+    _two_part,
     _two_part_coranks,
     _two_part_offsets,
     _two_part_types,
@@ -657,6 +659,31 @@ class TestLayout:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
+    @pytest.mark.parametrize("q", TWO_PART_SHAPES)
+    def test_two_part_record(self, q):
+        # the readout record of (u, u-r): the coefficients off the slice, the
+        # depth of each row of W in its block and the anti-diagonal sums,
+        # each read-only, built once per shape
+        u, m = q
+        rec, layout = _two_part(u, u - m), _layout(q)
+        assert rec.layout is layout and _two_part(u, u - m) is rec
+        assert sorted(rec.fixed.tolist() + layout.free.tolist()) == list(range(layout.width))
+        assert rec.depth.ravel().tolist() == [*range(1, u + 1), *range(1, m + 1)]
+        assert rec.sums.dtype == np.float64
+        assert rec.sums.tolist() == [[float(i + j == d) for d in range(u + m - 1)] for i in range(u) for j in range(m)]
+        assert rec.blocks == tuple(layout.starts.ravel().tolist()[1:])
+        for a in (rec.fixed, rec.depth, rec.sums):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_two_part_record_refuses_float_parts(self):
+        # the cache is typed: 12.0 never reads the record of 12
+        _two_part(12, 7)
+        with pytest.raises(ValueError, match="needs integer parts"):
+            _two_part(12.0, 7)
+        with pytest.raises(ValueError, match="needs integer parts"):
+            _two_part_coranks(np.zeros((1, 34), dtype=np.int64), 12.0, 7, P, 2)
+
     def test_two_part_offsets(self):
         for u in range(3, 31):
             for r in range(2, u):
@@ -985,6 +1012,23 @@ class TestChunks:
         # before any chunk is read, so a harness refuses before it draws
         with pytest.raises(ValueError, match="need at least one sample"):
             _chunks(samples)
+
+
+class TestRng:
+    """`_rng` is `np.random.default_rng` for every seed."""
+
+    @pytest.mark.parametrize("x", [0, 2**32 - 1, 2**32, 2**64 + 5, True, np.int64(7)])
+    def test_same_state_as_default_rng(self, x):
+        for seed in ([x, 2], [2, x], (x,), x):
+            assert _rng(seed).bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        assert _rng([x, 2]).integers(P, size=5).tolist() == np.random.default_rng([x, 2]).integers(P, size=5).tolist()
+
+    @pytest.mark.parametrize("seed", [[1.5, 2], [-1, 2]])
+    def test_same_error_as_default_rng(self, seed):
+        with pytest.raises(Exception) as want:
+            np.random.default_rng(seed)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            _rng(seed)
 
 
 class TestDmapOracle:

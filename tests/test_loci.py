@@ -23,6 +23,7 @@ from nilcommute.loci import (
     CellReport,
     IntersectReport,
     Quadric,
+    _draw_bounds,
     _generic_type,
     _plan_rows,
     _solve_plan,
@@ -350,6 +351,19 @@ class TestPlanRows:
             assert _plan_rows(plan, stacked, p, 0, zero_gh).shape == (0, 4 * plan.u - 2 * plan.r)
             assert stacked.bit_generator.state == alone.bit_generator.state
 
+    def test_cached_draw_bounds_and_plan_fields(self):
+        # the draw bounds and the zero index are read-only, built once per
+        # (free count, prime) or plan, as the layout's arrays are
+        plan = equations(12, 7, 5, 4)._plan
+        free = _layout((12, 5)).free.size
+        bounds = _draw_bounds(free, P)
+        assert bounds.tolist() == [P] * free + [P - 1] and _draw_bounds(free, P) is bounds
+        assert plan._zero_index.tolist() == list(plan.zero) and plan._zero_index is plan._zero_index
+        assert plan._solve_steps == tuple((terms[0][2], terms[1:]) for terms in plan.steps)
+        for a in (bounds, plan._zero_index):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
     @pytest.mark.parametrize("p", [2, 3, P])
     def test_closure_montecarlo_matches_one_sample_draws(self, p):
         failures = set()
@@ -423,11 +437,14 @@ class TestJacobian:
                         for i in zero:
                             c[i] = 0
                         points.append(c)
+                    wants = []
                     for c in points:
                         e = CommutatorElement((u, u - r), c, p)
-                        want = reference_rank(reference_jacobian(eqs, e), p)
-                        assert eqs._jacobian_rank(c, p) == eqs.jacobian_rank_at(e) == want, (u, r, k, l, c)
-                        deficient += want < eqs.codim
+                        wants.append(reference_rank(reference_jacobian(eqs, e), p))
+                        assert eqs.jacobian_rank_at(e) == wants[-1], (u, r, k, l, c)
+                        deficient += wants[-1] < eqs.codim
+                    # the blocks of all points, scattered in one step
+                    assert eqs._jacobian_ranks(np.array(points, dtype=np.int64), p) == wants
         assert deficient > 0
 
     @pytest.mark.parametrize("p", [2, 3, 1_000_000_007, 2_147_483_659, 2**63 - 25])
