@@ -12,6 +12,16 @@ decimal: an optional '-' and digits 0-9 (`_decimal`).  Partitions are
 comma-separated decreasing integers; codes are whitespace-separated
 run-length tokens (a3 = aaa).  Defaults for the prime and seed come from
 NILCOMMUTE_PRIME and NILCOMMUTE_SEED.
+
+The grammar is one table, `_GLOBALS` then `_COMMANDS`: each flag or
+positional with its dest, converter, choices, default, help and whether it
+is required, and each command with its `cmd_*` function.  `build_parser`
+builds the argparse parser from it, and `_scan` reads the plain forms, exact
+`--flag value` pairs and positionals in their scope, in one pass over the
+same table into the namespace argparse would return.  Every other form, and
+`--help`, abbreviations, `=` forms, repeats and every error, goes to
+argparse, built on the first such call: it alone writes help, usage and
+error text, so exit codes and messages are argparse's.
 """
 
 from __future__ import annotations
@@ -21,7 +31,9 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .burge import BurgeWord, box_codes, box_partitions, decode, dmap, encode, table
 from .commutator import _rng, dmap_oracle
@@ -245,64 +257,176 @@ def cmd_oracle(args, cfg: RunConfig):
     return {"p": p, "oracle": est, "dmap": truth, "agree": agree}, lines, agree
 
 
+class _Arg(NamedTuple):
+    """One flag ("--q") or positional ("action") of the grammar: the namespace
+    attribute `dest` it sets, the converter of its token, its choices, its
+    default, whether a flag is required (a positional always is) and help."""
+
+    name: str
+    dest: str
+    convert: Callable[[str], object] = str
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    """One command: its word, its help line, its `cmd_*` function and its
+    own flags and positionals."""
+
+    name: str
+    help: str
+    func: Callable
+    args: tuple[_Arg, ...]
+
+
+# The CLI grammar, read by `build_parser` and by `_scan`: the global flags,
+# which go before the command word, then each command with its own flags
+# and positionals, which go after it
+_GLOBALS = (
+    _Arg("--prime", "prime", _decimal, help="field modulus (prime)"),
+    _Arg("--seed", "seed", _decimal, help="master RNG seed"),
+    _Arg("--size-bound", "size_bound", _decimal, default=12),
+    _Arg("--format", "format", choices=("text", "json"), default="text"),
+)
+_COMMANDS = (
+    _Command("burge", "encode / decode / dmap", cmd_burge, (
+        _Arg("action", "action", choices=("encode", "decode", "dmap")),
+        _Arg("--partition", "partition"),
+        _Arg("--code", "code"),
+    )),
+    _Command("box", "box of a stable partition", cmd_box, (
+        _Arg("--q", "q", required=True),
+    )),
+    _Command("table", "table of a two-part stable partition", cmd_table, (
+        _Arg("--q", "q", required=True),
+    )),
+    _Command("verify", "verify table cells by sampling", cmd_verify, (
+        _Arg("--q", "q", required=True),
+        _Arg("--cell", "cell"),
+        _Arg("--samples", "samples", _decimal, default=50),
+    )),
+    _Command("survey", "bucket sampled commutant Jordan types", cmd_survey, (
+        _Arg("--q", "q", required=True),
+        _Arg("--samples", "samples", _decimal, default=500),
+    )),
+    _Command("intersect", "sample intersections of cell loci", cmd_intersect, (
+        _Arg("--q", "q", required=True),
+        _Arg("--cells", "cells", required=True, help="e.g. 1,2+2,1"),
+        _Arg("--samples", "samples", _decimal, default=200),
+    )),
+    _Command("oracle", "Monte-Carlo dmap estimate vs the code", cmd_oracle, (
+        _Arg("--p", "p", required=True),
+        _Arg("--samples", "samples", _decimal, default=300),
+    )),
+)
+
+
+def _add_argument(parser: argparse.ArgumentParser, arg: _Arg) -> None:
+    if arg.name.startswith("-"):
+        parser.add_argument(arg.name, dest=arg.dest, type=arg.convert, choices=arg.choices,
+                            default=arg.default, required=arg.required, help=arg.help)
+    else:
+        parser.add_argument(arg.dest, type=arg.convert, choices=arg.choices, help=arg.help)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every `main` call."""
+    """The argument parser of the grammar, built on first use and shared by
+    every `main` call."""
     parser = argparse.ArgumentParser(
         prog="nilcommute",
         description="Jordan types of commuting nilpotent matrices at desk scale.",
     )
-    parser.add_argument("--prime", type=_decimal, default=None, help="field modulus (prime)")
-    parser.add_argument("--seed", type=_decimal, default=None, help="master RNG seed")
-    parser.add_argument("--size-bound", type=_decimal, default=12, dest="size_bound")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    for arg in _GLOBALS:
+        _add_argument(parser, arg)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_burge = sub.add_parser("burge", help="encode / decode / dmap")
-    p_burge.add_argument("action", choices=("encode", "decode", "dmap"))
-    p_burge.add_argument("--partition", default=None)
-    p_burge.add_argument("--code", default=None)
-    p_burge.set_defaults(func=cmd_burge)
-
-    p_box = sub.add_parser("box", help="box of a stable partition")
-    p_box.add_argument("--q", required=True)
-    p_box.set_defaults(func=cmd_box)
-
-    p_table = sub.add_parser("table", help="table of a two-part stable partition")
-    p_table.add_argument("--q", required=True)
-    p_table.set_defaults(func=cmd_table)
-
-    p_verify = sub.add_parser("verify", help="verify table cells by sampling")
-    p_verify.add_argument("--q", required=True)
-    p_verify.add_argument("--cell", default=None)
-    p_verify.add_argument("--samples", type=_decimal, default=50)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_survey = sub.add_parser("survey", help="bucket sampled commutant Jordan types")
-    p_survey.add_argument("--q", required=True)
-    p_survey.add_argument("--samples", type=_decimal, default=500)
-    p_survey.set_defaults(func=cmd_survey)
-
-    p_int = sub.add_parser("intersect", help="sample intersections of cell loci")
-    p_int.add_argument("--q", required=True)
-    p_int.add_argument("--cells", required=True, help="e.g. 1,2+2,1")
-    p_int.add_argument("--samples", type=_decimal, default=200)
-    p_int.set_defaults(func=cmd_intersect)
-
-    p_oracle = sub.add_parser("oracle", help="Monte-Carlo dmap estimate vs the code")
-    p_oracle.add_argument("--p", required=True)
-    p_oracle.add_argument("--samples", type=_decimal, default=300)
-    p_oracle.set_defaults(func=cmd_oracle)
-
+    for command in _COMMANDS:
+        sub_parser = sub.add_parser(command.name, help=command.help)
+        for arg in command.args:
+            _add_argument(sub_parser, arg)
+        sub_parser.set_defaults(func=command.func)
     return parser
 
 
+class _Scope(NamedTuple):
+    """One scope of the grammar as `_scan` reads it: its flags by token, its
+    positionals in order, the dests it must set, and the namespace before
+    any token is read."""
+
+    flags: dict[str, _Arg]
+    positionals: tuple[_Arg, ...]
+    required: frozenset[str]
+    defaults: dict[str, object]
+
+
+def _scope(args: tuple[_Arg, ...], **defaults) -> _Scope:
+    positionals = tuple(arg for arg in args if not arg.name.startswith("-"))
+    return _Scope(
+        {arg.name: arg for arg in args if arg.name.startswith("-")},
+        positionals,
+        frozenset(arg.dest for arg in args if arg.required or arg in positionals),
+        {**{arg.dest: arg.default for arg in args}, **defaults},
+    )
+
+
+_GLOBAL_SCOPE = _scope(_GLOBALS)
+_COMMAND_SCOPES = {c.name: _scope(c.args, command=c.name, func=c.func) for c in _COMMANDS}
+
+
+def _scan(argv) -> argparse.Namespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, read in one
+    pass over the grammar, or None where only argparse knows the answer.
+
+    It reads exact `--flag value` pairs and positionals, the global flags
+    before the command word and the command's own after it, through the same
+    converters and choices.  Any other form is None: an unknown or
+    abbreviated token, `--flag=value`, a repeated flag, a value starting
+    with '-', `--`, `-h`, a missing flag or positional, a converter that
+    raises or a value outside its choices."""
+    scope, values = _GLOBAL_SCOPE, dict(_GLOBAL_SCOPE.defaults)
+    positionals, seen = (), set()
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            # a flag with no value after it reads as one with value "-"
+            arg, value = scope.flags.get(token), next(tokens, "-")
+            if arg is None or arg.dest in seen or value.startswith("-"):
+                return None
+        elif scope is _GLOBAL_SCOPE:
+            scope = _COMMAND_SCOPES.get(token)
+            if scope is None:
+                return None
+            values.update(scope.defaults)
+            positionals = scope.positionals
+            continue
+        elif positionals:
+            arg, positionals, value = positionals[0], positionals[1:], token
+        else:
+            return None
+        try:
+            value = arg.convert(value)
+        except ValueError:
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[arg.dest] = value
+        seen.add(arg.dest)
+    if scope is _GLOBAL_SCOPE or not scope.required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _scan(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         cfg = _config(args)
         payload, lines, ok = args.func(args, cfg)

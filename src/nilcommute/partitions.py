@@ -155,9 +155,12 @@ def dominance_max(types: Iterable[Sequence[int]]) -> Partition:
     others; sampled types report that as "no generic type"
     (`commutator._generic_type`).
     """
-    distinct = {Partition(t) for t in types}
+    distinct = {t if isinstance(t, Partition) else Partition(t) for t in types}
     if not distinct:
         raise ValueError("empty collection has no dominance maximum")
+    if len(distinct) == 1:
+        # it dominates itself; a sampled cell mostly holds one type
+        return distinct.pop()
     for cand in distinct:
         if all(dominates(cand, other) for other in distinct):
             return cand

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcommute import cli, commutator
@@ -394,6 +396,142 @@ class TestExitCodes:
         assert err.strip().splitlines() == ["internal error: RuntimeError: formatting bug"]
 
 
+def refuse_argparse(monkeypatch):
+    """Fail any `main` call that would fall back to argparse."""
+    def refuse():
+        raise AssertionError("argv sent to argparse")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+
+
+def parse_or_exit(argv):
+    """`build_parser().parse_args(argv)`, or the exit code it leaves with,
+    with its output swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+# forms only argparse reads: abbreviations, `=` forms, negative values,
+# `--`, help, unknown words and stray dashes
+JUNK = ["--sam", "--s", "--pr", "--cel", "--samples=3", "--q=5,2", "-1", "--", "-h", "--help",
+        "frobnicate", "-", "--seed=1"]
+TEXTS = ["5,2", "8,5,2", "1,1", "1,2+2,1", "", "a a b b a", "verify", "x"]
+
+
+def tokens_of(arg):
+    """Values for one flag or positional of the grammar, a few of them bad."""
+    if arg.choices:
+        return st.sampled_from([*arg.choices, "xml"])
+    if arg.convert is cli._decimal:
+        return st.sampled_from(["0", "3", "12", "1_0"])
+    return st.sampled_from(TEXTS)
+
+
+@st.composite
+def grammar_argv(draw):
+    """Most of one command's form, from the grammar's own flags and values,
+    in any order: each flag or positional is dropped with chance 1/8, and a
+    global flag put after the command word with chance 1/16; then, each
+    with chance 1/4, a flag repeated and a junk token spliced in."""
+    command = draw(st.sampled_from(cli._COMMANDS))
+    before, after, pairs = [], [], []
+    for args in (cli._GLOBALS, command.args):
+        for arg in draw(st.permutations(args)):
+            place, value = draw(st.integers(0, 15)), draw(tokens_of(arg))
+            if place > 13:
+                continue
+            if not arg.name.startswith("-"):
+                after.append(value)
+                continue
+            pairs.append([arg.name, value])
+            (before if args is cli._GLOBALS and place < 13 else after).extend(pairs[-1])
+    argv = [*before, command.name, *after]
+    if pairs and draw(st.integers(0, 3)) == 3:
+        argv += draw(st.sampled_from(pairs))
+    if draw(st.integers(0, 3)) == 3:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    return argv
+
+
+class TestScan:
+    """`_scan` reads the plain argv forms in one pass over the grammar and
+    leaves every other form to argparse, which stays the oracle."""
+
+    BENCHMARK_FORMS = [
+        ("--format", "json", "--seed", "1", "--prime", "1000000007",
+         "verify", "--q", "12,5", "--cell", "3,2", "--samples", "2"),
+        ("--format", "json", "--seed", "1", "--prime", "1000000007",
+         "survey", "--q", "10,7,4,1", "--samples", "5"),
+    ]
+    PLAIN_FORMS = [
+        ("burge", "encode", "--partition", "5,4,3,3,3,2,2,1"),
+        ("--format", "json", "burge", "--code", "a a b b a", "decode"),
+        ("box", "--q", "8,5,2"),
+        ("--seed", "4", "table", "--q", "7,3"),
+        ("--seed", "3", "intersect", "--q", "7,3", "--cells", "1,2+2,2", "--samples", "10"),
+        ("--size-bound", "8", "oracle", "--p", "4,2,1", "--samples", "10"),
+    ]
+
+    @settings(max_examples=300)
+    @given(argv=grammar_argv() | st.lists(st.sampled_from(
+        [arg.name for arg in cli._GLOBALS] + [c.name for c in cli._COMMANDS] + TEXTS + JUNK), max_size=10))
+    def test_scan_is_none_or_what_argparse_parses(self, argv):
+        scanned = cli._scan(argv)
+        assert scanned is None or scanned == parse_or_exit(argv)
+
+    @pytest.mark.parametrize("argv", BENCHMARK_FORMS + PLAIN_FORMS)
+    def test_plain_forms_are_scanned(self, capsys, monkeypatch, argv):
+        scanned = cli._scan(list(argv))
+        assert scanned is not None and scanned == parse_or_exit(list(argv))
+        refuse_argparse(monkeypatch)
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("burge", "--partition", "5,2"),
+        ("burge", "encode", "dmap", "--partition", "5,2"),
+        ("intersect", "--q", "5,2"),
+        ("verify", "--q", "5,2", "--seed", "1"),
+        ("--q", "5,2", "verify"),
+        ("--format", "xml", "table", "--q", "5,2"),
+        ("--seed", "1_0", "table", "--q", "5,2"),
+        ("table", "--q"),
+        ("--seed", "1"),
+    ])
+    def test_forms_argparse_refuses_are_not_scanned(self, capsys, argv):
+        assert cli._scan(list(argv)) is None
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("usage: nilcommute")
+
+    def test_help_is_argparse(self, capsys):
+        for argv in (["--help"], ["verify", "--help"]):
+            assert cli._scan(argv) is None
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "" and out.startswith("usage: nilcommute")
+
+    @pytest.mark.parametrize("flag", [("--sam", "3"), ("--samples=3",)])
+    def test_abbreviated_and_equals_forms_run_as_before(self, capsys, flag):
+        argv = ["--seed", "5", "--format", "json", "verify", "--q", "5,2"]
+        assert cli._scan(argv + list(flag)) is None
+        assert run(capsys, *argv, *flag) == run(capsys, *argv, "--samples", "3")
+
+    def test_repeated_flag_keeps_its_last_value(self, capsys):
+        argv = ["--seed", "1", "--format", "json", "--seed", "2", "table", "--q", "5,2"]
+        assert cli._scan(argv) is None
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["config"]["seed"] == 2
+
+    def test_negative_value_keeps_its_message(self, capsys):
+        argv = ["--seed", "-1", "table", "--q", "5,2"]
+        assert cli._scan(argv) is None
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == ["error: --seed -1 is negative: seeds must be at least 0"]
+
+
 class TestEntryPoint:
     """`python -m nilcommute.cli`, which the `nilcommute` script runs, exits with main's code."""
 
@@ -401,6 +539,7 @@ class TestEntryPoint:
         (("burge", "dmap", "--partition", "4,2,1"), 0),
         (("--prime", "2", "verify", "--q", "5,2"), 1),
         (("box", "--q", "5,4"), 2),
+        (("--format", "json", "verify", "--q", "5,2", "--cell", "1,1", "--samples", "2"), 0),
     ])
     def test_module_exit_code(self, argv, expected):
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -408,6 +547,14 @@ class TestEntryPoint:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == expected, out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_sys_argv_goes_through_the_scan(self, capsys, monkeypatch):
+        # main() with no argv reads sys.argv[1:], as the script does
+        argv = ["--format", "json", "verify", "--q", "5,2", "--cell", "1,1", "--samples", "2"]
+        monkeypatch.setattr(sys, "argv", ["nilcommute", *argv])
+        refuse_argparse(monkeypatch)
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["passed"] == 1
 
 
 class TestGoldenPayloads:
@@ -485,4 +632,23 @@ class TestGoldenPayloads:
 
     @pytest.mark.parametrize("prime, name", sorted(TEXT_GOLDEN))
     def test_text_is_unchanged(self, capsys, prime, name):
+        assert self.digest(capsys, "text", prime, name) == self.TEXT_GOLDEN[prime, name]
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_every_form_is_scanned(self, name):
+        argv = ["--prime", "3", "--format", "json", "--seed", "3", *self.COMMANDS[name]]
+        scanned = cli._scan(argv)
+        assert scanned is not None and scanned == parse_or_exit(argv)
+
+    @pytest.fixture
+    def argparse_only(self, monkeypatch):
+        """Send every argv to the argparse fallback, which must print the same bytes."""
+        monkeypatch.setattr(cli, "_scan", lambda argv: None)
+
+    @pytest.mark.parametrize("prime, name", sorted(GOLDEN))
+    def test_payload_is_unchanged_through_argparse(self, capsys, argparse_only, prime, name):
+        assert self.digest(capsys, "json", prime, name) == self.GOLDEN[prime, name]
+
+    @pytest.mark.parametrize("prime, name", sorted(TEXT_GOLDEN))
+    def test_text_is_unchanged_through_argparse(self, capsys, argparse_only, prime, name):
         assert self.digest(capsys, "text", prime, name) == self.TEXT_GOLDEN[prime, name]

@@ -234,6 +234,34 @@ class TestDominance:
         with pytest.raises(ValueError):
             dominance_max([(4, 1, 1), (3, 3)])
 
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_dominance_max_matches_pairwise_search(self, data, n):
+        # one distinct type returns without a comparison; the result and the
+        # "no dominance maximum" message stay those of the pairwise search,
+        # on Partitions, tuples and lists alike
+        def reference(types):
+            distinct = {Partition(t) for t in types}
+            for cand in distinct:
+                if all(dominates(cand, other) for other in distinct):
+                    return cand
+            raise ValueError(f"no dominance maximum among {sorted(distinct, reverse=True)}")
+
+        shapes = list(partitions_of(n))
+        forms = st.sampled_from([Partition, tuple, list])
+        types = data.draw(st.lists(st.tuples(st.sampled_from(shapes), forms).map(lambda tf: tf[1](tf[0])),
+                                   min_size=1, max_size=6))
+        try:
+            expected = reference(types)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                dominance_max(types)
+            assert str(got.value) == str(exc)
+        else:
+            got = dominance_max(types)
+            assert got == expected and isinstance(got, Partition)
+        if len({tuple(t) for t in types}) == 1 and isinstance(types[0], Partition):
+            assert dominance_max(types) is types[0]
+
 
 class TestMinArCover:
     def test_worked_example(self):
