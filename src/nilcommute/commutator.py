@@ -69,10 +69,10 @@ _CHUNK = 8
 # `jordan_types` reads a chunk of one n x n matrix with n at most
 # `_POWER_RANKS_MAX_N`, or of two with n at most `_POWER_RANKS_PAIR_MAX_N`,
 # by `modpoly._power_ranks` on each matrix, every other chunk by doubling
-# its powers and one `modpoly._eliminate`.  Times per chunk, the least of nine timed passes
-# over six chunks, numpy 2.4 on a shared 2-vCPU x86-64 host, default prime,
-# of the whole readout of a chunk of S commutant samples of each shape,
-# doubled vs one `_power_ranks` per matrix:
+# its powers and one `modpoly._eliminate`.  Times per chunk, the least of
+# nine timed passes over six chunks, numpy 2.4 on a shared 2-vCPU x86-64
+# host, default prime, of the whole readout of a chunk of S commutant
+# samples of each shape, doubled vs one `_power_ranks` per matrix:
 #
 #   shape              n     S = 1               S = 2               S = 5
 #   (2,1)              3   11.1    6.0 us     13.2    11.4 us     19.2    27.2 us
@@ -248,7 +248,8 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     rows = []
     for lo in range(0, count, _CHUNK):
         chunk = m[lo : lo + _CHUNK]
-        if (len(chunk) == 1 and n <= _POWER_RANKS_MAX_N) or (len(chunk) == 2 and n <= _POWER_RANKS_PAIR_MAX_N):
+        if (len(chunk) == 1 and n <= _POWER_RANKS_MAX_N
+                or len(chunk) == 2 and n <= _POWER_RANKS_PAIR_MAX_N):
             rows.extend([n - r for r in _power_ranks(a, p)] for a in chunk)
             continue
         powers = chunk[:, None]
