@@ -419,8 +419,8 @@ def _scan(argv) -> argparse.Namespace | None:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    # one list, so the scan and the argparse fallback read the same tokens
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = _scan(argv)
     if args is None:
         try:

@@ -66,13 +66,12 @@ from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_
 # under tracemalloc, doubling included)
 _CHUNK = 8
 
-# `jordan_types` reads a chunk of one n x n matrix with n at most
-# `_POWER_RANKS_MAX_N`, or of two with n at most `_POWER_RANKS_PAIR_MAX_N`,
-# by `modpoly._power_ranks` on each matrix, every other chunk by doubling
-# its powers and one `modpoly._eliminate`.  Times per chunk, the least of
-# nine timed passes over six chunks, numpy 2.4 on a shared 2-vCPU x86-64
-# host, default prime, of the whole readout of a chunk of S commutant
-# samples of each shape, doubled vs one `_power_ranks` per matrix:
+# `jordan_types` reads a chunk of one n x n matrix with n at most this by
+# `modpoly._power_ranks`, every other chunk by doubling its powers and one
+# `modpoly._eliminate`.  Times per chunk, the least of nine timed passes
+# over six chunks, numpy 2.4 on a shared 2-vCPU x86-64 host, default prime,
+# of the whole readout of a chunk of S commutant samples of each shape,
+# doubled vs one `_power_ranks` per matrix:
 #
 #   shape              n     S = 1               S = 2               S = 5
 #   (2,1)              3   11.1    6.0 us     13.2    11.4 us     19.2    27.2 us
@@ -93,10 +92,8 @@ _CHUNK = 8
 # (4,3,2,1,1)) and ties at n = 18.  Past that it wins where one Jordan block
 # dominates, as in (22), and loses up to 1.2x where the first rank drop of
 # one comes late.  Two matrices win only up to about n = 12 and five lose
-# on most shapes, so a chunk of two with n at most `_POWER_RANKS_PAIR_MAX_N`
-# is read one matrix at a time too, and any larger chunk by the doubled stack
+# on most shapes, so a chunk of two or more takes the doubled stack
 _POWER_RANKS_MAX_N = 18
-_POWER_RANKS_PAIR_MAX_N = 12
 
 
 def _chunks(samples: int):
@@ -210,9 +207,8 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     of their powers; a matrix that is not nilpotent raises ValueError.
 
     The stack is reduced mod p once into a copy, read `_CHUNK` matrices
-    at a time.  A chunk of one matrix with n at most `_POWER_RANKS_MAX_N`,
-    or of two with n at most `_POWER_RANKS_PAIR_MAX_N`, is read one matrix
-    at a time by `_power_ranks`, which stops at the settle point below.  In
+    at a time.  A chunk of one matrix with n at most `_POWER_RANKS_MAX_N`
+    is read by `_power_ranks`, which stops at the settle point below.  In
     any other chunk, the powers M, ..., M^k times M^k give M^(k+1), ...,
     M^(2k), so the powers up to the first one that is zero on every matrix
     (at most n) take at most ceil(log2 n) products (`_mulmod`), and one
@@ -248,9 +244,8 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     rows = []
     for lo in range(0, count, _CHUNK):
         chunk = m[lo : lo + _CHUNK]
-        if (len(chunk) == 1 and n <= _POWER_RANKS_MAX_N
-                or len(chunk) == 2 and n <= _POWER_RANKS_PAIR_MAX_N):
-            rows.extend([n - r for r in _power_ranks(a, p)] for a in chunk)
+        if len(chunk) == 1 and n <= _POWER_RANKS_MAX_N:
+            rows.append([n - r for r in _power_ranks(chunk[0], p)])
             continue
         powers = chunk[:, None]
         while powers[:, -1].any():

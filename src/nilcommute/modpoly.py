@@ -110,9 +110,8 @@ _REDUCE_BY_DIVISION = 512
 # 15 x 15; a tall matrix does worse on the scalar loop, one row at a time,
 # and a wide one better.  It holds the Jacobian blocks of the cells of
 # (8,3), (12,5) and (13,4) (at most 4 x 20).  A power stack loses rows
-# fast, so the scalar loop wins on it well past the cap, but a one- or
-# two-sample stack is read by `_power_ranks` (`commutator._POWER_RANKS_MAX_N`
-# and `_POWER_RANKS_PAIR_MAX_N`), which
+# fast, so the scalar loop wins on it well past the cap, but a one-sample
+# stack is read by `_power_ranks` (`commutator._POWER_RANKS_MAX_N`), which
 # also builds only the powers it ranks, and the chunks of `survey` are far
 # past the cap either way
 _SCALAR_MAX_WORK = 3_072

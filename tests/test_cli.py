@@ -532,6 +532,19 @@ class TestScan:
         assert err.strip().splitlines() == ["error: --seed -1 is negative: seeds must be at least 0"]
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["verify", "--q", "5,2", "--sam", "3"],
+        ["--format", "json", "verify", "--q", "5,2", "--cell", "1,1", "--samples", "2"],
+    ])
+    def test_one_shot_iterator_reaches_both_paths(self, capsys, argv):
+        # the scan does not use up an iterator before the argparse fallback
+        expected = run(capsys, *argv)
+        code = main(iter(argv))
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == expected
+
+
 class TestEntryPoint:
     """`python -m nilcommute.cli`, which the `nilcommute` script runs, exits with main's code."""
 

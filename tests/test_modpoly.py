@@ -733,7 +733,7 @@ class TestScalarBound:
         # each of its S samples as one (S K, n, n) stack of S K matrices: the
         # cap holds 12 samples' powers at n = 4 and 6 powers, fewer than one
         # sample's, at n = 8; one more sample's powers take the stacked loop,
-        # as does a chunk of 3 J_8 (work 12,288)
+        # as does a chunk of 2 J_8 (work 8,192)
         from test_commutator import jordan_matrix
 
         loops = spy_loops(monkeypatch)
@@ -748,9 +748,9 @@ class TestScalarBound:
             assert loops[-1] == loop
         readouts = spy_readouts(monkeypatch)
         loops.clear()
-        assert jordan_types(np.stack([jordan_matrix((n,))] * 3)) == [(n,)] * 3
+        assert jordan_types(np.stack([jordan_matrix((n,))] * 2)) == [(n,)] * 2
         assert readouts == ["_eliminate"]
-        assert loops == ["_eliminate_scalar" if 3 * k * n**3 <= modpoly._SCALAR_MAX_WORK else "_eliminate_stacked"]
+        assert loops == ["_eliminate_scalar" if 2 * k * n**3 <= modpoly._SCALAR_MAX_WORK else "_eliminate_stacked"]
 
     def test_dense_full_rank_crossover(self, monkeypatch):
         # dense square matrices take the scalar loop up to 14 x 14 and the
@@ -763,43 +763,17 @@ class TestScalarBound:
             assert taken[-1] == loop
 
     def test_readout_switch(self, monkeypatch):
-        # one matrix up to its switch, or two up to theirs, take one
-        # `_power_ranks` each; one or two past it, or three of any size,
-        # take the doubled stack
+        # one matrix up to the switch takes `_power_ranks`; one past it, or
+        # two of any size, take the doubled stack
         from test_commutator import jordan_matrix
 
-        top, pair = commutator._POWER_RANKS_MAX_N, commutator._POWER_RANKS_PAIR_MAX_N
-        assert pair < top
+        top = commutator._POWER_RANKS_MAX_N
         taken = spy_readouts(monkeypatch)
-        for n, count, readouts in [(top, 1, ["_power_ranks"]), (top + 1, 1, ["_eliminate"]),
-                                   (1, 2, ["_power_ranks"] * 2), (pair, 2, ["_power_ranks"] * 2),
-                                   (pair + 1, 2, ["_eliminate"]), (1, 3, ["_eliminate"])]:
+        for n, count, readout in [(top, 1, "_power_ranks"), (top + 1, 1, "_eliminate"),
+                                  (1, 2, "_eliminate"), (top, 2, "_eliminate")]:
             taken.clear()
             assert jordan_types(np.stack([jordan_matrix((n,))] * count)) == [(n,)] * count
-            assert taken == readouts
-
-    @pytest.mark.parametrize("p", [3, P])
-    def test_pairs_read_alone_match_the_doubled_stack(self, monkeypatch, p):
-        # every stable shape with n up to the pair switch: a chunk of two
-        # commutant samples, one of them sparsified, reads the same types
-        # one matrix at a time as by the doubled stack
-        from nilcommute.partitions import is_stable
-
-        rng = np.random.default_rng(p)
-        shapes = [q for n in range(1, commutator._POWER_RANKS_PAIR_MAX_N + 1) for q in partitions_of(n)
-                  if is_stable(q)]
-        pairs = []
-        for q in shapes:
-            coeffs = _draw_free(q, rng, p, 2)
-            coeffs[1, rng.random(coeffs.shape[1]) > 0.5] = 0
-            pairs.append(assemble_blocks(q, coeffs))
-        taken = spy_readouts(monkeypatch)
-        alone = [jordan_types(pair, p) for pair in pairs]
-        assert set(taken) == {"_power_ranks"}
-        taken.clear()
-        monkeypatch.setattr(commutator, "_POWER_RANKS_PAIR_MAX_N", 0)
-        assert [jordan_types(pair, p) for pair in pairs] == alone
-        assert set(taken) == {"_eliminate"}
+            assert taken == [readout]
 
     def test_oracle_readouts_take_the_scalar_loop(self, monkeypatch):
         # every readout of the oracle up to its benchmarked size 8 is one
