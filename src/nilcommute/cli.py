@@ -287,38 +287,39 @@ class _Command(NamedTuple):
 _GLOBALS = (
     _Arg("--prime", "prime", _decimal, help="field modulus (prime)"),
     _Arg("--seed", "seed", _decimal, help="master RNG seed"),
-    _Arg("--size-bound", "size_bound", _decimal, default=12),
-    _Arg("--format", "format", choices=("text", "json"), default="text"),
+    _Arg("--size-bound", "size_bound", _decimal, default=12,
+         help="largest |P| that oracle samples (default %(default)s)"),
+    _Arg("--format", "format", choices=("text", "json"), default="text", help="output format (default %(default)s)"),
 )
 _COMMANDS = (
     _Command("burge", "encode / decode / dmap", cmd_burge, (
-        _Arg("action", "action", choices=("encode", "decode", "dmap")),
-        _Arg("--partition", "partition"),
-        _Arg("--code", "code"),
+        _Arg("action", "action", choices=("encode", "decode", "dmap"), help="what to compute"),
+        _Arg("--partition", "partition", help="partition to encode or map, e.g. 4,2,1"),
+        _Arg("--code", "code", help="code to decode, run-length tokens, e.g. 'a b a b2 a'"),
     )),
     _Command("box", "box of a stable partition", cmd_box, (
-        _Arg("--q", "q", required=True),
+        _Arg("--q", "q", required=True, help="stable partition, e.g. 8,5,2"),
     )),
     _Command("table", "table of a two-part stable partition", cmd_table, (
-        _Arg("--q", "q", required=True),
+        _Arg("--q", "q", required=True, help="stable two-part partition, e.g. 8,3"),
     )),
     _Command("verify", "verify table cells by sampling", cmd_verify, (
-        _Arg("--q", "q", required=True),
-        _Arg("--cell", "cell"),
-        _Arg("--samples", "samples", _decimal, default=50),
+        _Arg("--q", "q", required=True, help="stable two-part partition, e.g. 8,3"),
+        _Arg("--cell", "cell", help="one cell k,l (default every cell)"),
+        _Arg("--samples", "samples", _decimal, default=50, help="on-locus samples per cell (default %(default)s)"),
     )),
     _Command("survey", "bucket sampled commutant Jordan types", cmd_survey, (
-        _Arg("--q", "q", required=True),
-        _Arg("--samples", "samples", _decimal, default=500),
+        _Arg("--q", "q", required=True, help="stable partition, e.g. 8,5,2"),
+        _Arg("--samples", "samples", _decimal, default=500, help="commutant samples (default %(default)s)"),
     )),
     _Command("intersect", "sample intersections of cell loci", cmd_intersect, (
-        _Arg("--q", "q", required=True),
+        _Arg("--q", "q", required=True, help="stable two-part partition, e.g. 8,3"),
         _Arg("--cells", "cells", required=True, help="e.g. 1,2+2,1"),
-        _Arg("--samples", "samples", _decimal, default=200),
+        _Arg("--samples", "samples", _decimal, default=200, help="samples per branch (default %(default)s)"),
     )),
     _Command("oracle", "Monte-Carlo dmap estimate vs the code", cmd_oracle, (
-        _Arg("--p", "p", required=True),
-        _Arg("--samples", "samples", _decimal, default=300),
+        _Arg("--p", "p", required=True, help="partition to estimate dmap of, e.g. 4,2,1"),
+        _Arg("--samples", "samples", _decimal, default=300, help="commutant samples (default %(default)s)"),
     )),
 )
 

@@ -5,44 +5,14 @@ multiplication by a truncated polynomial followed by the natural
 projection, well defined exactly when its order is at least q_i - q_j.
 For a stable shape the nilpotent commutant is the linear slice where every
 diagonal entry has positive order.  An element is stored as its block
-coefficients, one row numbered by the shape's layout record (`_layout`).
-It is fixed by its images of the generators, whose columns permute the
-row (`_Layout.cols`), so a product is one element applied to the other's
-generator columns.  For a two-part shape (u, u-r) the coordinates a, g, h,
-b of the locus equations are the blocks of the row (`_two_part_offsets`).
-Assembling the blocks in bases ordered by decreasing t-power reproduces
-the familiar banded matrices, and ranks of powers of the assembled matrix
-recover the Jordan type.  Each chunk of `_chunks` is drawn as coefficient
-rows in one generator call (`_draw_free`, the same draws as one per sample).
-`jordan_types` reads a chunk assembled by `assemble_blocks` as one (S, n, n)
-stack, reduced mod p once, for `survey`, `jordan_type_of_matrix` (which
-`dmap_oracle` calls on each matrix of its chunk) and
-`CommutatorElement.jordan_type`.  A chunk of one small matrix, as every
-readout of `dmap_oracle` is, goes to `modpoly._power_ranks`, which builds
-its powers one at a time and ranks each on Python integers up to the first
-whose rank drops by one: a single Jordan block is left, so the later ranks
-follow, and a few squarings prove the matrix nilpotent.  A generic oracle
-sample has the stable type D(P), whose largest part q_1 exceeds the next
-by at least 2, so that drop comes by power q_2 + 1, before M^(q_1) = 0.
-Every other chunk, such as a chunk of `survey` samples, doubles its (S,
-K, n, n) powers (`modpoly._mulmod`) and ranks every one in one
-`modpoly._eliminate`.
-A two-part shape is read by `_two_part_coranks` from the 2x2 minors of
-[Phi^s | D], on the rows' generator columns: it assembles nothing, proves
-nilpotency from the slice (a_0 = b_0 = 0) up front, and doubles its powers
-only up to a budget, into one array allocated for that budget.  What it
-reads of the shape alone (the coefficients off the slice, the depth
-weights, the float64 anti-diagonal sums, the block starts) is one read-only
-record per shape (`_two_part`).  `intersect_experiment` reads whole profiles with a
-budget of n (`_two_part_types`).  `verify_cell` only asks whether a row has
-its cell's table type, which the coranks up to that type's settle point
-decide (`_settled_prefix`), and reads an on-locus row in full only if it
-misses.  `jordan_types` is the test oracle of both.  All these paths end
-in the same corank profiles over and over, so each distinct profile, cut
-at its first n, is converted to a Jordan type once per process
-(`_profile_type`).  Every harness seeds its generator through `_rng`,
-which is `np.random.default_rng` in the same state, minus numpy's
-item-by-item reading of a list of small seed integers.
+coefficients, one row numbered by the shape's layout record (`_layout`),
+which holds everything a reader takes from the shape alone.  Assembling the
+blocks in bases ordered by decreasing t-power reproduces the familiar
+banded matrices, and the coranks of the powers of an element give its
+Jordan type.  `jordan_types` reads them for any stack of matrices and is
+the test oracle of the two faster readouts: `_power_ranks` for one small
+matrix, and `_two_part_coranks` for rows of a two-part shape, read from
+its 2x2 minors without assembling an element.
 """
 
 from __future__ import annotations
@@ -54,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modpoly import DEFAULT_PRIME, _as_field_matrix, _as_integers, _check_modulus, _eliminate, _mulmod, _power_ranks, _reduce
+from .modpoly import DEFAULT_PRIME, _as_field_matrix, _as_integers, _check_modulus, _eliminate, _mulmod, _rank_scalar, _reduce
 from .modpoly import matmul
 from .modpoly import rank  # noqa: F401  (perfbench's tracer test asserts commutator.rank exists)
 from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_coranks
@@ -67,7 +37,7 @@ from .partitions import EMPTY, Partition, dominance_max, is_stable, jordan_from_
 _CHUNK = 8
 
 # `jordan_types` reads a chunk of one n x n matrix with n at most this by
-# `modpoly._power_ranks`, every other chunk by doubling its powers and one
+# `_power_ranks`, every other chunk by doubling its powers and one
 # `modpoly._eliminate`.  Times per chunk, the least of nine timed passes
 # over six chunks, numpy 2.4 on a shared 2-vCPU x86-64 host, default prime,
 # of the whole readout of a chunk of S commutant samples of each shape,
@@ -125,14 +95,18 @@ class _Layout(NamedTuple):
     `starts[i, j]` = l (q_1 + ... + q_(i-1)) + j q_i, and a row holds
     `width` = l n.  `take` maps each matrix cell to its coefficient, or to -1
     (a zero appended after the last) for a structural zero; `free` lists the
-    coefficients free in the nilpotent commutant, in draw order.  `cols`,
-    the (n, l) numbers of the last column of each block column, permutes the
-    row, as a block holds all its coefficients in its last column; `gather`
-    assembles an element, or any power, from its generator columns
-    flattened row by row, then a zero (-1)."""
+    coefficients free in the nilpotent commutant, in draw order, and `fixed`
+    the rest, in order: the slice is the rows that are zero at `fixed`.
+    `depth` is the (n, 1) depth of each matrix row in its block, 1 for its
+    top row.  `cols`, the (n, l) numbers of the last column of each block
+    column, permutes the row, as a block holds all its coefficients in its
+    last column; `gather` assembles an element, or any power, from its
+    generator columns flattened row by row, then a zero (-1)."""
 
     take: np.ndarray
     free: np.ndarray
+    fixed: np.ndarray
+    depth: np.ndarray
     starts: np.ndarray
     cols: np.ndarray
     gather: np.ndarray
@@ -159,7 +133,7 @@ def _build_layout(parts: tuple[int, ...]) -> _Layout:
     constant terms with i < j still meets the dense orbit.  For a stable
     shape this is the nilpotent commutant slice.
     """
-    n, offs = sum(parts), np.cumsum((0,) + parts)
+    n, offs, width = sum(parts), np.cumsum((0,) + parts), sum(parts) * len(parts)
     starts = len(parts) * offs[:-1, None] + np.diff(offs)[:, None] * np.arange(len(parts))
     take = np.full((n, n), -1, dtype=np.intp)
     free = []
@@ -171,9 +145,13 @@ def _build_layout(parts: tuple[int, ...]) -> _Layout:
             take[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = np.where(deg >= 0, starts[i, j] + deg, -1)
             lo = 1 if qi == qj and i >= j else max(0, qi - qj)
             free.extend(range(starts[i, j] + lo, starts[i, j] + qi))
+    fixed = np.ones(width, dtype=bool)  # a mask: np.setdiff1d imports a numpy submodule
+    fixed[free] = False
+    depth = np.arange(1, n + 1) - np.repeat(offs[:-1], parts)
     cols = take[:, offs[1:] - 1]
     gather = np.append(np.argsort(cols, axis=None), -1)[take]
-    layout = _Layout(take, np.array(free, dtype=np.intp), starts, cols, gather, n * len(parts))
+    layout = _Layout(take, np.array(free, dtype=np.intp), np.flatnonzero(fixed), depth[:, None], starts, cols,
+                     gather, width)
     for a in layout[:-1]:
         a.flags.writeable = False
     return layout
@@ -225,14 +203,6 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     and once d_s = 1 just one block has size at least s.  Only it adds to
     r = rank M^s, so its size is s + r, the ranks after M^s are r - 1, ...,
     0, and the nilpotency index of M, its largest block, is s + r.
-
-    The squaring certificate: `_power_ranks` stops at the first M^s whose
-    rank r is 0 or drops by one, at M^n at the latest, and accepts M only
-    if r = 0 or M^(2^j) = 0 for the least 2^j >= s + r.  That is exact both
-    ways.  If M is nilpotent, the lemma makes its index s + r <= 2^j, so
-    M^(2^j) = 0.  If M is not nilpotent, no power of M is zero, so it is
-    refused, even where its rank drops by one before its ranks stall, as
-    for diag(J_2, 1) at s = 1.
     """
     p = _check_modulus(p)
     m = _as_field_matrix(stack, p)
@@ -258,6 +228,45 @@ def jordan_types(stack, p: int = DEFAULT_PRIME) -> list[Partition]:
     return _profile_types(rows, n)
 
 
+def _power_ranks(m: np.ndarray, p: int) -> list[int]:
+    """The ranks of M, M^2, ... of the reduced n x n matrix `m` up to the
+    first that is 0, for a nilpotent M; any other M raises ValueError.
+
+    Each power is one `_mulmod` of the one before by M, ranked on Python
+    integers (`_rank_scalar`), up to the first power M^s whose rank r is 0
+    or drops by exactly one, at M^n at the latest; by the rank-drop lemma
+    (`jordan_types`) the later ranks are r - 1, ..., 0.  A generic
+    `dmap_oracle` sample has a stable type, whose largest part q_1 exceeds
+    the next by at least 2, so its drop comes by power q_2 + 1 < q_1.
+
+    The squaring certificate: M is accepted only if r = 0 or M^(2^j) = 0
+    for the least 2^j >= s + r, squared up from the largest power of two
+    built.  That is exact both ways.  If M is nilpotent, the lemma makes
+    its index s + r <= 2^j, so M^(2^j) = 0.  If M is not nilpotent, no
+    power of M is zero, so it is refused, even where its rank drops by one
+    before its ranks stall, as for diag(J_2, 1) at s = 1.
+    """
+    n = len(m)
+    powers, ranks, before = [m], [], n
+    while True:
+        r = _rank_scalar(powers[-1].tolist(), p)
+        ranks.append(r)
+        if r == 0 or before - r == 1 or len(powers) == n:
+            break
+        powers.append(_mulmod(powers[-1], m, p))
+        before = r
+    if r:
+        s = len(powers)
+        i = s.bit_length() - 1  # M^(2^i) is built, and 2^i <= s < s + r
+        square = powers[(1 << i) - 1]
+        for _ in range(i, (s + r - 1).bit_length()):
+            square = _mulmod(square, square, p)
+        if square.any():
+            raise ValueError("matrix is not nilpotent")
+        ranks += range(r - 1, -1, -1)
+    return ranks
+
+
 @lru_cache(maxsize=4096)
 def _profile_type(key: tuple[int, ...], n: int) -> Partition:
     """Jordan type of the corank row `key` of an n x n matrix, memoized
@@ -273,35 +282,14 @@ def _profile_types(rows, n: int) -> list[Partition]:
     return [_profile_type(tuple(row[: row.index(n) + 1]), n) for row in rows]
 
 
-class _TwoPart(NamedTuple):
-    """The numbers `_two_part_coranks` reads for the shape (u, u-r), built
-    once per shape: its layout record, `fixed`, the coefficients outside
-    `_Layout.free`, `depth`, the (n, 1) depth of each row of W in its block
-    (row i < u at i + 1, row u + j at j + 1), `sums`, the float64 0/1 matrix
-    summing a flattened (u, u-r) array along its anti-diagonals, and
-    `blocks`, the starts of the blocks t^r g, h and b."""
-
-    layout: _Layout
-    fixed: np.ndarray
-    depth: np.ndarray
-    sums: np.ndarray
-    blocks: tuple[int, int, int]
-
-
-@lru_cache(maxsize=512, typed=True)
-def _two_part(u: int, r: int) -> _TwoPart:
-    """The readout record of the shape (u, u-r).  The cache is typed, so
-    12.0 never reads the record of 12: `_layout` refuses it."""
-    layout, m = _layout((u, u - r)), u - r
-    fixed = np.ones(layout.width, dtype=bool)  # a mask: np.setdiff1d imports a numpy submodule
-    fixed[layout.free] = False
+@lru_cache(maxsize=512)
+def _antidiagonal_sums(u: int, m: int) -> np.ndarray:
+    """The read-only float64 0/1 matrix that sums a flattened (u, m) array
+    along its anti-diagonals, built once per (u, m)."""
     degree = np.add.outer(np.arange(u), np.arange(m)).reshape(-1, 1)
-    record = _TwoPart(layout, np.flatnonzero(fixed), (np.arange(u + m) % u + 1)[:, None],
-                      (degree == np.arange(u + m - 1)).astype(np.float64),
-                      tuple(layout.starts.ravel().tolist()[1:]))
-    for a in record[1:4]:
-        a.flags.writeable = False
-    return record
+    sums = (degree == np.arange(u + m - 1)).astype(np.float64)
+    sums.flags.writeable = False
+    return sums
 
 
 @lru_cache(maxsize=1024)
@@ -350,7 +338,7 @@ def _two_part_coranks(rows, u: int, r: int, p: int, powers: int) -> np.ndarray:
     into t^u M = 0, and if phi^s = 0 then so is its reduction.  So a row of
     the slice (nonzero only at `_Layout.free`, hence a_0 = b_0 = 0) is
     nilpotent, and a row with a_0 or b_0 nonzero is refused up front; a row
-    nonzero elsewhere off the slice is no module map and is refused too.
+    nonzero elsewhere at `_Layout.fixed` is no module map and is refused too.
     As a nilpotent n x n matrix has M^n = 0, a budget of n reads every
     row's whole profile, in the rounds that reach its chunk's largest
     nilpotency index.
@@ -366,17 +354,18 @@ def _two_part_coranks(rows, u: int, r: int, p: int, powers: int) -> np.ndarray:
 
     delta = ord(ab - t^r g h) comes from the blocks a | t^r g | h | b of
     the rows: the reduced outer products ab - (t^r g) h, summed along
-    anti-diagonals (`_TwoPart.sums`), in float64 for p < 2^31 (exact:
+    anti-diagonals (`_antidiagonal_sums`), in float64 for p < 2^31 (exact:
     every sum is below (u-r) p < 2^53) and on Python integers above.
     """
-    rows, rec, n = np.asarray(rows), _two_part(u, r), 2 * u - r
-    layout, (tg0, h0, b0) = rec.layout, rec.blocks
+    rows, layout, n = np.asarray(rows), _layout((u, u - r)), 2 * u - r
     if rows.ndim != 2 or rows.shape[1] != layout.width:
         raise ValueError(f"_two_part_coranks expects (S, {layout.width}) coefficient rows, got shape {rows.shape}")
     p = _check_modulus(p)
     rows = _as_field_matrix(rows, p)
-    if np.count_nonzero(rows.take(rec.fixed, axis=1)):  # the slice certificate
-        coeff = rec.fixed[(rows[:, rec.fixed] != 0).any(axis=0)][0]
+    _, tg0, h0, b0 = layout.starts.ravel().tolist()
+    off_slice = rows.take(layout.fixed, axis=1)
+    if np.count_nonzero(off_slice):  # the slice certificate
+        coeff = layout.fixed[(off_slice != 0).any(axis=0)][0]
         raise ValueError("matrix is not nilpotent" if coeff in (0, b0) else _order_error((u, u - r), layout, coeff))
     count = len(rows)
     w = np.empty((count, n, 2 * powers), rows.dtype)
@@ -392,14 +381,15 @@ def _two_part_coranks(rows, u: int, r: int, p: int, powers: int) -> np.ndarray:
     # t^(u-r-1-j) of row 2: at depth i + 1 or j + 1 in its block, both
     # (u-r) + ord row_1 and u + ord row_2 are n minus the deepest nonzero
     # entry's depth, or n for a zero row
-    deepest = ((w[:, :, : 2 * k] != 0) * rec.depth).max(axis=1)
+    deepest = ((w[:, :, : 2 * k] != 0) * layout.depth).max(axis=1)
     deepest = deepest.reshape(count, k, 2).max(axis=2)  # per power s
     a, tg, h, b = rows[:, :tg0, None], rows[:, tg0:h0, None], rows[:, None, h0:b0], rows[:, None, b0:]
     outer = _reduce(a * b - tg * h, p).reshape(count, -1)
+    sums = _antidiagonal_sums(u, u - r)
     if outer.dtype == object:
-        det = outer @ rec.sums.astype(np.int64) % p != 0
+        det = outer @ sums.astype(np.int64) % p != 0
     else:
-        det = outer.astype(np.float64) @ rec.sums % p != 0
+        det = outer.astype(np.float64) @ sums % p != 0
     delta = np.where(det.any(axis=1), det.argmax(axis=1), n)[:, None]
     coranks = np.full((count, powers), n)  # M^k = 0 on every row, so every later corank is n
     coranks[:, :k] = np.minimum(np.arange(1, k + 1) * delta, n - deepest)
@@ -440,9 +430,9 @@ class CommutatorElement:
         object.__setattr__(self, "coeffs", c)
         if len(c) != layout.width:
             raise ValueError(f"shape {tuple(q)} has {layout.width} block coefficients, got {len(c)}")
-        fixed = {i for i, x in enumerate(c) if x}.difference(layout.free.tolist())
-        if fixed:
-            raise ValueError(_order_error(q, layout, min(fixed)))
+        off_slice = [i for i in layout.fixed.tolist() if c[i]]
+        if off_slice:
+            raise ValueError(_order_error(q, layout, off_slice[0]))
 
     @classmethod
     def jordan(cls, q, p: int = DEFAULT_PRIME) -> "CommutatorElement":
@@ -477,7 +467,7 @@ def _order_error(parts, layout: _Layout, coeff: int) -> str:
     i, j = divmod(int(np.searchsorted(layout.starts.ravel(), coeff, side="right")) - 1, len(parts))
     start = layout.starts[i, j]
     # the fixed coefficients of a block are its lowest degrees
-    need = parts[i] - np.count_nonzero((start <= layout.free) & (layout.free < start + parts[i]))
+    need = np.count_nonzero((start <= layout.fixed) & (layout.fixed < start + parts[i]))
     return f"entry ({i},{j}) needs order >= {need}"
 
 
@@ -492,7 +482,7 @@ def _two_part_offsets(u: int, r: int) -> tuple[int, int, int]:
 
     The layout's blocks are a | t^r g | h | b: a_0 is number 0, g_0 the t^r of the second.
     """
-    tg, h, b = _two_part(u, r).blocks
+    _, tg, h, b = _layout((u, u - r)).starts.ravel().tolist()
     return tg + r, h, b
 
 

@@ -1,34 +1,13 @@
-"""Exact arithmetic over a large prime field.
+"""Exact arithmetic over a prime field GF(p).
 
-Scalars live in GF(p); matrices are numpy int64 arrays reduced mod p
-(object arrays of Python integers for p >= 2^31).  No package code builds
-a `TruncPoly`: it stays only for the benchmark's construction count.  Exact
-ranks come from `_eliminate`, an inverse-free elimination of an (S, rows,
-cols) stack with two loops of the same steps: a scalar loop on Python
-integers, one matrix at a time (`_rank_scalar`), while the stack's
-worst-case work S rows cols min(rows, cols) is at most `_SCALAR_MAX_WORK`,
-and a loop over the whole stack at once in numpy (`_eliminate_stacked`)
-above it.  It serves the sparse rectangular Jacobians of the locus
-equations, through its one-matrix case `rank`, and the Jordan-type
-readout of a chunk of matrices, which hands it their doubled powers M,
-..., M^K as one stack.  A readout of one small matrix takes
-`_power_ranks` instead: it builds the powers one at a time and ranks each
-on the scalar loop, up to the first whose rank is 0 or drops by exactly
-one, when a single Jordan block is left and every later rank is one less
-than the one before, and it proves the matrix nilpotent by squaring.  The
-readouts' products come from `_mulmod`: one machine-word product while
-its sums stay exact (int64 while n (p-1)^2 < 2^63 for inner dimension n,
-uint64 while below 2^64) and it makes at most `_PRODUCT_MAX_WORK`
-multiply-adds, float64 BLAS products of exact limbs otherwise, and Python
-integers past n = 2^21 or for p >= 2^31.  That is delayed reduction:
-accumulate in machine words up to the exactness bound, then reduce once.
-The kernels take already-reduced arrays, so a readout reduces its input
-once; `rank` and `matmul` are their public forms, which check p and
-refuse non-integer entries (`_as_integers`) before they reduce a copy,
-and reduce Python integers and uint64 entries before a cast to int64
-could overflow or wrap them (`_as_field_matrix`).  The int64 path rests
-on the bounds stated at `_INT64_SAFE`.  The default prime is large enough
-that random cancellations never disturb desk-scale Monte-Carlo runs.
+Matrices are numpy int64 arrays reduced mod p, or object arrays of Python
+integers for p >= 2^31 (`_INT64_SAFE`).  `_eliminate` ranks an (S, rows,
+cols) stack without modular inverses, and `_mulmod` multiplies by delayed
+reduction: sums in machine words up to their exactness bound, then one
+reduction.  Both kernels take already-reduced arrays; `rank` and `matmul`
+are their public forms, which check p and reduce a copy of their integer
+input (`_as_field_matrix`).  No package code builds a `TruncPoly`: it stays
+only for the benchmark's construction count.
 """
 
 from __future__ import annotations
@@ -84,36 +63,33 @@ _REDUCE_BY_DIVISION = 512
 # stacked loop (its copy of the input excluded) vs the scalar loop (its
 # `tolist` included), on dense full-rank matrices, the widest Jacobian
 # block and the doubled powers M, ..., M^K of chunks of commutant samples,
-# flattened to S K matrices; "readout" is `_power_ranks` on each sample of
-# the chunk, which builds its own powers (its products included):
+# flattened to S K matrices:
 #
-#   stack                     S, rows, cols      work   stacked   scalar  readout
-#   dense, full rank             1,  4, 20         320      27.0     10.3        -
-#   dense, full rank             1, 12, 12       1,728      81.5     60.7        -
-#   dense, full rank             1, 13, 13       2,197      88.5     76.0        -
-#   dense, full rank             1, 12, 16       2,304      82.6     76.8        -
-#   dense, full rank             1, 16, 12       2,304      82.1     97.8        -
-#   dense, full rank             1, 14, 14       2,744      96.7     92.1        -
-#   dense, full rank             1, 15, 15       3,375       104      112        -
-#   dense, full rank             1, 16, 16       4,096       112      132        -
-#   dense, full rank             1, 20, 20       8,000       146      250        -
-#   (2,1), 1 sample              3,  3,  3          81      17.2      2.7      5.7 us
-#   (5,3), 1 sample              8,  8,  8       4,096      49.5     16.0     21.7
-#   (8), 1 sample                8,  8,  8       4,096      60.8     13.4      9.3
-#   (4,3,2,1), 1 sample          8, 10, 10       8,000      69.3     39.6     45.3
-#   (12,5), 1 sample            16, 17, 17      78,608       170      102      102
-#   (22), 1 sample              22, 22, 22     234,256       388      189     60.2
-#   (8,5,2), 5 samples          40, 15, 15     135,000       189      339      438
-#   (10,7,4,1), 5 samples       80, 22, 22     851,840       571    1,381    1,463
+#   stack                     S, rows, cols      work   stacked   scalar
+#   dense, full rank             1,  4, 20         320      27.0     10.3 us
+#   dense, full rank             1, 12, 12       1,728      81.5     60.7
+#   dense, full rank             1, 13, 13       2,197      88.5     76.0
+#   dense, full rank             1, 12, 16       2,304      82.6     76.8
+#   dense, full rank             1, 16, 12       2,304      82.1     97.8
+#   dense, full rank             1, 14, 14       2,744      96.7     92.1
+#   dense, full rank             1, 15, 15       3,375       104      112
+#   dense, full rank             1, 16, 16       4,096       112      132
+#   dense, full rank             1, 20, 20       8,000       146      250
+#   (2,1), 1 sample              3,  3,  3          81      17.2      2.7
+#   (5,3), 1 sample              8,  8,  8       4,096      49.5     16.0
+#   (8), 1 sample                8,  8,  8       4,096      60.8     13.4
+#   (4,3,2,1), 1 sample          8, 10, 10       8,000      69.3     39.6
+#   (12,5), 1 sample            16, 17, 17      78,608       170      102
+#   (22), 1 sample              22, 22, 22     234,256       388      189
+#   (8,5,2), 5 samples          40, 15, 15     135,000       189      339
+#   (10,7,4,1), 5 samples       80, 22, 22     851,840       571    1,381
 #
 # The cap sits where dense square matrices cross over, between 14 x 14 and
 # 15 x 15; a tall matrix does worse on the scalar loop, one row at a time,
 # and a wide one better.  It holds the Jacobian blocks of the cells of
 # (8,3), (12,5) and (13,4) (at most 4 x 20).  A power stack loses rows
-# fast, so the scalar loop wins on it well past the cap, but a one-sample
-# stack is read by `_power_ranks` (`commutator._POWER_RANKS_MAX_N`), which
-# also builds only the powers it ranks, and the chunks of `survey` are far
-# past the cap either way
+# fast, so the scalar loop wins on it well past the cap, and the chunks of
+# `survey` are far past the cap either way
 _SCALAR_MAX_WORK = 3_072
 
 
@@ -249,44 +225,6 @@ def _eliminate_scalar(a: np.ndarray, p: int) -> np.ndarray:
     """The steps of `_eliminate`, one matrix at a time on Python integers
     (`_rank_scalar`): exact for every p, and `a` is left as it is."""
     return np.array([_rank_scalar(m, p) for m in a.tolist()], dtype=np.intp)
-
-
-def _power_ranks(m: np.ndarray, p: int) -> list[int]:
-    """The ranks of M, M^2, ... of the reduced n x n matrix `m` up to the
-    first that is 0, for a nilpotent M; any other M raises ValueError.
-
-    Each power is one `_mulmod` of the one before by M and is ranked on
-    Python integers (`_rank_scalar`), up to the first power M^s whose rank
-    r is 0 or drops by exactly one from the power before (rank M^0 = n).
-    For a nilpotent M the rest is then r - 1, ..., 0, by the rank-drop
-    lemma (`commutator.jordan_types`): once the drop is one, a single
-    Jordan block of size s or more is left, of size s + r, which is the
-    nilpotency index.
-    A squaring certificate proves that M is nilpotent: M^(2^j) for the
-    least 2^j >= s + r, squared up from the largest power of two built,
-    must be zero.  If M is nilpotent it is, as s + r is the index; if not,
-    no power of M is zero.  The ranks stop at s = n at the latest, where a
-    nilpotent M has rank 0, so a rank above 0 there is refused too.
-    """
-    n = len(m)
-    powers, ranks, before = [m], [], n
-    while True:
-        r = _rank_scalar(powers[-1].tolist(), p)
-        ranks.append(r)
-        if r == 0 or before - r == 1 or len(powers) == n:
-            break
-        powers.append(_mulmod(powers[-1], m, p))
-        before = r
-    if r:
-        s = len(powers)
-        i = s.bit_length() - 1  # M^(2^i) is built, and 2^i <= s < s + r
-        square = powers[(1 << i) - 1]
-        for _ in range(i, (s + r - 1).bit_length()):
-            square = _mulmod(square, square, p)
-        if square.any():
-            raise ValueError("matrix is not nilpotent")
-        ranks += range(r - 1, -1, -1)
-    return ranks
 
 
 def _rank_scalar(m: list[list[int]], p: int) -> int:

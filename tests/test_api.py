@@ -209,3 +209,30 @@ def _unused_imports(path: Path) -> list[str]:
 def test_every_import_is_read():
     # no linter runs here, so an import stranded by a removal is caught here
     assert [name for path in _src() for name in _unused_imports(path)] == []
+
+
+LAYERS = ["partitions", "burge", "modpoly", "commutator", "tropical", "loci", "cli"]
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that a module imports, at module level or inside a
+    function, relatively or as `nilcommute.<module>`."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("nilcommute")):
+            module = (node.module or "").removeprefix("nilcommute").lstrip(".")
+            out.update([module.split(".")[0]] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("nilcommute."))
+    return out
+
+
+def test_modules_import_only_lower_layers():
+    # each module imports only from the layers listed before it, so no
+    # import cycle can form and a fact lives below everything that reads it
+    assert [path.stem for path in _src()] == sorted(LAYERS)
+    upward = [(path.stem, name) for path in _src() for name in sorted(_package_imports(path))
+              if name not in LAYERS[: LAYERS.index(path.stem)]]
+    assert upward == []
+    assert _package_imports(ROOT / "src" / "nilcommute" / "loci.py") == {"burge", "commutator", "modpoly",
+                                                                        "partitions", "tropical"}

@@ -339,6 +339,19 @@ def test_parser_is_shared_and_formats_do_not_leak(capsys):
     assert code == 0 and out.splitlines()[0] == "table of [5,2]: 2 rows x 2 columns"
 
 
+def test_every_flag_and_positional_has_help(capsys, monkeypatch):
+    # the grammar gives each flag and positional a description, and each
+    # help page shows every one of its own, unwrapped on a wide terminal
+    monkeypatch.setenv("COLUMNS", "200")
+    args = [*cli._GLOBALS, *(arg for command in cli._COMMANDS for arg in command.args)]
+    assert [arg.name for arg in args if not (arg.help or "").strip()] == []
+    for argv, own in [((), cli._GLOBALS), *(((c.name,), c.args) for c in cli._COMMANDS)]:
+        code, out, _ = run(capsys, *argv, "--help")
+        assert code == 0
+        for arg in own:
+            assert arg.help % {"default": arg.default} in out
+
+
 class TestParsers:
     # arbitrary text either parses or is a usage error (exit 2), never anything else
     @pytest.mark.parametrize("parse", [cli._parse_partition, cli._parse_cell, cli._parse_cells])

@@ -8,13 +8,13 @@ import pytest
 from nilcommute import commutator
 from nilcommute.commutator import (
     CommutatorElement,
+    _antidiagonal_sums,
     _chunks,
     _draw_free,
     _generic_type,
     _layout,
     _rng,
     _settled_prefix,
-    _two_part,
     _two_part_coranks,
     _two_part_offsets,
     _two_part_types,
@@ -587,6 +587,27 @@ class TestTwoPartCoranks:
         with pytest.raises(ValueError, match=r"entry \(0,1\) needs order >= 5"):
             _two_part_coranks(row[None], u, r, P, 3)
 
+    @pytest.mark.parametrize("q", [q for q in TWO_PART_SHAPES if is_stable(q)])
+    def test_slice_parity(self, q):
+        # a row nonzero at one coefficient off the slice, alone or on top of
+        # J_q, is refused by the element and by the readout with one message,
+        # but for a_0 and b_0, where the readout's slice certificate speaks
+        u, m = q
+        r = u - m
+        g0, _, b0 = _two_part_offsets(u, r)
+        expect = {0: "entry (0,0) needs order >= 1", b0: "entry (1,1) needs order >= 1"}
+        expect.update({c: f"entry (0,1) needs order >= {r}" for c in range(g0 - r, g0)})
+        assert sorted(expect) == _layout(q).fixed.tolist()
+        jordan = np.array(CommutatorElement.jordan(q).coeffs)
+        for coeff, message in expect.items():
+            readout = "matrix is not nilpotent" if coeff in (0, b0) else message
+            for row in (0 * jordan, jordan.copy()):
+                row[coeff] = 2
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    CommutatorElement(q, row)
+                with pytest.raises(ValueError, match=f"^{re.escape(readout)}$"):
+                    _two_part_coranks(row[None], u, r, P, 1)
+
 
 class TestDominatedByShape:
     """Every type read from rows of the stable shape Q = (u, u-r) is
@@ -659,28 +680,37 @@ class TestLayout:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
-    @pytest.mark.parametrize("q", TWO_PART_SHAPES)
-    def test_two_part_record(self, q):
-        # the readout record of (u, u-r): the coefficients off the slice, the
-        # depth of each row of W in its block and the anti-diagonal sums,
-        # each read-only, built once per shape
-        u, m = q
-        rec, layout = _two_part(u, u - m), _layout(q)
-        assert rec.layout is layout and _two_part(u, u - m) is rec
-        assert sorted(rec.fixed.tolist() + layout.free.tolist()) == list(range(layout.width))
-        assert rec.depth.ravel().tolist() == [*range(1, u + 1), *range(1, m + 1)]
-        assert rec.sums.dtype == np.float64
-        assert rec.sums.tolist() == [[float(i + j == d) for d in range(u + m - 1)] for i in range(u) for j in range(m)]
-        assert rec.blocks == tuple(layout.starts.ravel().tolist()[1:])
-        for a in (rec.fixed, rec.depth, rec.sums):
+    @pytest.mark.parametrize("q", [(1,), (4,), (3, 3), (5, 2), (2, 5), (4, 4, 1), (6, 3, 1), (3, 1, 2),
+                                   (5, 3, 3, 1), (7, 4, 2, 1), (2, 2, 2, 2)])
+    def test_fixed_and_depth(self, q):
+        # one to four parts, stable and not, unsorted included: `fixed` and
+        # `free` split the row, `fixed` ascending; `depth` restarts at 1 in
+        # each block; both read-only
+        layout = _layout(q)
+        assert layout.fixed.tolist() == sorted(set(range(layout.width)) - set(layout.free.tolist()))
+        assert layout.depth.shape == (sum(q), 1)
+        assert layout.depth.ravel().tolist() == [d for qi in q for d in range(1, qi + 1)]
+        for a in (layout.fixed, layout.depth):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
+    @pytest.mark.parametrize("q", TWO_PART_SHAPES)
+    def test_two_part_record(self, q):
+        # what `_two_part_coranks` reads for (u, u-r): the layout record's
+        # coefficients off the slice (a_0, t^0..t^(r-1) of the block t^r g,
+        # b_0) and the read-only anti-diagonal sums, built once per (u, u-r)
+        u, m = q
+        layout, sums = _layout(q), _antidiagonal_sums(u, m)
+        g0, _, b0 = _two_part_offsets(u, u - m)
+        assert layout.fixed.tolist() == [0, *range(g0 - (u - m), g0), b0]
+        assert _antidiagonal_sums(u, m) is sums and sums.dtype == np.float64
+        assert sums.tolist() == [[float(i + j == d) for d in range(u + m - 1)] for i in range(u) for j in range(m)]
+        with pytest.raises(ValueError, match="read-only"):
+            sums[...] = 0
+
     def test_two_part_record_refuses_float_parts(self):
-        # the cache is typed: 12.0 never reads the record of 12
-        _two_part(12, 7)
-        with pytest.raises(ValueError, match="needs integer parts"):
-            _two_part(12.0, 7)
+        # the layout is checked before any cache: 12.0 never reads the record of 12
+        _two_part_coranks(np.zeros((1, 34), dtype=np.int64), 12, 7, P, 2)
         with pytest.raises(ValueError, match="needs integer parts"):
             _two_part_coranks(np.zeros((1, 34), dtype=np.int64), 12.0, 7, P, 2)
 

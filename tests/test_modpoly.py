@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from nilcommute import commutator, modpoly
-from nilcommute.commutator import _draw_free, assemble_blocks, dmap_oracle, jordan_type_of_matrix, jordan_types
+from nilcommute.commutator import (
+    _draw_free,
+    _power_ranks,
+    assemble_blocks,
+    dmap_oracle,
+    jordan_type_of_matrix,
+    jordan_types,
+)
 from nilcommute.loci import equations, sample_on_locus, survey
 from nilcommute.modpoly import (
     DEFAULT_PRIME,
@@ -14,7 +21,6 @@ from nilcommute.modpoly import (
     _eliminate,
     _eliminate_scalar,
     _eliminate_stacked,
-    _power_ranks,
     _reduce,
     is_prime,
     matmul,
@@ -580,26 +586,26 @@ class TestPowerRanks:
 
 
 def spy_ranks(monkeypatch):
-    """Record the size of each matrix the scalar loop ranks."""
+    """Record the size of each matrix the readouts rank on the scalar loop."""
     ranked = []
 
-    def spy(m, p, rank_scalar=modpoly._rank_scalar):
+    def spy(m, p, rank_scalar=commutator._rank_scalar):
         ranked.append(len(m))
         return rank_scalar(m, p)
 
-    monkeypatch.setattr(modpoly, "_rank_scalar", spy)
+    monkeypatch.setattr(commutator, "_rank_scalar", spy)
     return ranked
 
 
 def spy_products(monkeypatch):
-    """Record the inner dimension of each product `_mulmod` takes."""
+    """Record the inner dimension of each product the readouts take (`_mulmod`)."""
     products = []
 
-    def spy(a, b, p, mulmod=modpoly._mulmod):
+    def spy(a, b, p, mulmod=commutator._mulmod):
         products.append(a.shape[-1])
         return mulmod(a, b, p)
 
-    monkeypatch.setattr(modpoly, "_mulmod", spy)
+    monkeypatch.setattr(commutator, "_mulmod", spy)
     return products
 
 
